@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -108,8 +109,54 @@ def _merged(section: str, preset: dict, cfg: dict) -> dict:
 # file formats
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+# Every table is CSV as csv.writer writes it (header row, CRLF, minimal
+# quoting) with floats as %.17g, so values read back bit for bit.  Rows are
+# filled from %-templates one time step at a time; reads go through loadtxt.
+
+def _quote(text) -> str:
+    """A text cell as csv.writer quotes it."""
+    text = str(text)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _lines(cells: list[str], block, prefix: str = "", index: bool = True):
+    """Per step t of ``block``, the text of one line per cell: ``prefix``,
+    t (when ``index``), the cell; the cells' %-fields take block[t]'s values
+    in C order."""
+    block = np.asarray(block)
+    for t in range(block.shape[0]):
+        lead = f"{prefix}{t}" if index else prefix
+        yield (lead + lead.join(cells)) % tuple(np.ravel(block[t]).tolist())
+
+
+def _write_csv(path: str, header, *chunks) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        for lines in chunks:
+            fh.writelines(lines)
+
+
+def _read_csv(path: str, start: int, stop=None, converters=None) -> np.ndarray:
+    """Columns start:stop of the data rows as float64; the others are not
+    parsed, but every row must be as wide as the header."""
+    with open(path, "r", encoding="utf-8") as fh:   # a missing file is an OSError
+        try:
+            n_cols = len(next(csv.reader([fh.readline()]), []))
+            stop = n_cols if stop is None else stop
+            conv = {c: lambda _: 0.0 for c in range(n_cols) if not start <= c < stop}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # no data rows
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                   ndmin=2, converters=conv | (converters or {}))
+            need = max(stop, start + 1)
+            if table.shape[0] == 0 or table.shape[1] != n_cols or n_cols < need:
+                raise ValueError(f"{table.shape[0]} rows of {table.shape[1]} columns, "
+                                 f"{n_cols} in the header, {need} needed")
+        except (ValueError, csv.Error) as err:
+            raise ConfigError(f"malformed CSV {path}: {err}") from None
+    return np.ascontiguousarray(table[:, start:stop])
 
 
 def write_matrix_csv(path: str, matrix: np.ndarray, prefix: str,
@@ -118,51 +165,30 @@ def write_matrix_csv(path: str, matrix: np.ndarray, prefix: str,
     matrix = np.asarray(matrix)
     if ids is None:
         ids = range(matrix.shape[1])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([index_name] + [f"{prefix}{j}" for j in ids])
-        for t in range(matrix.shape[0]):
-            w.writerow([t] + [_fmt(v) for v in matrix[t]])
+    _write_csv(path, [index_name] + [f"{prefix}{j}" for j in ids],
+               _lines([",%.17g" * matrix.shape[1] + "\r\n"], matrix))
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    """Every column but the first (which may hold dates) as float64."""
+    return _read_csv(path, 1)
 
 
-def write_series_csv(path: str, values: np.ndarray, name: str = "condition") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_index", name])
-        for t, v in enumerate(values):
-            w.writerow([t, _fmt(v)])
+def write_series_csv(path: str, values: np.ndarray, name: str = "condition",
+                     index_name: str = "time_index") -> None:
+    _write_csv(path, [index_name, name], _lines([",%.17g\r\n"], values))
 
 
 def read_series_csv(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([float(row[1]) for row in rows[1:]])
+    return _read_csv(path, 1, 2)[:, 0]
 
 
 def write_coords_csv(path: str, coords: np.ndarray, id_name: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([id_name, "x", "y"])
-        for i, (x, y) in enumerate(coords):
-            w.writerow([i, _fmt(x), _fmt(y)])
+    _write_csv(path, [id_name, "x", "y"], _lines([",%.17g,%.17g\r\n"], coords))
 
 
 def read_coords_csv(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(row[1]), float(row[2])] for row in rows[1:]])
+    return _read_csv(path, 1, 3)
 
 
 def write_ensemble(path: str, ens: emu.EmulationEnsemble, binary: bool) -> None:
@@ -178,24 +204,56 @@ def write_ensemble(path: str, ens: emu.EmulationEnsemble, binary: bool) -> None:
         with open(path + ".json", "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=1)
         return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_index", "site_id", "sample_index", "value", "scenario"])
-        n_t, n_sel, n_samp = ens.samples.shape
-        for t in range(n_t):
-            for j in range(n_sel):
-                sid = int(ens.site_indices[j])
-                for s in range(n_samp):
-                    w.writerow([t, sid, s, _fmt(ens.samples[t, j, s]), ens.scenario])
+    scenario = _quote(ens.scenario).replace("%", "%%")
+    cells = [f",{sid},{s},%.17g,{scenario}\r\n" for sid in ens.site_indices.tolist()
+             for s in range(ens.n_samples)]
+    _write_csv(path, ["time_index", "site_id", "sample_index", "value", "scenario"],
+               _lines(cells, ens.samples))
+
+
+def _read_ensemble_csv(path: str):
+    """Long ensemble -> ({scenario: (time, site, sample)}, site ids, scenarios);
+    a scenario holds each (time, site, sample) of its indices exactly once."""
+    codes: dict[str, int] = {}
+    table = _read_csv(path, 0, 5, {4: lambda s: codes.setdefault(s, len(codes))})
+    idx = table[:, :3]
+    if not np.all(np.isfinite(idx) & (idx == np.round(idx))):
+        raise ConfigError(f"malformed CSV {path}: non-integer index")
+    idx = idx.astype(np.int64)
+    site_ids = np.unique(idx[:, 1])
+    out = {}
+    for scen, code in codes.items():
+        rows = table[:, 4] == code
+        ts, ti = np.unique(idx[rows, 0], return_inverse=True)
+        ss, si = np.unique(idx[rows, 2], return_inverse=True)
+        shape = (ts.size, site_ids.size, ss.size)
+        flat = np.ravel_multi_index(
+            (ti, np.searchsorted(site_ids, idx[rows, 1]), si), shape)
+        if flat.size != np.prod(shape) or np.bincount(flat).min() != 1:
+            raise ConfigError(f"ensemble {path}: {scen!r} misses or repeats cells")
+        out[scen] = np.empty(shape)
+        out[scen].flat[flat] = table[rows, 3]
+    return out, site_ids, list(codes)
+
+
+def _read_ensemble_bin(path: str):
+    """The ``emulate --binary`` layout, through its JSON sidecar."""
+    try:
+        with open(path + ".json", "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        if (meta["dtype"], meta["order"], len(meta["shape"])) != ("<f8", "C", 3):
+            raise ValueError("the sidecar must give dtype <f8, order C and 3 axes")
+        samples = np.fromfile(path, dtype="<f8").reshape(meta["shape"])
+        site_ids = np.asarray(meta["site_indices"], np.int64).reshape(samples.shape[1])
+    except (ValueError, KeyError, TypeError) as err:
+        raise ConfigError(f"binary ensemble {path}: {err}") from None
+    return {meta["scenario"]: samples}, site_ids, [meta["scenario"]]
 
 
 def write_curve_csv(path: str, curve) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "estimate", "lo95", "hi95"])
-        for k in range(curve.u.size):
-            w.writerow([_fmt(curve.u[k]), _fmt(curve.estimate[k]),
-                        _fmt(curve.lo95[k]), _fmt(curve.hi95[k])])
+    _write_csv(path, ["u", "estimate", "lo95", "hi95"], _lines(
+        ["%.17g,%.17g,%.17g,%.17g\r\n"], np.column_stack(
+            [curve.u, curve.estimate, curve.lo95, curve.hi95]), index=False))
 
 
 def _sha256(path: str) -> str:
@@ -305,11 +363,7 @@ def cmd_train(args) -> int:
             x, c, train_cfg, grid, search_epochs=args.grid_epochs,
             knots=knots, sites=sites, wendland_radius=radius)
         grid_scores_path = os.path.join(out, "grid_scores.csv")
-        with open(grid_scores_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["candidate", "score"])
-            for i, s in enumerate(scores):
-                w.writerow([i, _fmt(s)])
+        write_series_csv(grid_scores_path, scores, "score", index_name="candidate")
 
     ckpt_path = os.path.join(out, "checkpoint.json")
     model, report = tr.train(x, c, dataclasses.replace(
@@ -317,11 +371,7 @@ def cmd_train(args) -> int:
         knots=knots, sites=sites, wendland_radius=radius)
 
     report_path = os.path.join(out, "train_report.csv")
-    with open(report_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss"])
-        for e, v in enumerate(report.loss_history):
-            w.writerow([e, _fmt(v)])
+    write_series_csv(report_path, report.loss_history, "loss", index_name="epoch")
 
     inputs = [p for p in (args.fields, args.conditions, args.knots, args.sites,
                           args.grid, args.config) if p]
@@ -383,14 +433,9 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
     write_ensemble(ens_path, ens, args.binary)
 
     theta_path = os.path.join(out, "theta_hat.csv")
-    with open(theta_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_index", "knot_id", "mean", "std"])
-        t_mean = ens.theta.mean(axis=2)
-        t_std = ens.theta.std(axis=2)
-        for t in range(t_mean.shape[0]):
-            for k in range(t_mean.shape[1]):
-                w.writerow([t, k, _fmt(t_mean[t, k]), _fmt(t_std[t, k])])
+    _write_csv(theta_path, ["time_index", "knot_id", "mean", "std"],
+               _lines([f",{k},%.17g,%.17g\r\n" for k in range(ens.theta.shape[1])],
+                      np.stack([ens.theta.mean(axis=2), ens.theta.std(axis=2)], axis=2)))
 
     fields_path = os.path.join(out, "emulated_fields.csv")
     write_matrix_csv(fields_path, ens.samples[:, :, 0], "site_",
@@ -432,6 +477,14 @@ def cmd_metrics(args) -> int:
             f"site counts disagree: truth has {truth.shape[1]} columns, "
             f"emulated has {emulated.shape[1]}, coords has {coords.shape[0]} "
             "rows (emulate without --sites to produce full-grid fields)")
+    if args.ensemble:
+        binary = os.path.exists(args.ensemble + ".json")   # emulate --binary
+        read = _read_ensemble_bin if binary else _read_ensemble_csv
+        ens, site_ids, scenarios = read(args.ensemble)
+        if {a.shape[0] for a in ens.values()} != {truth.shape[0]} \
+                or not np.all((site_ids >= 0) & (site_ids < truth.shape[1])):
+            raise ConfigError(f"ensemble {args.ensemble} does not fit the truth's "
+                              f"{truth.shape[0]} time steps and {truth.shape[1]} sites")
     out = args.out
     os.makedirs(out, exist_ok=True)
     u = np.asarray(m_cfg["u"], dtype=np.float64)
@@ -443,6 +496,9 @@ def cmd_metrics(args) -> int:
     tol = m_cfg["tol"] if m_cfg["tol"] is not None else psi / 2.0
     ref = (m_cfg["ref_index"] if m_cfg["ref_index"] is not None
            else int(np.argmin(np.sum((coords - coords.mean(axis=0)) ** 2, axis=1))))
+    pairs = mx.select_pairs(coords, distance, tol, m_cfg["max_pairs"], seed,
+                            distances=d)
+    del d
 
     outputs = []
     sidecar = {"distance": distance, "tol": tol, "psi": psi, "seed": seed,
@@ -450,7 +506,7 @@ def cmd_metrics(args) -> int:
     for name, fields in (("truth", truth), ("emulated", emulated)):
         chi = mx.chi_curve(fields, coords, distance, u, tol=tol,
                            n_boot=m_cfg["n_boot"], seed=seed,
-                           max_pairs=m_cfg["max_pairs"])
+                           max_pairs=m_cfg["max_pairs"], pairs=pairs)
         path = os.path.join(out, f"chi_{name}.csv")
         write_curve_csv(path, chi)
         outputs.append(path)
@@ -460,33 +516,24 @@ def cmd_metrics(args) -> int:
         outputs.append(path)
 
     if args.ensemble:
-        ens, site_ids, scenarios = _read_ensemble_csv(args.ensemble)
+        obs = truth[:, site_ids]
+        scores = {s: mx.twcrps_field(ens[s], obs).scores for s in scenarios}
+        labels = [_quote(s).replace("%", "%%") for s in scenarios]
         scores_path = os.path.join(out, "twcrps.csv")
+        _write_csv(scores_path, ["scenario", "time_index", "site_id", "twcrps"],
+                   *(_lines([f",{sid},%.17g\r\n" for sid in site_ids.tolist()],
+                            scores[s], prefix=lab + ",")
+                     for s, lab in zip(scenarios, labels)))
         summary_path = os.path.join(out, "twcrps_summary.csv")
-        qq_path = os.path.join(out, "qq.csv")
-        with open(scores_path, "w", newline="", encoding="utf-8") as fh, \
-                open(summary_path, "w", newline="", encoding="utf-8") as fh2:
-            w = csv.writer(fh)
-            w.writerow(["scenario", "time_index", "site_id", "twcrps"])
-            w2 = csv.writer(fh2)
-            w2.writerow(["scenario", "median_twcrps"])
-            for scenario in scenarios:
-                samples = ens[scenario]
-                obs = truth[:, site_ids]
-                res = mx.twcrps_field(samples, obs)
-                for t in range(res.scores.shape[0]):
-                    for j in range(res.scores.shape[1]):
-                        w.writerow([scenario, t, int(site_ids[j]),
-                                    _fmt(res.scores[t, j])])
-                w2.writerow([scenario, _fmt(np.median(res.scores))])
+        _write_csv(summary_path, ["scenario", "median_twcrps"],
+                   _lines([f"{lab},%.17g\r\n" for lab in labels],
+                          [[np.median(scores[s]) for s in scenarios]], index=False))
         q = np.linspace(0.01, 0.99, 99)
-        first = scenarios[0]
-        qo, qe = mx.qq_data(truth[:, site_ids].ravel(), ens[first].ravel(), q)
-        with open(qq_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["q", "obs_quantile", "ensemble_quantile"])
-            for k in range(q.size):
-                w.writerow([_fmt(q[k]), _fmt(qo[k]), _fmt(qe[k])])
+        qo, qe = mx.qq_data(obs.ravel(), ens[scenarios[0]].ravel(), q)
+        qq_path = os.path.join(out, "qq.csv")
+        _write_csv(qq_path, ["q", "obs_quantile", "ensemble_quantile"],
+                   _lines(["%.17g,%.17g,%.17g\r\n"], np.column_stack([q, qo, qe]),
+                          index=False))
         outputs += [scores_path, summary_path, qq_path]
 
     with open(os.path.join(out, "metrics_meta.json"), "w", encoding="utf-8") as fh:
@@ -497,32 +544,6 @@ def cmd_metrics(args) -> int:
     write_manifest(out, "metrics", seed, inputs, outputs)
     print(f"wrote dependence and score diagnostics to {out}")
     return 0
-
-
-def _read_ensemble_csv(path: str):
-    if not os.path.exists(path):
-        raise ConfigError(f"input file not found: {path}")
-    rows = {}
-    scenarios = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for t, sid, s, v, scen in reader:
-            key = (scen, int(t), int(sid), int(s))
-            rows[key] = float(v)
-            if scen not in scenarios:
-                scenarios.append(scen)
-    out = {}
-    site_ids = sorted({k[2] for k in rows})
-    for scen in scenarios:
-        ts = sorted({k[1] for k in rows if k[0] == scen})
-        ss = sorted({k[3] for k in rows if k[0] == scen})
-        arr = np.empty((len(ts), len(site_ids), len(ss)))
-        for (sc, t, sid, s), v in rows.items():
-            if sc == scen:
-                arr[ts.index(t), site_ids.index(sid), ss.index(s)] = v
-        out[scen] = arr
-    return out, np.asarray(site_ids), scenarios
 
 
 def cmd_gradcheck(args) -> int:
@@ -593,23 +614,16 @@ def cmd_preprocess(args) -> int:
     fields_path = os.path.join(out, "fields.csv")
     write_matrix_csv(fields_path, transformed, "site_", index_name="time_index")
     gev_path = os.path.join(out, "gev_params.csv")
-    with open(gev_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site_id", "mu", "sigma", "xi"])
-        for j, r in enumerate(results):
-            w.writerow([j, _fmt(r.gev.mu), _fmt(r.gev.sigma), _fmt(r.gev.xi)])
+    _write_csv(gev_path, ["site_id", "mu", "sigma", "xi"],
+               _lines([",%.17g,%.17g,%.17g\r\n"],
+                      [(r.gev.mu, r.gev.sigma, r.gev.xi) for r in results]))
     gof_path = os.path.join(out, "gof.csv")
-    with open(gof_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site_id", "statistic", "df", "p_value"])
-        for j, r in enumerate(results):
-            w.writerow([j, _fmt(r.gof.statistic), r.gof.df, _fmt(r.gof.p_value)])
+    _write_csv(gof_path, ["site_id", "statistic", "df", "p_value"],
+               _lines([",%.17g,%d,%.17g\r\n"],
+                      [(r.gof.statistic, r.gof.df, r.gof.p_value) for r in results]))
     months_path = os.path.join(out, "months.csv")
-    with open(months_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["month_index", "year", "month"])
-        for i, (yy, mm) in enumerate(months):
-            w.writerow([i, yy, mm])
+    _write_csv(months_path, ["month_index", "year", "month"],
+               _lines([",%d,%d\r\n"], months))
 
     outputs = [maxima_path, fields_path, gev_path, gof_path, months_path]
     write_manifest(out, "preprocess", None, [args.daily, args.sites], outputs)
@@ -687,7 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truth", required=True)
     sp.add_argument("--emulated", required=True)
     sp.add_argument("--coords", required=True)
-    sp.add_argument("--ensemble", help="long-format ensemble CSV for twCRPS/QQ")
+    sp.add_argument("--ensemble", help="ensemble for twCRPS/QQ: the long CSV, or "
+                    "the --binary file beside its .json sidecar")
     sp.set_defaults(func=cmd_metrics)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient audit")

@@ -66,9 +66,15 @@ def knot_lattice(side: int, extent: float = 20.0) -> np.ndarray:
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a and b, summed one coordinate
+    at a time (no (n, m, dim) temporary)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        sq += diff * diff
+    return np.sqrt(sq, out=sq)
 
 
 def wendland_basis(sites: np.ndarray, knots: np.ndarray, radius: float) -> np.ndarray:
@@ -111,11 +117,7 @@ def simulate_theta(
     c = np.asarray(c, dtype=np.float64)
     if np.any(c < 0) or np.any(c > 1):
         raise ValueError("condition values must lie in [0, 1]")
-    a1 = np.asarray(anchors[0], dtype=np.float64)
-    a2 = np.asarray(anchors[1], dtype=np.float64)
-    centers = c[:, None] * a1 + (1.0 - c[:, None]) * a2          # (T, 2)
-    knots = np.asarray(knots, dtype=np.float64)
-    d = np.sqrt(np.sum((knots[None, :, :] - centers[:, None, :]) ** 2, axis=2))
+    d = pairwise_distances(kernel_center(c[:, None], anchors), knots)   # (T, K)
     return gamma * np.exp(-((d / tau) ** b))
 
 

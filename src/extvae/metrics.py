@@ -61,18 +61,20 @@ class TwcrpsField:
 
 
 def select_pairs(coords: np.ndarray, distance: float, tol: float,
-                 max_pairs: int = MAX_PAIRS_PER_BIN, seed=0) -> np.ndarray:
+                 max_pairs: int = MAX_PAIRS_PER_BIN, seed=0,
+                 distances: np.ndarray | None = None) -> np.ndarray:
     """Ordered site pairs whose separation is within tol of the target,
     subsampled to at most ``max_pairs`` (seeded) for cost.
 
     A target distance of exactly zero selects the self-pairs (i, i), for
-    which the co-exceedance probability is identically one.
+    which the co-exceedance probability is identically one.  ``distances``
+    may pass in ``pairwise_distances(coords, coords)`` already computed.
     """
     n = len(coords)
     if distance == 0.0:
         pairs = np.column_stack([np.arange(n), np.arange(n)])
     else:
-        d = pairwise_distances(coords, coords)
+        d = pairwise_distances(coords, coords) if distances is None else distances
         upper = np.arange(n)[:, None] < np.arange(n)[None, :]
         ii, jj = np.where((np.abs(d - distance) <= tol) & upper)
         pairs = np.column_stack([ii, jj])
@@ -109,6 +111,7 @@ def chi_curve(
     n_boot: int = N_BOOT_DEFAULT,
     seed: int = 0,
     max_pairs: int = MAX_PAIRS_PER_BIN,
+    pairs: np.ndarray | None = None,
 ) -> ChiCurve:
     """Empirical co-exceedance probability at a spatial lag.
 
@@ -116,7 +119,8 @@ def chi_curve(
     margin is rank-transformed, and for every pair in the distance bin the
     conditional exceedance ratio is averaged.  Bootstrap resamples replicates
     (200 by default) and re-ranks within each resample; the percentile band is
-    widened, if needed, to contain the point estimate.
+    widened, if needed, to contain the point estimate.  ``pairs`` may pass
+    in the :func:`select_pairs` result for these arguments.
     """
     fields = np.asarray(fields, dtype=np.float64)
     if fields.ndim != 2 or fields.shape[0] < 2:
@@ -124,7 +128,8 @@ def chi_curve(
     u = np.asarray(u, dtype=np.float64)
     if tol is None:
         tol = distance / 2.0
-    pairs = select_pairs(coords, distance, tol, max_pairs, seed)
+    if pairs is None:
+        pairs = select_pairs(coords, distance, tol, max_pairs, seed)
     sel = np.unique(pairs)
     remap = {int(s): i for i, s in enumerate(sel)}
     pairs_local = np.array([[remap[int(i)], remap[int(j)]] for i, j in pairs])

@@ -321,3 +321,225 @@ class TestFormatting:
         cli.write_matrix_csv(str(path), vals, "site_")
         back = cli.read_matrix_csv(str(path))
         assert np.array_equal(back, vals)
+
+
+# ---------------------------------------------------------------------------
+# the file layer against the csv.writer loops it replaced
+# ---------------------------------------------------------------------------
+
+def _fmt(x) -> str:
+    return f"{float(x):.17g}"
+
+
+def ref_write_matrix_csv(path, matrix, prefix, index_name="time_index", ids=None):
+    matrix = np.asarray(matrix)
+    if ids is None:
+        ids = range(matrix.shape[1])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow([index_name] + [f"{prefix}{j}" for j in ids])
+        for t in range(matrix.shape[0]):
+            w.writerow([t] + [_fmt(v) for v in matrix[t]])
+
+
+def ref_write_series_csv(path, values, name="condition"):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time_index", name])
+        for t, v in enumerate(values):
+            w.writerow([t, _fmt(v)])
+
+
+def ref_write_coords_csv(path, coords, id_name):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow([id_name, "x", "y"])
+        for i, (x, y) in enumerate(coords):
+            w.writerow([i, _fmt(x), _fmt(y)])
+
+
+def ref_write_ensemble(path, ens):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time_index", "site_id", "sample_index", "value", "scenario"])
+        n_t, n_sel, n_samp = ens.samples.shape
+        for t in range(n_t):
+            for j in range(n_sel):
+                sid = int(ens.site_indices[j])
+                for s in range(n_samp):
+                    w.writerow([t, sid, s, _fmt(ens.samples[t, j, s]), ens.scenario])
+
+
+def ref_write_curve_csv(path, curve):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["u", "estimate", "lo95", "hi95"])
+        for k in range(curve.u.size):
+            w.writerow([_fmt(curve.u[k]), _fmt(curve.estimate[k]),
+                        _fmt(curve.lo95[k]), _fmt(curve.hi95[k])])
+
+
+AWKWARD = np.array([5e-324, 1e-300, 1e22, -0.0, np.nan, np.inf, -np.inf, 1 / 3,
+                    -2.5e-308, 123456.789, 0.1, -1e16])
+
+
+def awkward_matrix(n_rows, n_cols, shift=0):
+    return np.roll(AWKWARD, shift)[np.add.outer(np.arange(n_rows),
+                                                np.arange(n_cols)) % AWKWARD.size]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFileLayer:
+    @pytest.mark.parametrize("index_name,ids", [
+        ("time_index", None), ("month_index", np.array([3, 17, 250, 4, 0, 9, 1]))])
+    def test_matrix_bytes_and_bits(self, tmp_path, index_name, ids):
+        m = awkward_matrix(5, 7)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        cli.write_matrix_csv(str(new), m, "site_", index_name=index_name, ids=ids)
+        ref_write_matrix_csv(str(ref), m, "site_", index_name=index_name, ids=ids)
+        assert new.read_bytes() == ref.read_bytes()
+        back = cli.read_matrix_csv(str(new))
+        assert same_bits(back, m)
+        assert back.flags.c_contiguous and back.dtype == np.float64
+
+    def test_series_coords_curve_bytes(self, tmp_path):
+        from extvae.metrics import ChiCurve
+
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        cli.write_series_csv(str(new), AWKWARD, "loss")
+        ref_write_series_csv(str(ref), AWKWARD, "loss")
+        assert new.read_bytes() == ref.read_bytes()
+        assert same_bits(cli.read_series_csv(str(new)), AWKWARD)
+
+        coords = awkward_matrix(9, 2, shift=3)
+        cli.write_coords_csv(str(new), coords, "knot_id")
+        ref_write_coords_csv(str(ref), coords, "knot_id")
+        assert new.read_bytes() == ref.read_bytes()
+        assert same_bits(cli.read_coords_csv(str(new)), coords)
+
+        m = awkward_matrix(4, 4, shift=5)
+        curve = ChiCurve(u=m[0], estimate=m[1], lo95=m[2], hi95=m[3],
+                         defined=np.ones(4, bool), distance=1.0, tol=0.5, n_pairs=1)
+        cli.write_curve_csv(str(new), curve)
+        ref_write_curve_csv(str(ref), curve)
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("scenario", ["factual", 'odd, "quoted" 100%', "line\nbreak"])
+    def test_long_ensemble_bytes_and_read_back(self, tmp_path, scenario):
+        samples = awkward_matrix(4 * 3, 5).reshape(4, 3, 5)
+        samples[np.isnan(samples)] = 2.0
+        ens = emu.EmulationEnsemble(samples=samples, theta=np.ones((4, 2, 5)),
+                                    scenario=scenario, seed=1,
+                                    site_indices=np.array([17, 0, 250]))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        cli.write_ensemble(str(new), ens, binary=False)
+        ref_write_ensemble(str(ref), ens)
+        assert new.read_bytes() == ref.read_bytes()
+        back, site_ids, scenarios = cli._read_ensemble_csv(str(new))
+        assert scenarios == [scenario]
+        assert site_ids.tolist() == [0, 17, 250]
+        # sites come back in id order
+        assert same_bits(back[scenario], samples[:, [1, 0, 2], :])
+
+    @pytest.mark.parametrize("edit", ["drop", "repeat", "fraction"])
+    def test_incomplete_long_ensemble_rejected(self, tmp_path, edit):
+        ens = emu.EmulationEnsemble(samples=np.ones((2, 2, 2)), theta=np.ones((2, 1, 2)),
+                                    scenario="factual", seed=1,
+                                    site_indices=np.array([0, 5]))
+        path = tmp_path / "ens.csv"
+        cli.write_ensemble(str(path), ens, binary=False)
+        lines = path.read_text().splitlines()
+        if edit == "drop":
+            del lines[3]
+        elif edit == "repeat":
+            lines[3] = lines[4]
+        else:
+            lines[3] = "0.5" + lines[3][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(cli.ConfigError, match="ens.csv"):
+            cli._read_ensemble_csv(str(path))
+
+    def test_read_accepts_quotes_spaces_and_dates(self, tmp_path):
+        path = tmp_path / "daily.csv"
+        path.write_text('date,"site_0", site_1\n'
+                        '2015-01-01,"1.5", 2.25 \n'
+                        '"Jan 2, 2015", -0 ,"1e-300"\n')
+        back = cli.read_matrix_csv(str(path))
+        assert same_bits(back, np.array([[1.5, 2.25], [-0.0, 1e-300]]))
+
+
+def _write_tiny_inputs(root):
+    cli.write_matrix_csv(str(root / "fields.csv"), np.ones((6, 3)), "site_")
+    cli.write_series_csv(str(root / "conditions.csv"), np.linspace(0, 1, 6))
+
+
+@pytest.mark.parametrize("kind,row", [
+    ("non-numeric", "2,1.0,abc,1.0"),
+    ("empty", "2,1.0,,1.0"),
+    ("ragged-short", "2,1.0,1.0"),
+    ("ragged-long", "2,1.0,1.0,1.0,1.0"),
+])
+def test_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, kind, row):
+    _write_tiny_inputs(tmp_path)
+    lines = (tmp_path / "fields.csv").read_text().splitlines()
+    lines[3] = row
+    (tmp_path / "fields.csv").write_text("\r\n".join(lines) + "\r\n")
+    code = run_cli("train", "--fields", tmp_path / "fields.csv",
+                   "--conditions", tmp_path / "conditions.csv",
+                   "--epochs", 1, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "fields.csv" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
+class TestMetricsBinaryEnsemble:
+    def _emulate_pair(self, tiny_run, tmp_path):
+        _, cfg_path, sim, train, emu_dir = tiny_run
+        args = ["--config", cfg_path, "--checkpoint", train / "checkpoint.json",
+                "--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv",
+                "--n-samples", 4, "--sites", "0,3,17"]
+        assert run_cli("emulate", *args, "--binary", "--out", tmp_path / "bin") == 0
+        assert run_cli("emulate", *args, "--out", tmp_path / "csv") == 0
+
+    def _metrics(self, tiny_run, tmp_path, ensemble, out):
+        _, _, sim, _, emu_dir = tiny_run
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "metrics": {"n_boot": 3}}))
+        return run_cli("metrics", "--config", cfg, "--truth", sim / "fields.csv",
+                       "--emulated", emu_dir / "emulated_fields.csv",
+                       "--coords", sim / "sites.csv", "--ensemble", ensemble,
+                       "--out", out)
+
+    def test_binary_ensemble_scores_equal_csv(self, tiny_run, tmp_path):
+        self._emulate_pair(tiny_run, tmp_path)
+        assert self._metrics(tiny_run, tmp_path, tmp_path / "bin" / "ensemble.bin",
+                             tmp_path / "mb") == 0
+        assert self._metrics(tiny_run, tmp_path, tmp_path / "csv" / "ensemble.csv",
+                             tmp_path / "mc") == 0
+        for name in ("twcrps.csv", "twcrps_summary.csv", "qq.csv", "chi_truth.csv"):
+            assert (tmp_path / "mb" / name).read_bytes() == \
+                (tmp_path / "mc" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["truncate", "sidecar", "no-sidecar"])
+    def test_unreadable_binary_exits_2_before_chi(self, tiny_run, tmp_path, capsys,
+                                                  damage):
+        self._emulate_pair(tiny_run, tmp_path)
+        path = tmp_path / "bin" / "ensemble.bin"
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:-8])
+        elif damage == "sidecar":
+            side = json.loads((tmp_path / "bin" / "ensemble.bin.json").read_text())
+            side["shape"][1] = 5
+            (tmp_path / "bin" / "ensemble.bin.json").write_text(json.dumps(side))
+        else:
+            (tmp_path / "bin" / "ensemble.bin.json").unlink()
+        capsys.readouterr()
+        assert self._metrics(tiny_run, tmp_path, path, tmp_path / "m") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ensemble.bin" in err
+        assert not (tmp_path / "m" / "chi_truth.csv").exists()
