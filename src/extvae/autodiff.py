@@ -391,20 +391,29 @@ def conv1d_same(x, kernel, bias):
 
 
 def maxpool1d(x, width):
-    """Non-overlapping max pooling along the last axis; ties go to the first max."""
+    """Non-overlapping max pooling along the last axis; ties go to the first max.
+
+    Slot q replaces the running max only where strictly greater (``took[q-1]``),
+    so ties and -0.0/+0.0 keep the first slot, as argmax does on finite input."""
     xv = value_of(x)
     b, c, length = xv.shape
     if length % width != 0:
         raise ValueError(f"pool width {width} must divide length {length}")
     xr = xv.reshape(b, c, length // width, width)
-    idx = np.argmax(xr, axis=3)
-    out = np.take_along_axis(xr, idx[..., None], axis=3)[..., 0]
+    out = xr[..., 0]
+    took = []
+    for q in range(1, width):
+        took.append(xr[..., q] > out)
+        out = np.where(took[-1], xr[..., q], out)
     if not isinstance(x, Var):
         return out
 
     def vjp(g):
-        acc = np.zeros_like(xr)
-        np.put_along_axis(acc, idx[..., None], g[..., None], axis=3)
+        acc = np.empty_like(xr)
+        for q in range(width - 1, 0, -1):
+            acc[..., q] = np.where(took[q - 1], g, 0.0)
+            g = np.where(took[q - 1], 0.0, g)
+        acc[..., 0] = g
         return acc.reshape(b, c, length)
 
     return Var(out, ((x, vjp),), "maxpool1d")

@@ -99,6 +99,14 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _seed(args, cfg: dict) -> int:
+    """``--seed``, else the config's, else 0; numpy seeds must be >= 0."""
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
 def _merged(section: str, preset: dict, cfg: dict) -> dict:
     out = dict(preset)
     out.update(cfg.get(section, {}))
@@ -286,7 +294,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     preset = DESK_DATA if args.desk else DEFAULT_DATA
     data_cfg = _merged("data", preset, cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     out = args.out
     os.makedirs(out, exist_ok=True)
 
@@ -339,7 +347,7 @@ def _hyper_from(cfg: dict, desk: bool, overrides: dict) -> HyperParams:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     x = read_matrix_csv(args.fields)
     c = read_series_csv(args.conditions)
     knots = read_coords_csv(args.knots) if args.knots else None
@@ -357,8 +365,15 @@ def cmd_train(args) -> int:
 
     grid_scores_path = None
     if args.grid:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = json.load(fh)
+        try:
+            with open(args.grid, "r", encoding="utf-8") as fh:
+                grid = json.load(fh)
+            if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
+                raise TypeError("expected a JSON list of objects")
+            for overrides in grid:
+                tr.apply_overrides(train_cfg, overrides)
+        except (KeyError, TypeError, ValueError) as err:     # JSONDecodeError too
+            raise ConfigError(f"grid {args.grid}: {err}") from None
         train_cfg, scores = tr.grid_search(
             x, c, train_cfg, grid, search_epochs=args.grid_epochs,
             knots=knots, sites=sites, wendland_radius=radius)
@@ -384,21 +399,32 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _parse_sites(text: str, n_sites: int) -> np.ndarray:
+    """``--sites`` as indices, each an integer in [0, n_sites)."""
+    try:
+        sites = np.array([int(s) for s in text.split(",")])
+    except ValueError:
+        sites = None
+    if sites is None or np.any((sites < 0) | (sites >= n_sites)):
+        raise ConfigError(f"--sites takes comma-separated integers in "
+                          f"0..{n_sites - 1}, got {text!r}")
+    return sites
+
+
 def _emulate_common(args, counterfactual_mode: bool) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     emu_cfg = _merged("emulate", {"n_samples": emu.DEFAULT_N_SAMPLES,
                                   "mode": "reconstruction",
                                   "draw_latent_noise": True,
                                   "draw_data_noise": True}, cfg)
     n_samples = args.n_samples if args.n_samples is not None else emu_cfg["n_samples"]
     model = tr.checkpoint_load(args.checkpoint)
+    sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
     x = read_matrix_csv(args.fields)
     c = read_series_csv(args.conditions)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    sites_sel = (np.array([int(s) for s in args.sites.split(",")])
-                 if args.sites else None)
 
     scenario = "factual"
     c_used = c
@@ -462,7 +488,7 @@ def cmd_counterfactual(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     m_cfg = _merged("metrics", {
         "distance": None, "tol": None,
         "u": [0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.925, 0.95, 0.975, 0.99],
@@ -547,7 +573,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args, {})
     hyper = HyperParams(latent_dim=4, n_theta_basis=4, conv_channels=8,
                         enc_widths=(16,), alpha0=30.0, rho0=0.5, seed=seed)
     cfg = ModelConfig(n_sites=25, hyper=hyper)
@@ -568,7 +594,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_tailcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args, {})
     tau, alpha0 = 1.0, 2.0
     # tight site cluster between the two knots: the shared latent factors
     # dominate, so joint exceedances accumulate

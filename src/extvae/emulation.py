@@ -137,10 +137,15 @@ def emulate(
     n_t = x.shape[0]
     out = np.empty((n_t, site_idx.size, n_samples))
     theta = np.empty((n_t, cfg.hyper.latent_dim, n_samples))
-    # chunk samples so the vectorized pass stays within ~200 MB of scratch
-    rows = 200_000_000 // (8 * max(cfg.hyper.conv_channels * 2 * cfg.hyper.latent_dim,
-                                   cfg.n_sites))
-    budget = max(1, int(rows // max(n_t, 1)))
+    # chunk samples so the vectorized pass stays within ~200 MB of scratch,
+    # counting every float64 one (sample, time) row of a chunk holds
+    h = cfg.hyper
+    k, ch, two_k = h.latent_dim, h.conv_channels, 2 * h.latent_dim
+    row = (3 * k + two_k + 2 * 3 * two_k           # eps, log z, z; fused; windows, padded
+           + 3 * two_k * h.kernel_len              # conv windows as einsum copies them
+           + 2 * ch * two_k + ch * two_k // h.pool_len  # conv output, biased, pooled
+           + 3 * cfg.n_sites)                      # W z, noise, mixed fields
+    budget = max(1, 200_000_000 // (8 * row * max(n_t, 1)))
     for start in range(0, n_samples, budget):
         block = range(start, min(start + budget, n_samples))
         paths, thetas = _chunk_pass(cfg, p, x, c, mu, sigma, w, list(block),

@@ -3,7 +3,9 @@
 Threshold-indexed co-exceedance curves (chi) with bootstrap bands, averaged
 radius of exceedances (ARE) on regular grids, tail-weighted CRPS with exact
 piecewise integration, and Q-Q data.  Chi and ARE are rank-based, hence
-invariant under strictly increasing marginal transformations.
+invariant under strictly increasing marginal transformations: U = rank_max/n
+per column and exceedance is strict, U > u, counted against order-statistic
+thresholds from one sort per column and (bootstrap) resample.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .fieldsim import pairwise_distances
 from .seeds import substream
@@ -21,10 +22,21 @@ N_BOOT_DEFAULT = 200
 MAX_PAIRS_PER_BIN = 200
 
 
-def _uniform_scores(fields: np.ndarray) -> np.ndarray:
-    """Right-continuous empirical CDF values, ranks/n per column (ties share
-    the max rank, so U can equal 1); exceedance always uses strict >."""
-    return rankdata(fields, axis=0, method="max") / fields.shape[0]
+def _uniform_scores(fields: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per level u[k], thresholds with ``fields >= thr[k]`` exactly where
+    U > u[k], for U = rank_max/n per column (ties share the max rank).
+
+    With r the least integer such that r/n > u in float64, U > u iff
+    x >= x_(r), the r-th order statistic, so one sort serves every level.
+    NaN where nothing exceeds: u >= 1, or a column holding NaN (NaN ranks).
+    """
+    n = fields.shape[0]
+    r = np.searchsorted(np.arange(1, n + 1) / n, u, side="right")
+    s = np.sort(fields, axis=0)
+    thr = s[np.minimum(r, n - 1)]
+    thr[r == n] = np.nan
+    thr[:, np.isnan(s[-1])] = np.nan
+    return thr
 
 
 @dataclass
@@ -87,15 +99,16 @@ def select_pairs(coords: np.ndarray, distance: float, tol: float,
     return pairs
 
 
-def _chi_estimate(u_scores: np.ndarray, pairs_local: np.ndarray,
+def _chi_estimate(sub: np.ndarray, pairs_local: np.ndarray,
                   u_grid: np.ndarray) -> np.ndarray:
     """Mean over pairs of #(both exceed)/#(conditioning exceeds)."""
     out = np.full(u_grid.size, np.nan)
-    exceed = u_scores[:, :, None] > u_grid[None, None, :]     # (n_r, n_sel, n_u)
+    thr = _uniform_scores(sub, u_grid)
     for k in range(u_grid.size):
-        ex = exceed[:, :, k]
-        den = ex[:, pairs_local[:, 0]].sum(axis=0).astype(float)
-        num = (ex[:, pairs_local[:, 0]] & ex[:, pairs_local[:, 1]]).sum(axis=0)
+        ex = sub >= thr[k]                                     # (n_r, n_sel)
+        first = ex[:, pairs_local[:, 0]]
+        den = first.sum(axis=0).astype(float)
+        num = (first & ex[:, pairs_local[:, 1]]).sum(axis=0)
         ok = den > 0
         if np.any(ok):
             out[k] = float(np.mean(num[ok] / den[ok]))
@@ -131,16 +144,15 @@ def chi_curve(
     if pairs is None:
         pairs = select_pairs(coords, distance, tol, max_pairs, seed)
     sel = np.unique(pairs)
-    remap = {int(s): i for i, s in enumerate(sel)}
-    pairs_local = np.array([[remap[int(i)], remap[int(j)]] for i, j in pairs])
+    pairs_local = np.searchsorted(sel, pairs)
     sub = fields[:, sel]
 
-    point = _chi_estimate(_uniform_scores(sub), pairs_local, u)
+    point = _chi_estimate(sub, pairs_local, u)
     boots = np.full((n_boot, u.size), np.nan)
     n_r = sub.shape[0]
     for b in range(n_boot):
         idx = substream(seed, "boot", b).integers(0, n_r, size=n_r)
-        boots[b] = _chi_estimate(_uniform_scores(sub[idx]), pairs_local, u)
+        boots[b] = _chi_estimate(sub[idx], pairs_local, u)
     lo, hi = _percentile_band(boots, point)
     return ChiCurve(u=u, estimate=point, lo95=lo, hi95=hi,
                     defined=~np.isnan(point), distance=float(distance),
@@ -148,15 +160,17 @@ def chi_curve(
                     n_boot=n_boot)
 
 
-def _are_estimate(u_scores: np.ndarray, ref: int, psi: float,
+def _are_estimate(fields: np.ndarray, ref: int, psi: float,
                   u_grid: np.ndarray) -> np.ndarray:
     out = np.full(u_grid.size, np.nan)
-    for k, u in enumerate(u_grid):
-        ref_ex = u_scores[:, ref] > u                          # (n_r,)
-        den = float(np.sum(ref_ex))
+    thr = _uniform_scores(fields, u_grid)
+    for k in range(u_grid.size):
+        ref_ex = fields[:, ref] >= thr[k, ref]                 # (n_r,)
+        den = float(np.count_nonzero(ref_ex))
         if den == 0:
             continue
-        num = float(np.sum((u_scores > u) & ref_ex[:, None]))
+        # only rows where the reference exceeds can contribute
+        num = float(np.count_nonzero(fields[ref_ex] >= thr[k]))
         out[k] = math.sqrt(psi**2 * num / (math.pi * den))
     return out
 
@@ -180,12 +194,12 @@ def are_curve(
     if fields.ndim != 2:
         raise ValueError("fields must be (replicates, cells)")
     u = np.asarray(u, dtype=np.float64)
-    point = _are_estimate(_uniform_scores(fields), ref_index, psi, u)
+    point = _are_estimate(fields, ref_index, psi, u)
     boots = np.full((n_boot, u.size), np.nan)
     n_r = fields.shape[0]
     for b in range(n_boot):
         idx = substream(seed, "boot", b).integers(0, n_r, size=n_r)
-        boots[b] = _are_estimate(_uniform_scores(fields[idx]), ref_index, psi, u)
+        boots[b] = _are_estimate(fields[idx], ref_index, psi, u)
     lo, hi = _percentile_band(boots, point)
     return AreCurve(u=u, estimate=point, lo95=lo, hi95=hi,
                     defined=~np.isnan(point), psi=float(psi),

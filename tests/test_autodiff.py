@@ -202,6 +202,60 @@ class TestOpGradients:
                                    rtol=1e-10)
 
 
+def _maxpool_reference(xv, width):
+    """The argmax/take_along_axis max-pool and its put_along_axis vjp."""
+    b, c, length = xv.shape
+    xr = xv.reshape(b, c, length // width, width)
+    idx = np.argmax(xr, axis=3)
+    out = np.take_along_axis(xr, idx[..., None], axis=3)[..., 0]
+
+    def vjp(g):
+        acc = np.zeros_like(xr)
+        np.put_along_axis(acc, idx[..., None], g[..., None], axis=3)
+        return acc.reshape(b, c, length)
+
+    return out, vjp
+
+
+def _tied_pool_input(width, seed):
+    """Values on a coarse lattice (many exact ties) with signed zeros."""
+    rng = substream(seed, "pool")
+    x = rng.integers(-2, 3, size=(3, 4, 4 * width)).astype(np.float64)
+    x[x == 0] = rng.choice([-0.0, 0.0], size=int(np.sum(x == 0)))
+    x[0, 0, :width] = [-0.0 if q % 2 == 0 else 0.0 for q in range(width)]
+    x[0, 1, :width] = [0.0 if q % 2 == 0 else -0.0 for q in range(width)]
+    return x
+
+
+class TestMaxPoolOracle:
+    """maxpool1d against the argmax kernel it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_forward_and_vjp_bits(self, width, tied):
+        x = (_tied_pool_input(width, width) if tied
+             else substream(width, "pool").standard_normal((3, 4, 4 * width)))
+        ref, ref_vjp = _maxpool_reference(x, width)
+        plain = ad.maxpool1d(x, width)
+        assert plain.tobytes() == ref.tobytes()
+        leaf = ad.Var(x)
+        node = ad.maxpool1d(leaf, width)
+        assert node.value.tobytes() == ref.tobytes()
+        ((parent, vjp),) = node.parents
+        assert parent is leaf
+        g = substream(width, "g").standard_normal(ref.shape)
+        assert vjp(g).tobytes() == ref_vjp(g).tobytes()
+
+    def test_signed_zero_and_ties_keep_first_slot(self):
+        x = np.array([[[-0.0, 0.0, 0.0, -0.0, 3.0, 3.0, 1.0, 2.0]]])
+        leaf = ad.Var(x)
+        out = ad.maxpool1d(leaf, 2)
+        assert np.signbit(out.value[0, 0]).tolist() == [True, False, False, False]
+        ad.vsum(out * np.array([1.0, 2.0, 3.0, 4.0])).backward()
+        np.testing.assert_array_equal(leaf.grad[0, 0],
+                                      [1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0, 4.0])
+
+
 class TestViews:
     def test_array_view_matches_var_view_values(self):
         rng = substream(18)

@@ -543,3 +543,61 @@ class TestMetricsBinaryEnsemble:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "ensemble.bin" in err
         assert not (tmp_path / "m" / "chi_truth.csv").exists()
+
+
+class TestInputValidation:
+    """Bad command-line input is one stderr line and exit 2, before compute."""
+
+    @staticmethod
+    def _one_line_exit_2(code, capsys, needle):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and needle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sites", ["0,9999", "-1", "0,x", "1.5", "0,,2"])
+    @pytest.mark.parametrize("command", ["emulate", "counterfactual"])
+    def test_bad_sites_rejected_before_compute(self, tiny_run, tmp_path, capsys,
+                                               command, sites):
+        root, cfg_path, sim, train, _ = tiny_run
+        code = run_cli(command, "--config", cfg_path,
+                       "--checkpoint", train / "checkpoint.json",
+                       "--fields", sim / "fields.csv",
+                       "--conditions", sim / "conditions.csv",
+                       "--n-samples", 2, "--flip" if command == "counterfactual"
+                       else "--binary", "--sites", sites, "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, "--sites")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "emulate",
+                                         "counterfactual", "metrics",
+                                         "gradcheck", "tailcheck"])
+    def test_negative_seed_rejected(self, tiny_run, tmp_path, capsys, command):
+        root, cfg_path, sim, train, emu_dir = tiny_run
+        data = ["--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv"]
+        extra = {
+            "simulate": ["--desk"],
+            "train": data,
+            "emulate": ["--checkpoint", train / "checkpoint.json", *data],
+            "counterfactual": ["--checkpoint", train / "checkpoint.json", *data,
+                               "--flip"],
+            "metrics": ["--truth", sim / "fields.csv",
+                        "--emulated", emu_dir / "emulated_fields.csv",
+                        "--coords", sim / "sites.csv"],
+            "gradcheck": [], "tailcheck": [],
+        }[command]
+        out = [] if command in ("gradcheck", "tailcheck") else ["--out", tmp_path / "o"]
+        code = run_cli(command, *extra, "--seed", -1, *out)
+        self._one_line_exit_2(code, capsys, "seed")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("grid", ['[{"learning_rate": 1e-3},', '{"learning_rate": 1e-3}',
+                                      '[1, 2]', '[{"no_such_key": 1}]'])
+    def test_malformed_grid_rejected(self, tiny_run, tmp_path, capsys, grid):
+        root, cfg_path, sim, *_ = tiny_run
+        (tmp_path / "grid.json").write_text(grid)
+        code = run_cli("train", "--config", cfg_path,
+                       "--fields", sim / "fields.csv",
+                       "--conditions", sim / "conditions.csv",
+                       "--grid", tmp_path / "grid.json", "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, "grid.json")
+        assert not (tmp_path / "o" / "checkpoint.json").exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from extvae import metrics as mx
 from extvae.distributions import GevParams, gev_sample
@@ -136,6 +137,108 @@ class TestAreCurve:
         are = mx.are_curve(fields, 1.0, 5, np.array([0.2, 0.5, 0.8, 0.95]),
                            n_boot=0, seed=0)
         assert np.all(np.diff(are.estimate) < 0)
+
+
+# ---------------------------------------------------------------------------
+# the rank-based kernels the order-statistic thresholds replaced, as oracles
+# ---------------------------------------------------------------------------
+
+def _rank_scores(fields):
+    return rankdata(fields, axis=0, method="max") / fields.shape[0]
+
+
+def _rank_chi_estimate(u_scores, pairs_local, u_grid):
+    out = np.full(u_grid.size, np.nan)
+    exceed = u_scores[:, :, None] > u_grid[None, None, :]
+    for k in range(u_grid.size):
+        ex = exceed[:, :, k]
+        den = ex[:, pairs_local[:, 0]].sum(axis=0).astype(float)
+        num = (ex[:, pairs_local[:, 0]] & ex[:, pairs_local[:, 1]]).sum(axis=0)
+        ok = den > 0
+        if np.any(ok):
+            out[k] = float(np.mean(num[ok] / den[ok]))
+    return out
+
+
+def _rank_are_estimate(u_scores, ref, psi, u_grid):
+    out = np.full(u_grid.size, np.nan)
+    for k, u in enumerate(u_grid):
+        ref_ex = u_scores[:, ref] > u
+        den = float(np.sum(ref_ex))
+        if den == 0:
+            continue
+        num = float(np.sum((u_scores > u) & ref_ex[:, None]))
+        out[k] = math.sqrt(psi**2 * num / (math.pi * den))
+    return out
+
+
+def _rank_curve(fields, estimate, seed, n_boot):
+    """Point estimate and widened percentile band, re-ranking per resample."""
+    point = estimate(_rank_scores(fields))
+    boots = np.full((n_boot, point.size), np.nan)
+    n_r = fields.shape[0]
+    for b in range(n_boot):
+        idx = substream(seed, "boot", b).integers(0, n_r, size=n_r)
+        boots[b] = estimate(_rank_scores(fields[idx]))
+    return (point, *mx._percentile_band(boots, point))
+
+
+def _oracle_fields(tied):
+    rng = substream(21, "oracle")
+    common = rng.standard_normal((60, 1))
+    fields = common + 0.8 * rng.standard_normal((60, 9))
+    return np.round(fields * 2.0) / 2.0 if tied else fields
+
+
+def _oracle_u(n):
+    # exact r/n levels, levels below 1/n and at or above 1
+    return np.array([0.0, 0.5 / n, 1.0 / n, 0.5, 0.7, 0.9, 0.95, 1.0 - 1.0 / n,
+                     1.0, 1.5])
+
+
+class TestOrderStatisticThresholds:
+    @pytest.mark.parametrize("n_r", [2, 3, 10, 60])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_masks_equal_rank_exceedances(self, n_r, tied):
+        fields = _oracle_fields(tied)[:n_r]
+        u = _oracle_u(n_r)
+        thr = mx._uniform_scores(fields, u)
+        scores = _rank_scores(fields)
+        for k in range(u.size):
+            np.testing.assert_array_equal(fields >= thr[k], scores > u[k])
+
+    def test_nan_column_never_exceeds(self):
+        fields = _oracle_fields(False)[:10]
+        fields[3, 2] = np.nan
+        u = _oracle_u(10)
+        thr = mx._uniform_scores(fields, u)
+        with np.errstate(invalid="ignore"):
+            scores = _rank_scores(fields)
+        for k in range(u.size):
+            np.testing.assert_array_equal(fields >= thr[k], scores > u[k])
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_chi_curve_bits_equal_rank_reference(self, tied):
+        fields = _oracle_fields(tied)
+        coords = np.column_stack([np.arange(9.0) % 3, np.arange(9.0) // 3])
+        u = _oracle_u(fields.shape[0])
+        chi = mx.chi_curve(fields, coords, 1.0, u, n_boot=20, seed=4)
+        pairs = mx.select_pairs(coords, 1.0, 0.5, mx.MAX_PAIRS_PER_BIN, 4)
+        sel = np.unique(pairs)
+        pairs_local = np.searchsorted(sel, pairs)
+        ref = _rank_curve(fields[:, sel],
+                          lambda s: _rank_chi_estimate(s, pairs_local, u), 4, 20)
+        for got, want in zip((chi.estimate, chi.lo95, chi.hi95), ref):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_are_curve_bits_equal_rank_reference(self, tied):
+        fields = _oracle_fields(tied)
+        u = _oracle_u(fields.shape[0])
+        are = mx.are_curve(fields, 1.5, 4, u, n_boot=20, seed=6)
+        ref = _rank_curve(fields, lambda s: _rank_are_estimate(s, 4, 1.5, u), 6, 20)
+        for got, want in zip((are.estimate, are.lo95, are.hi95), ref):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTwcrps:

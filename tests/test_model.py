@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from extvae import autodiff as ad
 from extvae import model as mdl
-from extvae.autodiff import ArrayView, fd_check
+from extvae.autodiff import ArrayView, fd_check, value_and_gradient
 from extvae.distributions import expps_logdensity_half, lognormal_logpdf
 from extvae.seeds import substream
 
@@ -392,6 +392,54 @@ class TestPenalizedElbo:
             assert np.all(arr > 0)
         for arr in (xi, theta):
             assert np.all(arr >= 0)
+
+
+def test_desk_penalty_abs_gradient_matches_central_differences(desk_instance):
+    """The configuration every preset trains: desk size with the absolute
+    temporal penalty.  Seeded coordinates of every parameter block (the conv
+    blocks reach the loss through the max-pool vjp) are compared with central
+    differences of the plain-numpy objective.  A coordinate whose left and
+    right one-sided slopes disagree straddles a kink of an absolute value and
+    is skipped; only function values decide that, so a wrong analytic
+    gradient cannot make a coordinate skip."""
+    inst = desk_instance
+    hyper = mdl.HyperParams(latent_dim=16, n_theta_basis=9, rho0=0.1,
+                            penalty_abs=True, seed=inst["seed"])
+    cfg = mdl.ModelConfig(n_sites=inst["grid"].n_sites, hyper=hyper,
+                          knots=inst["knots"], sites=inst["grid"].sites,
+                          wendland_radius=6.0)
+    params = mdl.init_params(cfg, inst["seed"])
+    x, c = inst["x"], inst["c"]
+    eps = mdl.draw_eps(cfg, x.shape[0], inst["seed"])
+
+    def loss(p):
+        return -mdl.penalized_elbo(cfg, p, x, c, eps) / float(x.shape[0])
+
+    _, grad = value_and_gradient(loss, params)
+    base = params.data
+    f0 = float(loss(ArrayView(params)))
+    floor = 1e-6 * max(1.0, float(np.max(np.abs(grad))))
+    rng = substream(inst["seed"], "desk-gradcheck")
+    for name, (offset, shape) in params.layout.items():
+        size = math.prod(shape)
+        compared = 0
+        for i in offset + rng.permutation(size)[:12]:
+            h = 1e-5 * max(1.0, abs(base[i]))
+            f = []
+            for sign in (-1.0, 1.0):
+                probe = base.copy()
+                probe[i] += sign * h
+                f.append(float(loss(ArrayView(params.replace(probe)))))
+            central = (f[1] - f[0]) / (2.0 * h)
+            den = max(abs(grad[i]), abs(central), floor)
+            if abs((f[1] - f0) / h - (f0 - f[0]) / h) / den > 1e-4:
+                continue                                   # kink: skip
+            assert abs(grad[i] - central) / den <= 1e-4, (params.locate(int(i)),
+                                                          grad[i], central)
+            compared += 1
+            if compared == min(3, size):
+                break
+        assert compared == min(3, size), f"{name}: too many kinks to compare"
 
 
 class TestParamCount:
