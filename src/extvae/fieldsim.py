@@ -67,13 +67,14 @@ def knot_lattice(side: int, extent: float = 20.0) -> np.ndarray:
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a and b, summed one coordinate
-    at a time (no (n, m, dim) temporary)."""
+    at a time in one (n, m) scratch array (no (n, m, dim) temporary)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     sq = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(sq)
     for k in range(a.shape[1]):
-        diff = a[:, k, None] - b[None, :, k]
-        sq += diff * diff
+        np.subtract(a[:, k, None], b[None, :, k], out=diff)
+        sq += np.multiply(diff, diff, out=diff)
     return np.sqrt(sq, out=sq)
 
 

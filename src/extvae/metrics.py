@@ -88,7 +88,8 @@ def select_pairs(coords: np.ndarray, distance: float, tol: float,
     else:
         d = pairwise_distances(coords, coords) if distances is None else distances
         upper = np.arange(n)[:, None] < np.arange(n)[None, :]
-        ii, jj = np.where((np.abs(d - distance) <= tol) & upper)
+        dev = d - distance
+        ii, jj = np.where((np.abs(dev, out=dev) <= tol) & upper)
         pairs = np.column_stack([ii, jj])
     if pairs.shape[0] == 0:
         raise ValueError(f"no site pairs at distance {distance} +/- {tol}")
