@@ -7,7 +7,7 @@ A deliberately small tape: only the primitives the penalized objective needs
 Every op dispatches on its inputs: if any argument is a :class:`Var` the op
 records itself on the tape, otherwise it evaluates in plain numpy.  Model code
 is therefore written once and runs either under the tape (training, gradient
-checks) or at raw numpy speed (emulation, finite differences).
+checks) or at raw numpy speed (emulation).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-CHECK_FINITE = True
+# a finite-difference probe within this distance of a kink is not compared
+KINK_TOL = 1e-8
 
 
 class NonFiniteError(FloatingPointError):
@@ -25,7 +26,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _finite_or_raise(value: np.ndarray, op: str) -> np.ndarray:
-    if CHECK_FINITE and not np.all(np.isfinite(value)):
+    if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
     return value
 
@@ -290,18 +291,20 @@ def vsum(a, axis=None):
     return Var(out, ((a, vjp),), "sum")
 
 
-def vmean(a, axis=None):
-    av = value_of(a)
-    n = av.size if axis is None else av.shape[axis]
-    return div(vsum(a, axis=axis), float(n))
-
-
 def reshape(a, shape):
     av = value_of(a)
     out = av.reshape(shape)
     if not isinstance(a, Var):
         return out
     return Var(out, ((a, lambda g: g.reshape(av.shape)),), "reshape")
+
+
+def transpose(a):
+    av = value_of(a)
+    out = av.T
+    if not isinstance(a, Var):
+        return out
+    return Var(out, ((a, lambda g: g.T),), "transpose")
 
 
 def stack(parts, axis=0):
@@ -511,7 +514,7 @@ def value_and_gradient(loss, pv: ParamVector) -> tuple[float, np.ndarray]:
     """Evaluate ``loss(view)`` under the tape and return (value, flat gradient).
 
     ``loss`` receives a view object; ``view[name]`` yields the parameter
-    component (a Var here, an ndarray under :func:`fd_check`).
+    component as a Var leaf (an ndarray under :class:`ArrayView`).
     """
     view = VarView(pv)
     out = loss(view)
@@ -541,20 +544,33 @@ class GradientReport:
         return int(np.sum(self.skipped)) if self.skipped is not None else 0
 
 
-def fd_check(
-    loss,
-    pv: ParamVector,
-    step: float = 1e-5,
-    kink_fn=None,
-    kink_tol: float = 1e-8,
-) -> GradientReport:
+def _kink_arguments(out) -> np.ndarray:
+    """Where the taped function ``out`` is not differentiable, read from its
+    graph: the input of every absolute value, and for every max-pool each
+    slot after the first minus the running max of the slots before it (zero
+    on a tie).  A kink lies between two evaluations when one of these
+    changes sign."""
+    parts = []
+    for node in _toposort(out) if isinstance(out, Var) else ():
+        if node.op == "abs":
+            parts.append(node.parents[0][0].value.ravel())
+        elif node.op == "maxpool1d":
+            xv = node.parents[0][0].value
+            width = xv.shape[-1] // node.value.shape[-1]
+            xr = xv.reshape(*node.value.shape, width)
+            running = np.maximum.accumulate(xr, axis=-1)
+            parts.append((xr[..., 1:] - running[..., :-1]).ravel())
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def fd_check(loss, pv: ParamVector, step: float = 1e-5) -> GradientReport:
     """Central-difference check of the tape gradient.
 
-    Per-coordinate step h_i = step * max(1, |p_i|).  When ``kink_fn`` is given
-    (mapping a ParamVector to the array of kink arguments, e.g. the log-ratios
-    inside absolute values), any coordinate whose +/- h probes change a kink
-    sign or land within ``kink_tol`` of one is skipped: the loss is not
-    differentiable there and the comparison would be meaningless.
+    Per-coordinate step h_i = step * max(1, |p_i|).  Each +/- h probe is one
+    taped forward pass, which gives both the loss value and its kink
+    arguments (:func:`_kink_arguments`).  A coordinate whose probes change a
+    kink's sign or land within ``KINK_TOL`` of one is skipped: the loss is
+    not differentiable there and the comparison would be meaningless.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -566,25 +582,21 @@ def fd_check(
 
     for i in range(n):
         h = step * max(1.0, abs(base[i]))
-        plus = base.copy()
-        plus[i] += h
-        minus = base.copy()
-        minus[i] -= h
-        pv_plus = pv.replace(plus)
-        pv_minus = pv.replace(minus)
-        if kink_fn is not None:
-            k_plus = np.asarray(kink_fn(pv_plus), dtype=np.float64).ravel()
-            k_minus = np.asarray(kink_fn(pv_minus), dtype=np.float64).ravel()
-            moved = k_plus != k_minus
-            crosses = moved & (np.sign(k_plus) != np.sign(k_minus))
-            near = moved & ((np.abs(k_plus) < kink_tol)
-                            | (np.abs(k_minus) < kink_tol))
-            if np.any(crosses | near):
-                skipped[i] = True
-                continue
-        f_plus = float(np.asarray(value_of(loss(ArrayView(pv_plus)))))
-        f_minus = float(np.asarray(value_of(loss(ArrayView(pv_minus)))))
-        fd[i] = (f_plus - f_minus) / (2.0 * h)
+        f, kinks = [], []
+        for sign in (1.0, -1.0):
+            probe = base.copy()
+            probe[i] += sign * h
+            out = loss(VarView(pv.replace(probe)))
+            f.append(float(value_of(out)))
+            kinks.append(_kink_arguments(out))
+        k_plus, k_minus = kinks
+        moved = k_plus != k_minus
+        crosses = moved & (np.sign(k_plus) != np.sign(k_minus))
+        near = moved & ((np.abs(k_plus) < KINK_TOL) | (np.abs(k_minus) < KINK_TOL))
+        if np.any(crosses | near):
+            skipped[i] = True
+            continue
+        fd[i] = (f[0] - f[1]) / (2.0 * h)
 
     live = ~skipped
     floor = 1e-6 * max(1.0, float(np.max(np.abs(analytic))) if n else 1.0)

@@ -515,16 +515,12 @@ def cmd_metrics(args) -> int:
     os.makedirs(out, exist_ok=True)
     u = np.asarray(m_cfg["u"], dtype=np.float64)
 
-    # grid spacing: smallest nonzero pairwise distance
-    d = fs.pairwise_distances(coords, coords)
-    psi = float(np.min(d[d > 0]))
+    psi = mx.grid_spacing(coords)
     distance = m_cfg["distance"] if m_cfg["distance"] is not None else psi
     tol = m_cfg["tol"] if m_cfg["tol"] is not None else psi / 2.0
     ref = (m_cfg["ref_index"] if m_cfg["ref_index"] is not None
            else int(np.argmin(np.sum((coords - coords.mean(axis=0)) ** 2, axis=1))))
-    pairs = mx.select_pairs(coords, distance, tol, m_cfg["max_pairs"], seed,
-                            distances=d)
-    del d
+    pairs = mx.select_pairs(coords, distance, tol, m_cfg["max_pairs"], seed)
 
     outputs = []
     sidecar = {"distance": distance, "tol": tol, "psi": psi, "seed": seed,
@@ -575,16 +571,16 @@ def cmd_metrics(args) -> int:
 def cmd_gradcheck(args) -> int:
     seed = _seed(args, {})
     hyper = HyperParams(latent_dim=4, n_theta_basis=4, conv_channels=8,
-                        enc_widths=(16,), alpha0=30.0, rho0=0.5, seed=seed)
+                        enc_widths=(16,), alpha0=30.0, rho0=0.5,
+                        penalty_abs=True, seed=seed)
     cfg = ModelConfig(n_sites=25, hyper=hyper)
     params = mdl.init_params(cfg, seed)
     rng = substream(seed, "gradcheck-data")
     x = np.exp(rng.standard_normal((6, 25)))
     c = rng.random(6)
     eps = mdl.draw_eps(cfg, 6, seed)
-    objective = mdl.make_objective(cfg, x, c, eps)
-    report = fd_check(objective, params, step=1e-5,
-                      kink_fn=lambda pv: mdl.elbo_kink_values(cfg, pv, x, c, eps))
+    report = fd_check(lambda p: mdl.penalized_elbo(cfg, p, x, c, eps), params,
+                      step=1e-5)
     ok = report.max_rel_err <= args.tol
     print(f"gradcheck: max relative error {report.max_rel_err:.3e} "
           f"at {report.argmax[0]}{list(report.argmax[1])} over "

@@ -65,20 +65,16 @@ def _chunk_pass(cfg, p, x, c_used, mu, sigma, w, sample_indices, seed,
     else:
         eps = np.zeros((n_c, n_t, k))
     cond = np.zeros(n_t) if cfg.sever_condition else c_used
-    log_z = (np.log(mu)[None] + (cond.reshape(-1, 1) * p["cond_map"])[None]
-             + sigma[None] * eps)
-    z = np.exp(log_z).reshape(n_c * n_t, k)
+    _, _, z = mdl.latent(p, mu, sigma, cond, eps)
+    z = z.reshape(n_c * n_t, k)
 
-    # fuse and build the three-step windows within each sample's time block
-    cond_rep = np.tile(cond, n_c)
-    fused = mdl.fuse(z, cond_rep)
-    times = np.arange(n_t)
+    # three-step windows within each sample's time block
+    prev, nxt = mdl._window_indices(np.arange(n_t), n_t)
     offs = (np.arange(n_c) * n_t)[:, None]
-    prev_t = (offs + np.clip(times - 1, 0, n_t - 1)).ravel()
-    next_t = (offs + np.clip(times + 1, 0, n_t - 1)).ravel()
-    stacked = np.stack([fused[prev_t], fused, fused[next_t]], axis=1)
-    xi = mdl._xi_from_stacked(cfg, p, stacked)
-    theta = (xi @ cfg.phi.T).reshape(n_c, n_t, k)
+    _, theta = mdl.decode_theta(cfg, p, z, np.tile(cond, n_c),
+                                (offs + prev).ravel(), np.arange(n_c * n_t),
+                                (offs + nxt).ravel())
+    theta = theta.reshape(n_c, n_t, k)
 
     if mode == "prior":
         z = np.stack([
@@ -141,7 +137,8 @@ def emulate(
     # counting every float64 one (sample, time) row of a chunk holds
     h = cfg.hyper
     k, ch, two_k = h.latent_dim, h.conv_channels, 2 * h.latent_dim
-    row = (3 * k + two_k + 2 * 3 * two_k           # eps, log z, z; fused; windows, padded
+    row = (3 * k + two_k + 3 * two_k               # eps, log z, z; fused; its window rows
+           + 2 * 3 * two_k                         # windows, padded
            + 3 * two_k * h.kernel_len              # conv windows as einsum copies them
            + 2 * ch * two_k + ch * two_k // h.pool_len  # conv output, biased, pooled
            + 3 * cfg.n_sites)                      # W z, noise, mixed fields

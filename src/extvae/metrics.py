@@ -72,25 +72,46 @@ class TwcrpsField:
     thresholds: np.ndarray        # the per-cell u90 actually used
 
 
+# rows of the site-distance matrix computed at a time: 256 x 2500 float64 is
+# 5 MB, where the whole 50x50 grid's matrix is 50 MB
+DISTANCE_ROWS = 256
+
+
+def _distance_rows(coords: np.ndarray):
+    """(first row, distances from those sites to every site) blocks of the
+    site-distance matrix, so the (n, n) matrix is never held at once."""
+    for r0 in range(0, len(coords), DISTANCE_ROWS):
+        yield r0, pairwise_distances(coords[r0:r0 + DISTANCE_ROWS], coords)
+
+
+def grid_spacing(coords: np.ndarray) -> float:
+    """Smallest nonzero distance between two sites."""
+    psi = min(float(np.min(d, where=d > 0, initial=np.inf))
+              for _, d in _distance_rows(coords))
+    if psi == np.inf:
+        raise ValueError("the sites have no nonzero separation")
+    return psi
+
+
 def select_pairs(coords: np.ndarray, distance: float, tol: float,
-                 max_pairs: int = MAX_PAIRS_PER_BIN, seed=0,
-                 distances: np.ndarray | None = None) -> np.ndarray:
+                 max_pairs: int = MAX_PAIRS_PER_BIN, seed=0) -> np.ndarray:
     """Ordered site pairs whose separation is within tol of the target,
     subsampled to at most ``max_pairs`` (seeded) for cost.
 
     A target distance of exactly zero selects the self-pairs (i, i), for
-    which the co-exceedance probability is identically one.  ``distances``
-    may pass in ``pairwise_distances(coords, coords)`` already computed.
+    which the co-exceedance probability is identically one.
     """
     n = len(coords)
     if distance == 0.0:
         pairs = np.column_stack([np.arange(n), np.arange(n)])
     else:
-        d = pairwise_distances(coords, coords) if distances is None else distances
-        upper = np.arange(n)[:, None] < np.arange(n)[None, :]
-        dev = d - distance
-        ii, jj = np.where((np.abs(dev, out=dev) <= tol) & upper)
-        pairs = np.column_stack([ii, jj])
+        ii, jj = [], []
+        for r0, d in _distance_rows(coords):
+            upper = np.arange(r0, r0 + len(d))[:, None] < np.arange(n)[None, :]
+            i, j = np.nonzero((np.abs(d - distance) <= tol) & upper)
+            ii.append(i + r0)
+            jj.append(j)
+        pairs = np.column_stack([np.concatenate(ii), np.concatenate(jj)])
     if pairs.shape[0] == 0:
         raise ValueError(f"no site pairs at distance {distance} +/- {tol}")
     if pairs.shape[0] > max_pairs:

@@ -8,8 +8,15 @@ learnable site-by-knot weight matrix, and the penalized Monte-Carlo objective
 built from the exact log-Laplace likelihood, tilted-stable prior, and
 log-normal posterior terms.
 
-All forward math is written against :mod:`extvae.autodiff` ops, so it runs
-identically under the gradient tape and in plain numpy.
+The forward pass is written once, batched over time steps, against
+:mod:`extvae.autodiff` ops, so the same code runs under the gradient tape
+(training, the gradient audit) and in plain numpy (emulation):
+
+- :func:`encode`: fields (T, S) -> posterior location and scale (T, K);
+- :func:`latent`: m = log mu + c a and log z = m + sigma eps;
+- :func:`decode_theta`: z -> fused three-step windows -> CNN coefficients xi
+  -> tilting field theta = xi phi^T;
+- :func:`penalized_elbo`: the training objective built from those three.
 """
 
 from __future__ import annotations
@@ -167,25 +174,6 @@ class ModelParameters:
     params: ParamVector
 
 
-@dataclass
-class LatentSample:
-    """One reparameterized latent draw and everything that generated it."""
-
-    z: np.ndarray
-    eps: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    g_c: np.ndarray
-
-    @property
-    def log_z(self) -> np.ndarray:
-        return np.log(self.mu) + self.g_c + self.sigma * self.eps
-
-    @property
-    def mean_log(self) -> np.ndarray:
-        return np.log(self.mu) + self.g_c
-
-
 # ---------------------------------------------------------------------------
 # parameter layout and initialization
 # ---------------------------------------------------------------------------
@@ -268,18 +256,13 @@ def weight_matrix(cfg: ModelConfig, p):
 # ---------------------------------------------------------------------------
 
 def encode(cfg: ModelConfig, p, x):
-    """Field -> (mu, sigma), both strictly positive, shape (..., K)."""
-    single = np.ndim(ad.value_of(x)) == 1
-    h = x[None, :] if single else x
+    """Fields (T, S) -> (mu, sigma), both strictly positive, shape (T, K)."""
+    h = x
     n_layers = len(_encoder_dims(cfg)) - 1
     for i in range(n_layers):
         h = ad.softplus(ad.add(ad.matmul(h, p[f"enc_w{i}"]), p[f"enc_b{i}"]))
     k = cfg.hyper.latent_dim
-    mu = h[:, :k]
-    sigma = h[:, k:]
-    if single:
-        return mu[0], sigma[0]
-    return mu, sigma
+    return h[:, :k], h[:, k:]
 
 
 def condition_shift(p, c):
@@ -288,42 +271,20 @@ def condition_shift(p, c):
     return ad.mul(c.reshape(-1, 1), p["cond_map"])
 
 
-def reparam_sample(mu, sigma, g_c, eps) -> LatentSample:
-    """z = exp(log mu + g_c + sigma*eps); raises naming the first coordinate
-    that overflows."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(mu <= 0) or np.any(sigma < 0):
-        raise ValueError("mu must be > 0 and sigma >= 0")
-    log_z = np.log(mu) + g_c + sigma * np.asarray(eps, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        z = np.exp(log_z)
-    if not np.all(np.isfinite(z)):
-        bad = np.argwhere(~np.isfinite(z))[0]
-        raise OverflowError(f"latent sample overflowed at coordinate {tuple(bad)}")
-    return LatentSample(z=z, eps=np.asarray(eps, dtype=np.float64),
-                        mu=mu, sigma=sigma, g_c=np.asarray(g_c, dtype=np.float64))
+def latent(p, mu, sigma, cond, eps):
+    """Reparameterized latent draw: (m, log z, z) with m = log mu + c a and
+    log z = m + sigma * eps; ``eps`` may carry leading sample axes."""
+    m = ad.add(ad.log(mu), condition_shift(p, cond))
+    log_z = ad.add(m, ad.mul(sigma, eps))
+    return m, log_z, ad.exp(log_z)
 
 
 def fuse(z, c):
-    """Interleave latent coordinates with the condition:
-    (z_1, c, z_2, c, ..., z_K, c)."""
-    zv = ad.value_of(z)
-    if zv.ndim == 1:
-        k = zv.shape[0]
-        c_col = np.full((1, k), float(np.asarray(c)))
-        out = ad.reshape(ad.stack([ad.reshape(z, (1, k)), c_col], axis=2), (2 * k,))
-        return out
-    t, k = zv.shape
+    """Interleave latent coordinates with the condition, row by row:
+    (z_1, c, z_2, c, ..., z_K, c) for (T, K) latents and a (T,) series."""
+    t, k = ad.value_of(z).shape
     c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64).reshape(t, 1), (t, k))
     return ad.reshape(ad.stack([z, c_arr], axis=2), (t, 2 * k))
-
-
-def unfuse(fused):
-    """Extract the latent slots (odd positions hold the condition)."""
-    fv = ad.value_of(fused)
-    return fused[..., 0::2] if isinstance(fused, np.ndarray) else ad.getitem(
-        fused, (Ellipsis, slice(0, fv.shape[-1], 2)))
 
 
 def _xi_from_stacked(cfg: ModelConfig, p, stacked):
@@ -336,45 +297,15 @@ def _xi_from_stacked(cfg: ModelConfig, p, stacked):
     return ad.softplus(ad.add(ad.matmul(flat, p["xi_w"]), p["xi_b"]))
 
 
-def decode_xi(cfg: ModelConfig, p, fused_prev, fused_curr, fused_next):
-    """Three consecutive fused vectors -> M nonnegative coefficients."""
-    shapes = {ad.value_of(v).shape for v in (fused_prev, fused_curr, fused_next)}
-    if len(shapes) != 1:
-        raise ValueError("the three fused vectors must have equal length")
-    single = ad.value_of(fused_curr).ndim == 1
-    if single:
-        two_k = ad.value_of(fused_curr).shape[0]
-        parts = [ad.reshape(v, (1, two_k)) for v in (fused_prev, fused_curr, fused_next)]
-        stacked = ad.stack(parts, axis=1)
-        out = _xi_from_stacked(cfg, p, stacked)
-        return out[0]
-    stacked = ad.stack([fused_prev, fused_curr, fused_next], axis=1)
-    return _xi_from_stacked(cfg, p, stacked)
-
-
-def theta_from_xi(xi, phi):
-    """theta = phi @ xi, nonnegative whenever both factors are."""
-    phi = np.asarray(phi, dtype=np.float64)
-    single = ad.value_of(xi).ndim == 1
-    if single:
-        out = ad.matmul(ad.reshape(xi, (1, -1)), phi.T)
-        return out[0]
-    return ad.matmul(xi, phi.T)
-
-
-def decode_y(z, w):
-    """Linear reconstruction y = W z (> 0 for positive z and admissible W)."""
-    single = ad.value_of(z).ndim == 1
-    if single:
-        out = ad.matmul(ad.reshape(z, (1, -1)), _transpose(w))
-        return out[0]
-    return ad.matmul(z, _transpose(w))
-
-
-def _transpose(w):
-    if isinstance(w, ad.Var):
-        return ad.Var(w.value.T, ((w, lambda g: g.T),), "transpose")
-    return np.asarray(w).T
+def decode_theta(cfg: ModelConfig, p, z, cond, prev, cur, nxt):
+    """Latents (N, K) -> (xi, theta) at the windows whose previous, current
+    and next rows of the fused latents are ``prev``, ``cur`` and ``nxt``:
+    xi (n, M) from the CNN, theta = xi phi^T (n, K)."""
+    fused = fuse(z, cond)
+    stacked = ad.stack([ad.take_rows(fused, prev), ad.take_rows(fused, cur),
+                        ad.take_rows(fused, nxt)], axis=1)
+    xi = _xi_from_stacked(cfg, p, stacked)
+    return xi, ad.matmul(xi, cfg.phi.T)
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +347,12 @@ def log_prior(z, theta, log_z=None):
     return ad.vsum(term, axis=-1)
 
 
-def log_q(z, m=None, sigma=None, log_z=None):
+def log_q(z, m, sigma, log_z=None):
     """Exact log-normal posterior log-density summed over knots.
 
-    Accepts a LatentSample or explicit (z, m, sigma); no '+ const' shortcuts,
-    so the value (not just the gradient) is well defined.
+    No '+ const' shortcuts, so the value (not just the gradient) is well
+    defined.
     """
-    if isinstance(z, LatentSample):
-        sample = z
-        return log_q(sample.z, sample.mean_log, sample.sigma)
     if np.any(ad.value_of(sigma) <= 0):
         raise ValueError("sigma must be > 0")
     lz = ad.log(z) if log_z is None else log_z
@@ -443,19 +371,18 @@ def _guarded_denominator(dc: np.ndarray) -> np.ndarray:
     return np.where(dc < 0, -mag, mag)
 
 
-def penalty(xi_t, xi_prev, c_t: float, c_prev: float, rho0: float,
-            absolute: bool = False):
-    """Temporal continuity penalty between consecutive coefficient vectors.
+def penalty(xi_t, xi_prev, c_t, c_prev, rho0: float, absolute: bool = False):
+    """Temporal continuity penalty summed over rows of consecutive
+    coefficient vectors (n, M) and their conditions (n,).
 
     As printed the signed differences are divided by the (guarded) condition
     increment; the absolute-value variant penalizes |change| instead.
     """
-    dc = float(np.asarray(c_t)) - float(np.asarray(c_prev))
-    denom = float(_guarded_denominator(np.asarray(dc)))
+    scale = rho0 / _guarded_denominator(np.asarray(c_t) - np.asarray(c_prev))
     diff = ad.sub(xi_t, xi_prev)
     if absolute:
-        return ad.mul(rho0 / abs(denom), ad.vsum(ad.absolute(diff), axis=-1))
-    return ad.mul(rho0 / denom, ad.vsum(diff, axis=-1))
+        return ad.vsum(ad.mul(np.abs(scale).reshape(-1, 1), ad.absolute(diff)))
+    return ad.vsum(ad.mul(scale.reshape(-1, 1), diff))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +424,6 @@ def penalized_elbo(cfg: ModelConfig, p, x: np.ndarray, c: np.ndarray,
     cond = np.zeros_like(cs) if cfg.sever_condition else cs
 
     mu, sigma = encode(cfg, p, xs)
-    m = ad.add(ad.log(mu), condition_shift(p, cond))
     w = weight_matrix(cfg, p)
 
     # xi is needed at the batch times and at each predecessor for the penalty
@@ -505,86 +431,37 @@ def penalized_elbo(cfg: ModelConfig, p, x: np.ndarray, c: np.ndarray,
     prev_t, next_t = _window_indices(xi_times, n_t)
     xi_pos = np.full(n_t, -1, dtype=np.intp)
     xi_pos[xi_times] = np.arange(xi_times.size)
+    pen_t = batch[batch >= 1]
+    bpos = pos[batch]
 
-    has_prev = batch >= 1
-    pen_t = batch[has_prev]
-    dc = c[pen_t] - c[pen_t - 1]
-    pen_scale = cfg.hyper.rho0 / _guarded_denominator(dc)   # (n_pen,)
-
-    alpha0 = cfg.hyper.alpha0
-    phi = cfg.phi
+    h = cfg.hyper
     total = None
     for l in range(l_draws):
-        es = eps[l][needed]
-        lz = ad.add(m, ad.mul(sigma, es))
-        z = ad.exp(lz)
-        fused = fuse(z, cond)
+        m, lz, z = latent(p, mu, sigma, cond, eps[l][needed])
+        xi, theta = decode_theta(cfg, p, z, cond, pos[prev_t], pos[xi_times],
+                                 pos[next_t])
 
-        stacked = ad.stack(
-            [ad.take_rows(fused, pos[prev_t]),
-             ad.take_rows(fused, pos[xi_times]),
-             ad.take_rows(fused, pos[next_t])],
-            axis=1,
-        )
-        xi = _xi_from_stacked(cfg, p, stacked)               # (n_xi, M)
-        theta = ad.matmul(xi, phi.T)                         # (n_xi, K)
-
-        bpos = pos[batch]
         z_b = ad.take_rows(z, bpos)
         lz_b = ad.take_rows(lz, bpos)
-        y_b = ad.matmul(z_b, _transpose(w))
-        ll = loglik(x[batch], y_b, alpha0)
+        y_b = ad.matmul(z_b, ad.transpose(w))
+        ll = loglik(x[batch], y_b, h.alpha0)
         lp = log_prior(z_b, ad.take_rows(theta, xi_pos[batch]), log_z=lz_b)
         lq = log_q(z_b, ad.take_rows(m, bpos), ad.take_rows(sigma, bpos), log_z=lz_b)
         term = ad.vsum(ad.sub(ad.add(ll, lp), lq))
 
-        if pen_t.size and cfg.hyper.rho0 > 0:
-            dxi = ad.sub(ad.take_rows(xi, xi_pos[pen_t]),
-                         ad.take_rows(xi, xi_pos[pen_t - 1]))
-            if cfg.hyper.penalty_abs:
-                rho = ad.vsum(ad.mul(np.abs(pen_scale).reshape(-1, 1),
-                                     ad.absolute(dxi)))
-            else:
-                rho = ad.vsum(ad.mul(pen_scale.reshape(-1, 1), dxi))
+        if pen_t.size and h.rho0 > 0:
+            rho = penalty(ad.take_rows(xi, xi_pos[pen_t]),
+                          ad.take_rows(xi, xi_pos[pen_t - 1]),
+                          c[pen_t], c[pen_t - 1], h.rho0, absolute=h.penalty_abs)
             term = ad.sub(term, rho)
         total = term if total is None else ad.add(total, term)
     return ad.div(total, float(l_draws))
-
-
-def elbo_kink_values(cfg: ModelConfig, pv: ParamVector, x, c, eps,
-                     batch=None) -> np.ndarray:
-    """Arguments of the objective's absolute values (the reconstruction
-    log-ratios), used to pre-filter finite-difference comparisons."""
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    n_t = x.shape[0]
-    if batch is None:
-        batch = np.arange(n_t)
-    batch = np.sort(np.asarray(batch, dtype=np.intp))
-    p = ad.ArrayView(pv)
-    cond = np.zeros_like(c) if cfg.sever_condition else c
-    mu, sigma = encode(cfg, p, x)
-    m = np.log(mu) + cond.reshape(-1, 1) * p["cond_map"]
-    w = weight_matrix(cfg, p)
-    out = []
-    for l in range(eps.shape[0]):
-        z = np.exp(m + sigma * eps[l])
-        y = z[batch] @ np.asarray(w).T
-        out.append(np.log(x[batch]) - np.log(y))
-    return np.concatenate([o.ravel() for o in out])
 
 
 def draw_eps(cfg: ModelConfig, n_t: int, seed, label="elbo-eps") -> np.ndarray:
     """(L, n_t, K) standard-normal draws from a derived substream."""
     rng = substream(seed, label)
     return rng.standard_normal((cfg.hyper.mc_draws, n_t, cfg.hyper.latent_dim))
-
-
-def make_objective(cfg: ModelConfig, x, c, eps, batch=None):
-    """Closure suitable for the gradient drivers: view -> scalar."""
-    def objective(p):
-        return penalized_elbo(cfg, p, x, c, eps, batch=batch)
-    return objective
 
 
 def severed_copy(cfg: ModelConfig) -> ModelConfig:

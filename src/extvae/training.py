@@ -11,12 +11,12 @@ from __future__ import annotations
 import base64
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import model as mdl
-from .autodiff import ArrayView, NonFiniteError, ParamVector, value_and_gradient
+from .autodiff import NonFiniteError, ParamVector, value_and_gradient
 from .model import HyperParams, ModelConfig, ModelParameters
 from .seeds import substream
 
@@ -181,10 +181,10 @@ def train(
         for bi, batch in enumerate(_batches(n_t, cfg.batch_size, shuffle_rng)):
             eps = substream(seed, "eps", epoch, bi).standard_normal(
                 (model_cfg.hyper.mc_draws, n_t, model_cfg.hyper.latent_dim))
-            objective = mdl.make_objective(model_cfg, x, c, eps, batch=batch)
 
-            def loss(p, _obj=objective, _n=len(batch)):
-                return -_obj(p) / float(_n)
+            def loss(p):
+                return -mdl.penalized_elbo(model_cfg, p, x, c, eps,
+                                           batch=batch) / float(len(batch))
 
             try:
                 value, grad = value_and_gradient(loss, params)
@@ -223,18 +223,6 @@ def train(
         checkpoint_save(cfg.checkpoint_path, model, adam=adam,
                         epochs_completed=epochs, loss_history=history, seed=seed)
     return model, report
-
-
-def evaluate_loss(model: ModelParameters, data, c, seed, epoch: int = 0) -> float:
-    """Mean negative penalized objective over all time steps, using the same
-    noise stream as the given training epoch (full batch)."""
-    x = np.asarray(data, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    cfg = model.config
-    eps = substream(seed, "eps", epoch, 0).standard_normal(
-        (cfg.hyper.mc_draws, x.shape[0], cfg.hyper.latent_dim))
-    value = mdl.penalized_elbo(cfg, ArrayView(model.params), x, c, eps)
-    return float(-value / x.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +302,9 @@ def _decode_array(blob) -> np.ndarray | None:
     try:
         raw = base64.b64decode(blob["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        expect = int(np.prod(blob["shape"])) if blob["shape"] else 1
     except (ValueError, TypeError, KeyError) as err:
         raise CheckpointError(f"corrupt array payload: {err}") from err
-    expect = int(np.prod(blob["shape"])) if blob["shape"] else 1
     if arr.size != expect:
         raise CheckpointError("array payload length does not match its shape")
     return arr.reshape(blob["shape"])
@@ -369,6 +357,8 @@ def checkpoint_read(path) -> dict:
             state = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
+    if not isinstance(state, dict):
+        raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
     version = state.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
@@ -383,26 +373,53 @@ def checkpoint_load(path) -> ModelParameters:
     return _model_from_state(state)
 
 
+_MODEL_KEYS = ("n_sites", "knots", "sites", "wendland_radius", "fixed_w", "phi",
+               "sever_condition")
+
+
+def _section(state: dict, name: str, keys) -> dict:
+    block = state.get(name)
+    if not isinstance(block, dict):
+        raise CheckpointError(f"checkpoint has no {name!r} section")
+    missing = [f"{name}.{key}" for key in keys if key not in block]
+    if missing:
+        raise CheckpointError(f"checkpoint is missing {', '.join(missing)}")
+    return block
+
+
 def _model_from_state(state: dict) -> ModelParameters:
-    hyper_dict = dict(state["hyper"])
-    hyper_dict["enc_widths"] = tuple(hyper_dict["enc_widths"])
-    hyper = HyperParams(**hyper_dict)
-    ms = state["model"]
-    cfg = ModelConfig(
-        n_sites=ms["n_sites"],
-        hyper=hyper,
-        knots=_decode_array(ms["knots"]),
-        sites=_decode_array(ms["sites"]),
-        wendland_radius=ms["wendland_radius"],
-        fixed_w=_decode_array(ms["fixed_w"]),
-        sever_condition=ms["sever_condition"],
-        phi=_decode_array(ms["phi"]),
-    )
-    layout = {name: (offset, tuple(shape))
-              for name, offset, shape in state["param_layout"]}
+    """Rebuild the model after checking every key it needs, and that the
+    stored parameter layout is the configuration's template, name by name and
+    shape by shape."""
+    hyper_dict = _section(state, "hyper", [f.name for f in fields(HyperParams)])
+    ms = _section(state, "model", _MODEL_KEYS)
+    missing = [key for key in ("param_layout", "params") if key not in state]
+    if missing:
+        raise CheckpointError(f"checkpoint is missing {', '.join(missing)}")
+    try:
+        hyper = HyperParams(**{**hyper_dict,
+                               "enc_widths": tuple(hyper_dict["enc_widths"])})
+        cfg = ModelConfig(
+            n_sites=ms["n_sites"],
+            hyper=hyper,
+            knots=_decode_array(ms["knots"]),
+            sites=_decode_array(ms["sites"]),
+            wendland_radius=ms["wendland_radius"],
+            fixed_w=_decode_array(ms["fixed_w"]),
+            sever_condition=ms["sever_condition"],
+            phi=_decode_array(ms["phi"]),
+        )
+        layout, offset = {}, 0
+        for name, shape in mdl.param_template(cfg).items():
+            layout[name] = (offset, shape)
+            offset += int(np.prod(shape))
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"invalid model configuration in checkpoint: {err}") from err
+    if state["param_layout"] != [[name, off, list(shape)]
+                                 for name, (off, shape) in layout.items()]:
+        raise CheckpointError("parameter layout does not match the model template")
     data = _decode_array(state["params"])
-    expected = mdl.count_params(cfg)
-    if data is None or data.size != expected:
+    if data is None or data.shape != (offset,):
         raise CheckpointError("parameter payload does not match the model layout")
     return ModelParameters(config=cfg, params=ParamVector(data=data, layout=layout))
 

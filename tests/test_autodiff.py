@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from extvae import autodiff as ad
+from extvae import model as mdl
 from extvae.autodiff import (
     ArrayView,
     NonFiniteError,
@@ -96,8 +97,8 @@ class TestBasics:
 class TestOpGradients:
     """Each primitive against central differences on random instances."""
 
-    def _check(self, loss, pv, tol=1e-6, kink_fn=None):
-        rep = fd_check(loss, pv, step=1e-6, kink_fn=kink_fn)
+    def _check(self, loss, pv, tol=1e-6):
+        rep = fd_check(loss, pv, step=1e-6)
         assert rep.max_rel_err < tol, rep.argmax
         return rep
 
@@ -132,10 +133,33 @@ class TestOpGradients:
         def loss(v):
             return ad.vsum(ad.absolute(ad.log(v["p"]) - np.log(x)))
 
-        rep = fd_check(loss, pv, kink_fn=lambda q: np.log(q.view("p")) - np.log(x))
+        rep = fd_check(loss, pv)
         assert rep.skipped[0] and not rep.skipped[1]
         assert rep.n_skipped == 1
         assert rep.max_rel_err < 1e-6
+
+    def test_kink_filter_skips_max_pool_tie(self):
+        pv = make_pv(p=np.array([1.0, 1.0, 0.0, 2.0]))   # first window tied
+
+        def loss(v):
+            pooled = ad.maxpool1d(ad.reshape(v["p"], (1, 1, 4)), 2)
+            return ad.vsum(pooled * np.array([2.0, 3.0]))
+
+        rep = fd_check(loss, pv)
+        np.testing.assert_array_equal(rep.skipped, [True, True, False, False])
+        assert rep.max_rel_err < 1e-9
+
+    def test_kink_filter_skips_penalty_abs_kink(self):
+        # the first coefficient does not change between the two steps
+        pv = make_pv(xi=np.array([[1.0, 2.0], [1.0, 3.0]]))
+
+        def loss(v):
+            return mdl.penalty(v["xi"][1:], v["xi"][:1], np.array([0.6]),
+                               np.array([0.1]), 0.5, absolute=True)
+
+        rep = fd_check(loss, pv)
+        np.testing.assert_array_equal(rep.skipped, [True, False, True, False])
+        assert rep.max_rel_err < 1e-9
 
     def test_take_rows_scatter(self):
         rng = substream(12)

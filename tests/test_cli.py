@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from extvae import cli
 from extvae import emulation as emu
@@ -601,3 +603,52 @@ class TestInputValidation:
                        "--grid", tmp_path / "grid.json", "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, "grid.json")
         assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
+def _malform(state, data):
+    """Delete a key the model needs, swap two layout names, or change one
+    layout shape; returns a description of the edit."""
+    kind = data.draw(st.sampled_from(["delete", "swap", "shape"]))
+    layout = state["param_layout"]
+    if kind == "delete":
+        keys = ([(k,) for k in ("format_version", "hyper", "model", "param_layout",
+                               "params")]
+                + [("hyper", k) for k in state["hyper"]]
+                + [("model", k) for k in state["model"]])
+        path = data.draw(st.sampled_from(keys))
+        block = state
+        for key in path[:-1]:
+            block = block[key]
+        del block[path[-1]]
+        return "delete " + ".".join(path)
+    i, j = data.draw(st.lists(st.integers(0, len(layout) - 1), min_size=2,
+                              max_size=2, unique=True))
+    if kind == "swap":
+        layout[i][0], layout[j][0] = layout[j][0], layout[i][0]
+        return f"swap {layout[i][0]} and {layout[j][0]}"
+    shape = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=3)
+                      .filter(lambda s: s != layout[i][2]))
+    layout[i][2] = shape
+    return f"shape of {layout[i][0]} -> {shape}"
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_checkpoint_exits_2(tiny_run, tmp_path_factory, capsys, data):
+    """A checkpoint that does not match its model is one stderr line and
+    exit 2, never a traceback or a numerical error."""
+    root, cfg_path, sim, train, _ = tiny_run
+    state = json.loads((train / "checkpoint.json").read_text())
+    edit = _malform(state, data)
+    work = tmp_path_factory.mktemp("ckpt")
+    (work / "checkpoint.json").write_text(json.dumps(state))
+    capsys.readouterr()
+    code = run_cli("emulate", "--config", cfg_path,
+                   "--checkpoint", work / "checkpoint.json",
+                   "--fields", sim / "fields.csv",
+                   "--conditions", sim / "conditions.csv",
+                   "--n-samples", 2, "--out", work / "o")
+    err = capsys.readouterr().err
+    assert code == 2, (edit, err)
+    assert err.count("\n") == 1 and "Traceback" not in err, (edit, err)

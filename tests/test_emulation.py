@@ -7,6 +7,7 @@ from scipy.stats import kstest, kstwobign, uniform
 from extvae import emulation as emu
 from extvae import fieldsim as fs
 from extvae import model as mdl
+from extvae.autodiff import ArrayView
 from extvae.seeds import substream
 
 
@@ -68,6 +69,26 @@ class TestEmulate:
         for s in range(3):
             rel = np.abs(ens.samples[:, :, s] / y - 1.0)
             assert rel.max() < 0.01
+
+    def test_theta_is_the_objective_decode(self, small_model, monkeypatch):
+        """Without latent noise every sample's theta is, bit for bit, the
+        theta the training objective decodes at eps = 0."""
+        model, x, c = small_model
+        decoded = []
+
+        def recording(*args):
+            out = decode_theta(*args)
+            decoded.append(out[1])
+            return out
+
+        decode_theta = mdl.decode_theta
+        monkeypatch.setattr(mdl, "decode_theta", recording)
+        eps0 = np.zeros((1, x.shape[0], model.config.hyper.latent_dim))
+        mdl.penalized_elbo(model.config, ArrayView(model.params), x, c, eps0)
+        objective_theta = decoded.pop()
+        ens = emu.emulate(model, x, c, n_samples=3, seed=2, draw_latent_noise=False)
+        for s in range(3):
+            assert np.array_equal(ens.theta[:, :, s], objective_theta)
 
     def test_site_subset(self, small_model):
         model, x, c = small_model

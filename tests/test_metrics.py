@@ -241,6 +241,26 @@ class TestOrderStatisticThresholds:
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 7, 256])
+def test_distance_row_blocks_match_the_full_matrix(monkeypatch, rows):
+    """Pairs and grid spacing scanned in row blocks equal those read from the
+    whole site-distance matrix, across block boundaries."""
+    from extvae.fieldsim import pairwise_distances
+
+    monkeypatch.setattr(mx, "DISTANCE_ROWS", rows)
+    rng = substream(21)
+    coords = np.column_stack([np.arange(60.0) % 8, np.arange(60.0) // 8])
+    coords[:5] += rng.uniform(-0.01, 0.01, (5, 2))
+    d = pairwise_distances(coords, coords)
+    assert mx.grid_spacing(coords) == float(np.min(d[d > 0]))
+    for distance, tol in ((1.0, 0.5), (math.sqrt(2.0), 0.1), (3.0, 0.0)):
+        upper = np.arange(60)[:, None] < np.arange(60)[None, :]
+        ii, jj = np.where((np.abs(d - distance) <= tol) & upper)
+        want = np.column_stack([ii, jj])
+        got = mx.select_pairs(coords, distance, tol, max_pairs=10**6)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestTwcrps:
     def test_point_mass_at_observation(self):
         assert mx.twcrps(np.full(10, 3.0), 3.0) == 0.0

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from extvae import autodiff as ad
 from extvae import model as mdl
-from extvae.autodiff import ArrayView, fd_check, value_and_gradient
+from extvae.autodiff import ArrayView, NonFiniteError, fd_check, value_and_gradient
 from extvae.distributions import expps_logdensity_half, lognormal_logpdf
 from extvae.seeds import substream
 
@@ -49,7 +49,7 @@ class TestEncode:
         parts = {name: np.zeros(shape)
                  for name, shape in mdl.param_template(tiny_cfg).items()}
         pv = ad.ParamVector.build(parts)
-        mu, sigma = mdl.encode(tiny_cfg, ArrayView(pv), np.ones(25))
+        mu, sigma = mdl.encode(tiny_cfg, ArrayView(pv), np.ones((1, 25)))
         np.testing.assert_allclose(mu, LN2, rtol=1e-12)
         np.testing.assert_allclose(sigma, LN2, rtol=1e-12)
 
@@ -63,28 +63,33 @@ class TestEncode:
         params = mdl.init_params(tiny_cfg, 0)
         params.view("enc_w0")[:] = 0.0
         p = ArrayView(params)
-        a, _ = mdl.encode(tiny_cfg, p, np.ones(25))
-        b, _ = mdl.encode(tiny_cfg, p, 2.0 * np.ones(25))
+        a, _ = mdl.encode(tiny_cfg, p, np.ones((1, 25)))
+        b, _ = mdl.encode(tiny_cfg, p, 2.0 * np.ones((1, 25)))
         np.testing.assert_array_equal(a, b)
+
+
+def draw(mu, sigma, g, eps):
+    """mdl.latent on one time step, with condition 1 so the shift is g."""
+    row = lambda v: np.asarray(v, dtype=np.float64).reshape(1, -1)
+    return mdl.latent({"cond_map": np.asarray(g, dtype=np.float64)}, row(mu),
+                      row(sigma), np.ones(1), row(eps))
 
 
 class TestReparam:
     def test_degenerate_draw(self):
-        s = mdl.reparam_sample(np.array([2.0, 3.0]), np.zeros(2), np.zeros(2),
-                               np.zeros(2))
-        np.testing.assert_allclose(s.z, [2.0, 3.0], rtol=1e-15)
+        _, _, z = draw([2.0, 3.0], np.zeros(2), np.zeros(2), np.zeros(2))
+        np.testing.assert_allclose(z[0], [2.0, 3.0], rtol=1e-15)
 
     def test_hand_value(self):
-        s = mdl.reparam_sample(np.array([2.0]), np.array([1.0]),
-                               np.array([0.5]), np.array([1.0]))
-        assert s.z[0] == pytest.approx(math.exp(math.log(2.0) + 1.5), rel=1e-12)
-        assert s.z[0] == pytest.approx(8.9635, abs=2e-4)
+        _, _, z = draw([2.0], [1.0], [0.5], [1.0])
+        assert z[0, 0] == pytest.approx(math.exp(math.log(2.0) + 1.5), rel=1e-12)
+        assert z[0, 0] == pytest.approx(8.9635, abs=2e-4)
 
     def test_zero_eps_gives_scaled_mean(self):
         mu = np.array([1.5, 0.5])
         g = np.array([0.2, -0.1])
-        s = mdl.reparam_sample(mu, np.ones(2), g, np.zeros(2))
-        np.testing.assert_allclose(s.z, mu * np.exp(g), rtol=1e-12)
+        _, _, z = draw(mu, np.ones(2), g, np.zeros(2))
+        np.testing.assert_allclose(z[0], mu * np.exp(g), rtol=1e-12)
 
     def test_log_identity_exact(self):
         rng = substream(3)
@@ -92,107 +97,144 @@ class TestReparam:
         sig = np.abs(rng.standard_normal(5)) + 0.1
         g = rng.standard_normal(5)
         eps = rng.standard_normal(5)
-        s = mdl.reparam_sample(mu, sig, g, eps)
-        np.testing.assert_array_equal(s.log_z, np.log(mu) + g + sig * eps)
+        m, log_z, _ = draw(mu, sig, g, eps)
+        np.testing.assert_array_equal(m[0], np.log(mu) + g)
+        np.testing.assert_array_equal(log_z[0], np.log(mu) + g + sig * eps)
 
-    def test_overflow_names_coordinate(self):
-        with pytest.raises(OverflowError, match="coordinate"):
-            mdl.reparam_sample(np.array([1.0, 1.0]), np.array([0.0, 1000.0]),
-                               np.zeros(2), np.array([0.0, 1.0]))
+    def test_overflow_names_op(self):
+        with pytest.raises(NonFiniteError, match="exp"):
+            draw([1.0, 1.0], [0.0, 1000.0], np.zeros(2), [0.0, 1.0])
 
 
 class TestFuse:
     def test_interleaving_order(self):
-        out = mdl.fuse(np.array([1.0, 2.0]), 0.7)
-        np.testing.assert_array_equal(out, [1.0, 0.7, 2.0, 0.7])
+        out = mdl.fuse(np.array([[1.0, 2.0]]), np.array([0.7]))
+        np.testing.assert_array_equal(out, [[1.0, 0.7, 2.0, 0.7]])
 
     def test_zero_condition_keeps_latents(self):
-        z = np.array([3.0, 4.0, 5.0])
-        out = mdl.fuse(z, 0.0)
-        np.testing.assert_array_equal(out[0::2], z)
-        assert np.all(out[1::2] == 0.0)
+        z = np.array([[3.0, 4.0, 5.0]])
+        out = mdl.fuse(z, np.zeros(1))
+        np.testing.assert_array_equal(out[:, 0::2], z)
+        assert np.all(out[:, 1::2] == 0.0)
 
     def test_length(self):
-        assert mdl.fuse(np.arange(1.0, 6.0), 0.3).size == 10
+        assert mdl.fuse(np.arange(1.0, 6.0).reshape(1, 5), np.array([0.3])).size == 10
 
     def test_unfuse_identity(self):
         rng = substream(4)
         z = np.abs(rng.standard_normal((7, 3)))
         c = rng.random(7)
-        np.testing.assert_array_equal(mdl.unfuse(mdl.fuse(z, c)), z)
+        fused = mdl.fuse(z, c)
+        np.testing.assert_array_equal(fused[:, 0::2], z)
+        np.testing.assert_array_equal(fused[:, 1::2], np.repeat(c[:, None], 3, axis=1))
+
+
+def constant_xi(cfg, xi_b):
+    """Parameters whose CNN outputs softplus(xi_b) at every window."""
+    params = mdl.init_params(cfg, 0)
+    for name in ("conv_k", "conv_b", "xi_w"):
+        params.view(name)[:] = 0.0
+    params.view("xi_b")[:] = xi_b
+    return ArrayView(params)
+
+
+def one_window(cfg, p, z, cond):
+    """decode_theta on the single window made of rows 0, 1, 2."""
+    return mdl.decode_theta(cfg, p, z, cond, [0], [1], [2])
 
 
 class TestXiDecoder:
     def test_zero_kernels_give_softplus_bias(self, tiny_cfg):
-        params = mdl.init_params(tiny_cfg, 0)
-        params.view("conv_k")[:] = 0.0
-        params.view("conv_b")[:] = 0.0
-        params.view("xi_w")[:] = 0.0
-        params.view("xi_b")[:] = 0.3
-        p = ArrayView(params)
-        f = mdl.fuse(np.ones(4), 0.5)
-        xi = mdl.decode_xi(tiny_cfg, p, f, f, f)
+        p = constant_xi(tiny_cfg, 0.3)
+        xi, _ = one_window(tiny_cfg, p, np.ones((3, 4)), np.full(3, 0.5))
         np.testing.assert_allclose(xi, math.log1p(math.exp(0.3)), rtol=1e-12)
 
     def test_output_length_and_sign(self, tiny_instance):
         cfg, params, *_ = tiny_instance
-        p = ArrayView(params)
         rng = substream(5)
-        fused = [np.abs(rng.standard_normal(8)) for _ in range(3)]
-        xi = mdl.decode_xi(cfg, p, *fused)
-        assert xi.shape == (4,)
-        assert np.all(xi >= 0)
+        xi, theta = one_window(cfg, ArrayView(params),
+                               np.abs(rng.standard_normal((3, 4))), rng.random(3))
+        assert xi.shape == (1, 4) and theta.shape == (1, 4)
+        assert np.all(xi >= 0) and np.all(theta >= 0)
 
     def test_window_order_sensitivity(self, tiny_instance):
         cfg, params, *_ = tiny_instance
         p = ArrayView(params)
         rng = substream(6)
-        a, b, c = (np.abs(rng.standard_normal(8)) for _ in range(3))
-        xi_abc = mdl.decode_xi(cfg, p, a, b, c)
-        xi_cba = mdl.decode_xi(cfg, p, c, b, a)
+        z = np.abs(rng.standard_normal((3, 4)))
+        cond = rng.random(3)
+        xi_abc, _ = mdl.decode_theta(cfg, p, z, cond, [0], [1], [2])
+        xi_cba, _ = mdl.decode_theta(cfg, p, z, cond, [2], [1], [0])
         assert not np.allclose(xi_abc, xi_cba)
 
 
 class TestThetaAndY:
+    @staticmethod
+    def _cfg(phi):
+        k, m = phi.shape
+        hyper = mdl.HyperParams(latent_dim=k, n_theta_basis=m, conv_channels=2,
+                                enc_widths=(4,))
+        return mdl.ModelConfig(n_sites=3, hyper=hyper, phi=phi)
+
     def test_unit_coefficient_selects_column(self):
         phi = np.abs(substream(7).standard_normal((5, 3)))
-        xi = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(mdl.theta_from_xi(xi, phi), phi[:, 1],
-                                   rtol=1e-12)
+        cfg = self._cfg(phi)
+        # softplus(-800) is exactly 0
+        p = constant_xi(cfg, [-800.0, ad.softplus_inverse(1.0), -800.0])
+        xi, theta = one_window(cfg, p, np.ones((3, 5)), np.zeros(3))
+        np.testing.assert_array_equal(xi[0, [0, 2]], 0.0)
+        np.testing.assert_allclose(theta[0], phi[:, 1], rtol=1e-12)
 
     def test_single_basis_all_ones(self):
-        phi = np.ones((4, 1))
-        np.testing.assert_array_equal(mdl.theta_from_xi(np.array([2.0]), phi),
-                                      2.0 * np.ones(4))
+        cfg = self._cfg(np.ones((4, 1)))
+        xi, theta = one_window(cfg, constant_xi(cfg, ad.softplus_inverse(2.0)),
+                               np.ones((3, 4)), np.zeros(3))
+        assert xi[0, 0] == pytest.approx(2.0, rel=1e-14)
+        np.testing.assert_array_equal(theta, np.full((1, 4), xi[0, 0]))
 
-    def test_matches_matmul(self):
+    def test_matches_matmul(self, tiny_instance):
+        cfg, params, *_ = tiny_instance
         rng = substream(8)
-        phi = np.abs(rng.standard_normal((6, 4)))
-        xi = np.abs(rng.standard_normal((10, 4)))
-        np.testing.assert_allclose(mdl.theta_from_xi(xi, phi), xi @ phi.T,
-                                   rtol=1e-14)
+        n = 10
+        z = np.abs(rng.standard_normal((n, 4)))
+        idx = np.arange(n)
+        xi, theta = mdl.decode_theta(cfg, ArrayView(params), z, rng.random(n),
+                                     np.maximum(idx - 1, 0), idx,
+                                     np.minimum(idx + 1, n - 1))
+        np.testing.assert_allclose(theta, xi @ cfg.phi.T, rtol=1e-14)
 
     def test_theta_in_cone_of_phi(self, tiny_instance):
         cfg, params, x, c, eps = tiny_instance
-        ens_xi = np.abs(substream(9).standard_normal((20, 4)))
-        theta = mdl.theta_from_xi(ens_xi, cfg.phi)
+        z = np.abs(substream(9).standard_normal((20, 4)))
+        idx = np.arange(1, 19)
+        _, theta = mdl.decode_theta(cfg, ArrayView(params), z, np.zeros(20),
+                                    idx - 1, idx, idx + 1)
         coef, *_ = np.linalg.lstsq(cfg.phi, theta.T, rcond=None)
         np.testing.assert_allclose(cfg.phi @ coef, theta.T, atol=1e-8)
 
     def test_decode_y_linearity(self):
         rng = substream(10)
         w = np.abs(rng.standard_normal((7, 3)))
-        z = np.abs(rng.standard_normal(3)) + 0.1
-        y1 = mdl.decode_y(z, w)
-        y2 = mdl.decode_y(2.0 * z, w)
+        z = np.abs(rng.standard_normal((1, 3))) + 0.1
+        y1 = ad.matmul(z, ad.transpose(w))
+        y2 = ad.matmul(2.0 * z, ad.transpose(w))
         np.testing.assert_allclose(y2, 2.0 * y1, rtol=1e-12)
-        np.testing.assert_allclose(y1, w @ z, rtol=1e-12)
+        np.testing.assert_allclose(y1[0], w @ z[0], rtol=1e-12)
+        # taped: d sum(z W^T) / dW = 1 z
+        g = ad.gradient(lambda v: ad.vsum(ad.matmul(z, ad.transpose(v["w"]))),
+                        ad.ParamVector.build({"w": w}))
+        np.testing.assert_array_equal(g.reshape(7, 3), np.ones((7, 1)) * z)
 
     def test_near_identity_weights(self):
         w = np.eye(3) * 50.0 + 1e-12
-        z = np.array([1.0, 2.0, 3.0])
-        y = mdl.decode_y(z, ad.softplus(ad.softplus_inverse(w + 1e-9)))
-        np.testing.assert_allclose(y, 50.0 * z, rtol=1e-6)
+        hyper = mdl.HyperParams(latent_dim=3, n_theta_basis=1, conv_channels=2,
+                                enc_widths=(4,))
+        cfg = mdl.ModelConfig(n_sites=3, hyper=hyper)
+        params = mdl.init_params(cfg, 0)
+        params.view("w_raw")[:] = ad.softplus_inverse(w + 1e-9)
+        z = np.array([[1.0, 2.0, 3.0]])
+        y = ad.matmul(z, ad.transpose(mdl.weight_matrix(cfg, ArrayView(params))))
+        np.testing.assert_allclose(y[0], 50.0 * z[0], rtol=1e-6)
 
 
 class TestObjectiveTerms:
@@ -268,31 +310,45 @@ class TestObjectiveTerms:
         assert val == pytest.approx(1.0, abs=1e-7)
 
     def test_log_q_accepts_latent_sample(self):
-        s = mdl.reparam_sample(np.array([1.2]), np.array([0.4]),
-                               np.array([0.1]), np.array([0.7]))
-        direct = mdl.log_q(s.z, s.mean_log, s.sigma)
-        assert float(mdl.log_q(s)) == pytest.approx(float(direct), rel=1e-12)
+        m, log_z, z = draw([1.2], [0.4], [0.1], [0.7])
+        direct = mdl.log_q(z, m, np.array([[0.4]]))
+        given = mdl.log_q(z, m, np.array([[0.4]]), log_z=log_z)
+        assert float(given[0]) == pytest.approx(float(direct[0]), rel=1e-12)
+
+
+def one_step_penalty(xi_t, xi_prev, c_t, c_prev, rho0, absolute=False):
+    return mdl.penalty(np.array([xi_t]), np.array([xi_prev]), np.array([c_t]),
+                       np.array([c_prev]), rho0, absolute=absolute)
 
 
 class TestPenalty:
     def test_no_change_no_penalty(self):
-        xi = np.array([1.0, 2.0])
-        assert float(mdl.penalty(xi, xi, 0.4, 0.1, rho0=2.0)) == 0.0
+        xi = [1.0, 2.0]
+        assert float(one_step_penalty(xi, xi, 0.4, 0.1, rho0=2.0)) == 0.0
 
     def test_hand_value(self):
-        val = mdl.penalty(np.array([2.0]), np.array([1.0]), 0.6, 0.1, rho0=1.0)
+        val = one_step_penalty([2.0], [1.0], 0.6, 0.1, rho0=1.0)
         assert float(val) == pytest.approx(2.0, rel=1e-12)
 
     def test_guarded_denominator(self):
-        val = mdl.penalty(np.array([2.0]), np.array([1.0]), 0.5, 0.5, rho0=1.0)
+        val = one_step_penalty([2.0], [1.0], 0.5, 0.5, rho0=1.0)
         assert float(val) == pytest.approx(1.0 / 1e-3, rel=1e-12)
 
     def test_absolute_variant(self):
-        val = mdl.penalty(np.array([0.0]), np.array([1.0]), 0.6, 0.1, rho0=1.0,
-                          absolute=True)
+        val = one_step_penalty([0.0], [1.0], 0.6, 0.1, rho0=1.0, absolute=True)
         assert float(val) == pytest.approx(2.0, rel=1e-12)
-        signed = mdl.penalty(np.array([0.0]), np.array([1.0]), 0.6, 0.1, rho0=1.0)
+        signed = one_step_penalty([0.0], [1.0], 0.6, 0.1, rho0=1.0)
         assert float(signed) == pytest.approx(-2.0, rel=1e-12)
+
+    def test_rows_sum(self):
+        rng = substream(14)
+        xi = np.abs(rng.standard_normal((4, 3)))
+        c = rng.random(4)
+        for absolute in (False, True):
+            batched = mdl.penalty(xi[1:], xi[:-1], c[1:], c[:-1], 0.3, absolute)
+            rows = sum(float(one_step_penalty(xi[t], xi[t - 1], c[t], c[t - 1],
+                                              0.3, absolute)) for t in range(1, 4))
+            assert float(batched) == pytest.approx(rows, rel=1e-12)
 
 
 class TestPenalizedElbo:
@@ -348,8 +404,8 @@ class TestPenalizedElbo:
         stacked = np.stack([fused[np.clip(idx - 1, 0, 4)], fused,
                             fused[np.clip(idx + 1, 0, 4)]], axis=1)
         xi = mdl._xi_from_stacked(tiny_cfg, p, stacked)
-        rho = sum(float(mdl.penalty(xi[t], xi[t - 1], c[t], c[t - 1],
-                                    tiny_cfg.hyper.rho0)) for t in range(1, 5))
+        rho = sum(float(one_step_penalty(xi[t], xi[t - 1], c[t], c[t - 1],
+                                         tiny_cfg.hyper.rho0)) for t in range(1, 5))
         assert float(without) - float(with_pen) == pytest.approx(rho, rel=1e-9)
 
     def test_batch_permutation_invariance(self, tiny_instance):
@@ -369,10 +425,8 @@ class TestPenalizedElbo:
 
     def test_gradient_matches_finite_differences(self, tiny_instance):
         cfg, params, x, c, eps = tiny_instance
-        objective = mdl.make_objective(cfg, x, c, eps)
-        report = fd_check(
-            objective, params, step=1e-5,
-            kink_fn=lambda pv: mdl.elbo_kink_values(cfg, pv, x, c, eps))
+        report = fd_check(lambda p: mdl.penalized_elbo(cfg, p, x, c, eps), params,
+                          step=1e-5)
         assert report.max_rel_err <= 1e-4
 
     def test_positivity_chain(self, tiny_instance):
@@ -392,6 +446,63 @@ class TestPenalizedElbo:
             assert np.all(arr > 0)
         for arr in (xi, theta):
             assert np.all(arr >= 0)
+
+
+def reference_kink_values(cfg, pv, x, c, eps, batch=None):
+    """The reconstruction log-ratios inside the likelihood's absolute values,
+    recomputed in numpy beside the objective: the kink filter fd_check used
+    before it read its kinks from the tape."""
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    n_t = x.shape[0]
+    if batch is None:
+        batch = np.arange(n_t)
+    batch = np.sort(np.asarray(batch, dtype=np.intp))
+    p = ad.ArrayView(pv)
+    cond = np.zeros_like(c) if cfg.sever_condition else c
+    mu, sigma = mdl.encode(cfg, p, x)
+    m = np.log(mu) + cond.reshape(-1, 1) * p["cond_map"]
+    w = mdl.weight_matrix(cfg, p)
+    out = []
+    for l in range(eps.shape[0]):
+        z = np.exp(m + sigma * eps[l])
+        y = z[batch] @ np.asarray(w).T
+        out.append(np.log(x[batch]) - np.log(y))
+    return np.concatenate([o.ravel() for o in out])
+
+
+def test_tape_kink_filter_covers_reference_filter(tiny_cfg):
+    params = mdl.init_params(tiny_cfg, 0)
+    params.view("enc_w0")[:] = 0.0          # the latents no longer see the fields
+    rng = substream(15)
+    x = np.exp(rng.standard_normal((6, 25)))
+    c = rng.random(6)
+    eps = mdl.draw_eps(tiny_cfg, 6, 0)
+    # observe the reconstruction itself at two sites: those ratios sit on the kink
+    p = ArrayView(params)
+    mu, sigma = mdl.encode(tiny_cfg, p, x)
+    _, _, z = mdl.latent(p, mu, sigma, c, eps[0])
+    x[:, :2] = (z @ np.asarray(mdl.weight_matrix(tiny_cfg, p)).T)[:, :2]
+    assert np.sum(reference_kink_values(tiny_cfg, params, x, c, eps) == 0.0) == 12
+
+    base = params.data
+    old = np.zeros(params.size, dtype=bool)
+    for i in range(params.size):
+        h = 1e-5 * max(1.0, abs(base[i]))
+        k = []
+        for sign in (1.0, -1.0):
+            probe = base.copy()
+            probe[i] += sign * h
+            k.append(reference_kink_values(tiny_cfg, params.replace(probe), x, c, eps))
+        moved = k[0] != k[1]
+        old[i] = np.any(moved & ((np.sign(k[0]) != np.sign(k[1]))
+                                 | (np.abs(k[0]) < ad.KINK_TOL)
+                                 | (np.abs(k[1]) < ad.KINK_TOL)))
+    report = fd_check(lambda q: mdl.penalized_elbo(tiny_cfg, q, x, c, eps), params,
+                      step=1e-5)
+    assert 0 < old.sum() < params.size
+    assert np.all(report.skipped[old])
+    assert report.max_rel_err <= 1e-4
 
 
 def test_desk_penalty_abs_gradient_matches_central_differences(desk_instance):
