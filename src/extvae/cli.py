@@ -28,7 +28,7 @@ from . import model as mdl
 from . import preprocess as pp
 from . import training as tr
 from .autodiff import NonFiniteError, fd_check
-from .distributions import tail_equivalence_check
+from .distributions import GEV_MIN_OBS, tail_equivalence_check
 from .model import HyperParams, ModelConfig
 from .seeds import substream
 
@@ -620,8 +620,26 @@ def cmd_tailcheck(args) -> int:
 def cmd_preprocess(args) -> int:
     daily = read_matrix_csv(args.daily)
     coords = read_coords_csv(args.sites)
-    start = dt.date.fromisoformat(args.start_date)
-    dates = pp.daterange(start, daily.shape[0])
+    try:
+        dates = pp.daterange(dt.date.fromisoformat(args.start_date), daily.shape[0])
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"--start-date {args.start_date!r}: {err}") from None
+    n_months = len(pp.monthly_maxima(np.zeros(len(dates)), dates)[0])
+    if n_months < GEV_MIN_OBS:
+        raise ConfigError(f"{args.daily}: {n_months} months of days, the GEV fit "
+                          f"needs at least {GEV_MIN_OBS} monthly maxima")
+    bad = np.argwhere(~np.isfinite(daily))
+    if bad.size:
+        raise ConfigError(f"{args.daily}: non-finite value on day {bad[0, 0]} "
+                          f"at site {bad[0, 1]}")
+    if coords.shape[0] != daily.shape[1]:
+        raise ConfigError(f"{args.sites} has {coords.shape[0]} sites, "
+                          f"{args.daily} has {daily.shape[1]}")
+    if args.bins <= pp.GEV_PARAMS + 1:
+        raise ConfigError(f"--bins {args.bins}: need more bins than fitted "
+                          f"parameters plus one ({pp.GEV_PARAMS + 1})")
+    if not args.radius_km > 0:
+        raise ConfigError(f"--radius-km {args.radius_km}: must be positive")
     out = args.out
     os.makedirs(out, exist_ok=True)
 

@@ -25,6 +25,8 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # |xi| below this is rejected: the Pareto-scale transform divides by xi,
 # so the Gumbel boundary is excluded from fitting.
 XI_MIN = 1e-3
+# fewest maxima gev_fit accepts
+GEV_MIN_OBS = 30
 
 
 class GevFitError(RuntimeError):
@@ -305,21 +307,28 @@ def gev_sample(p: GevParams, n: int, seed) -> np.ndarray:
     return gev_quantile(rng.random(n), p)
 
 
-def _gev_negloglik(params: np.ndarray, x: np.ndarray) -> float:
+def _gev_negloglik(params: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """GEV negative log-likelihood and its gradient in (mu, log sigma, xi);
+    outside the support, a 1e10 barrier with a zero gradient."""
     mu, log_sigma, xi = params
     sigma = math.exp(log_sigma)
-    t = 1.0 + xi * (x - mu) / sigma
+    z = (x - mu) / sigma
+    t = 1.0 + xi * z
     if np.any(t <= 0):
-        return 1e10
+        return 1e10, np.zeros(3)
     log_t = np.log(t)
-    return float(
-        x.size * log_sigma
-        + (1.0 + 1.0 / xi) * np.sum(log_t)
-        + np.sum(np.exp(-log_t / xi))
-    )
+    u = np.exp(-log_t / xi)                       # t^(-1/xi)
+    nll = float(x.size * log_sigma + (1.0 + 1.0 / xi) * np.sum(log_t) + np.sum(u))
+    a = (1.0 + (1.0 - u) / xi) / t                # d nll / d t, per observation
+    grad = np.array([
+        -xi / sigma * np.sum(a),
+        x.size - xi * np.sum(a * z),
+        np.sum(a * z) + np.sum((u - 1.0) * log_t) / xi**2,
+    ])
+    return nll, grad
 
 
-def gev_fit(data, min_obs: int = 30) -> GevParams:
+def gev_fit(data, min_obs: int = GEV_MIN_OBS) -> GevParams:
     """Maximum-likelihood GEV fit by quasi-Newton search.
 
     Started from Gumbel moment estimates, run once on each side of the excluded
@@ -344,6 +353,7 @@ def gev_fit(data, min_obs: int = 30) -> GevParams:
             _gev_negloglik,
             x0=np.array([mu0, math.log(sigma0), xi0]),
             args=(x,),
+            jac=True,
             method="L-BFGS-B",
             bounds=[(None, None), (None, None), (lo, hi)],
         )

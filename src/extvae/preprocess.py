@@ -23,6 +23,11 @@ EARTH_RADIUS_KM = 6371.0
 N_SPLINES = 12
 SPLINE_PERIOD = 365.0
 DEFAULT_NEIGHBOR_KM = 60.0
+GEV_PARAMS = 3                  # mu, sigma, xi: the GOF test's fitted count
+# sites whose distances to every site are computed at a time: the haversine
+# temporaries take about 48 bytes a pair, so 256 rows at 10^4 sites peak near
+# 150 MB, where the whole matrix would take 4.8 GB
+NEIGHBOR_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +144,32 @@ def haversine_km(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def neighborhoods(coords_lonlat: np.ndarray,
                   radius_km: float = DEFAULT_NEIGHBOR_KM) -> list[np.ndarray]:
-    """Per-site index sets {i : dist(s_i, s_j) < r}; always contain the site."""
-    d = haversine_km(coords_lonlat, coords_lonlat)
-    np.fill_diagonal(d, 0.0)
-    return [np.where(row < radius_km)[0] for row in d]
+    """Per-site index sets {i : dist(s_i, s_j) < r}; always contain the site.
+
+    Distances are taken ``NEIGHBOR_ROWS`` sites at a time, so the (n, n)
+    matrix is never held at once."""
+    coords = np.atleast_2d(np.asarray(coords_lonlat, dtype=np.float64))
+    out = []
+    for r0 in range(0, len(coords), NEIGHBOR_ROWS):
+        d = haversine_km(coords[r0:r0 + NEIGHBOR_ROWS], coords)
+        d[np.arange(len(d)), r0 + np.arange(len(d))] = 0.0
+        out.extend(np.where(row < radius_km)[0] for row in d)
+    return out
 
 
 def fit_seasonal(responses: np.ndarray, design: SeasonalDesign):
     """OLS of the stacked neighborhood series on the (stacked) design.
 
-    ``responses`` is (n_neighbors, N); the design is vertically replicated.
-    Returns (beta, fitted values over one calendar, per-series residuals).
+    ``responses`` is (n_neighbors, N). The stacked normal equations are
+    n_neighbors times those of the neighbor mean on one copy of the design, so
+    the fit solves the latter. Returns (beta, fitted values over one calendar,
+    per-series residuals).
     """
     responses = np.atleast_2d(np.asarray(responses, dtype=np.float64))
-    n_nb, n_days = responses.shape
     m = design.regression_matrix
-    if m.shape[0] != n_days:
+    if m.shape[0] != responses.shape[1]:
         raise ValueError("design length does not match the series")
-    stacked = np.tile(m, (n_nb, 1))
-    beta, _, rank, _ = np.linalg.lstsq(stacked, responses.ravel(), rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(m, responses.mean(axis=0), rcond=None)
     if rank < m.shape[1]:
         raise ValueError("design matrix is rank deficient after the drop rule")
     fitted = m @ beta
@@ -174,28 +186,36 @@ class VarianceModel:
     eps_hat: np.ndarray
 
 
+def _variance_nll(b: np.ndarray, ss: np.ndarray, n: int,
+                  ts: np.ndarray) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood, without its constant, and gradient of
+    log eps_t = b0 + b1 ts_t for n series with per-day sums of squares ss."""
+    log_eps = b[0] + b[1] * ts
+    w = ss * np.exp(-2.0 * log_eps)
+    nll = float(np.sum(n * log_eps + 0.5 * w))
+    d = n - w
+    return nll, np.array([np.sum(d), np.sum(d * ts)])
+
+
 def fit_variance(residuals: np.ndarray, time_index: np.ndarray) -> VarianceModel:
     """Exact independent-Gaussian MLE of the log-linear variance model,
-    quasi-Newton from (log sd(residuals), 0)."""
-    r = np.asarray(residuals, dtype=np.float64).ravel()
-    t = np.asarray(time_index, dtype=np.float64).ravel()
-    if r.shape != t.shape:
+    quasi-Newton from (log sd(residuals), 0).
+
+    ``residuals`` is (n_series, N), or (N,) for one series, all sharing the
+    (N,) ``time_index``. The likelihood sees the residuals only through the
+    per-day sum of squares S_t, so nll = sum_t (n log eps_t + S_t / (2 eps_t^2)).
+    """
+    r = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
+    t = np.asarray(time_index, dtype=np.float64)
+    if r.ndim != 2 or t.shape != r.shape[1:]:
         raise ValueError("residuals and time index must align")
     if not np.all(np.isfinite(r)):
         raise ValueError("residuals must be finite")
     scale = max(1.0, float(np.max(np.abs(t))))
-    ts = t / scale
-
-    def nll_and_grad(b):
-        log_eps = b[0] + b[1] * ts
-        w = r**2 * np.exp(-2.0 * log_eps)
-        nll = float(np.sum(log_eps + 0.5 * w))
-        d = 1.0 - w
-        return nll, np.array([np.sum(d), np.sum(d * ts)])
-
     sd0 = float(np.std(r))
     x0 = np.array([math.log(max(sd0, 1e-12)), 0.0])
-    res = minimize(nll_and_grad, x0=x0, jac=True, method="L-BFGS-B")
+    res = minimize(_variance_nll, x0=x0, jac=True, method="L-BFGS-B",
+                   args=(np.einsum("ij,ij->j", r, r), r.shape[0], t / scale))
     if not res.success:
         raise RuntimeError(f"variance model did not converge: {res.message}")
     beta1 = float(res.x[0])
@@ -213,22 +233,17 @@ def detrend(x: np.ndarray, fitted: np.ndarray, eps_hat: np.ndarray) -> np.ndarra
 
 
 def monthly_maxima(values: np.ndarray, dates) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Maximum within each calendar month; months with no data are omitted."""
+    """Maximum within each run of days in one calendar month; months with no
+    data are omitted. A tie between -0.0 and +0.0 may keep either zero."""
     values = np.asarray(values, dtype=np.float64)
     if len(values) != len(dates):
         raise ValueError("values and dates must align")
-    keys: list[tuple[int, int]] = []
-    maxima: list[float] = []
-    current: tuple[int, int] | None = None
-    for v, d in zip(values, dates):
-        key = (d.year, d.month)
-        if key != current:
-            keys.append(key)
-            maxima.append(v)
-            current = key
-        elif v > maxima[-1]:
-            maxima[-1] = v
-    return keys, np.asarray(maxima)
+    month = np.fromiter((d.year * 12 + d.month - 1 for d in dates),
+                        dtype=np.int64, count=len(dates))
+    starts = np.flatnonzero(np.diff(month, prepend=month[:1] - 1))
+    first = month[starts]
+    keys = list(zip((first // 12).tolist(), (first % 12 + 1).tolist()))
+    return keys, np.maximum.reduceat(values, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +367,12 @@ def preprocess_site(
     _, fitted, residuals = fit_seasonal(daily[:, nb].T, design)
     # the variance model depends on (intercept, t) only, so the fitted
     # standard deviations are shared across the pooled neighbors
-    var_model = fit_variance(residuals.ravel(),
-                             np.tile(design.time_index, len(nb)))
-    eps_site = np.exp(var_model.beta1 + var_model.beta2 * design.time_index)
-    detrended = detrend(daily[:, site_index], fitted, eps_site)
+    var_model = fit_variance(residuals, design.time_index)
+    detrended = detrend(daily[:, site_index], fitted, var_model.eps_hat)
     months, maxima = monthly_maxima(detrended, dates)
     gev = gev_fit(maxima)
     gof = chi2_gof(maxima, lambda e: gev_cdf(e, gev, warn_on_clamp=False),
-                   n_bins=n_bins, n_params=3, doubled=doubled)
+                   n_bins=n_bins, n_params=GEV_PARAMS, doubled=doubled)
     transformed = marginal_transform(maxima, gev)
     return SitePreprocessResult(detrended=detrended, months=months,
                                 maxima=maxima, gev=gev, gof=gof,

@@ -247,31 +247,34 @@ class TestMetrics:
 
 
 class TestPreprocess:
-    def test_pipeline_outputs(self, tmp_path):
+    @staticmethod
+    def _write_inputs(tmp_path, n_days=3 * 365, nan_at=None, n_coords=2):
         import datetime as dt
         import math
 
         from extvae import preprocess as pp
         from extvae.seeds import substream
 
-        n = 3 * 365
-        dates = pp.daterange(dt.date(2015, 1, 1), n)
+        dates = pp.daterange(dt.date(2015, 1, 1), n_days)
         doy = pp.day_of_year(dates)
-        t = np.arange(1.0, n + 1)
+        t = np.arange(1.0, n_days + 1)
         rng = substream(77)
         base = 4.0 + 2.0 * np.sin(2 * math.pi * doy / 365.0) + 0.0005 * t
-        daily = np.column_stack([base + 0.7 * rng.standard_normal(n),
-                                 base + 0.7 * rng.standard_normal(n)])
+        daily = np.column_stack([base + 0.7 * rng.standard_normal(n_days),
+                                 base + 0.7 * rng.standard_normal(n_days)])
+        if nan_at is not None:
+            daily[nan_at] = np.nan
         daily_path = tmp_path / "daily.csv"
         cli.write_matrix_csv(str(daily_path), daily, "site_")
         sites_path = tmp_path / "sites.csv"
-        cli.write_coords_csv(str(sites_path),
-                             np.array([[150.0, -30.0], [150.1, -30.0]]),
-                             "site_id")
+        coords = np.array([[150.0, -30.0], [150.1, -30.0], [150.2, -30.0]])
+        cli.write_coords_csv(str(sites_path), coords[:n_coords], "site_id")
+        return ["--daily", daily_path, "--sites", sites_path]
+
+    def test_pipeline_outputs(self, tmp_path):
         out = tmp_path / "prep"
-        assert run_cli("preprocess", "--daily", daily_path,
-                       "--sites", sites_path, "--start-date", "2015-01-01",
-                       "--out", out) == 0
+        assert run_cli("preprocess", *self._write_inputs(tmp_path),
+                       "--start-date", "2015-01-01", "--out", out) == 0
         fields = cli.read_matrix_csv(str(out / "fields.csv"))
         assert fields.shape == (36, 2)
         assert np.all(fields > 0)
@@ -279,6 +282,28 @@ class TestPreprocess:
         assert gev_rows[0] == ["site_id", "mu", "sigma", "xi"]
         gof_rows = read_rows(out / "gof.csv")
         assert all(0.0 <= float(r[3]) <= 1.0 for r in gof_rows[1:])
+
+    @pytest.mark.parametrize("inputs, args, needle", [
+        ({}, ["--start-date", "2014-13-01"], "--start-date"),
+        ({}, ["--start-date", "9999-06-01"], "--start-date"),
+        ({"n_days": 300}, [], "10 months"),
+        ({"n_days": 850}, [], "28 months"),
+        ({"nan_at": (400, 1)}, [], "day 400 at site 1"),
+        ({}, ["--bins", "3"], "--bins"),
+        ({"n_coords": 1}, [], "sites.csv"),
+        ({"n_coords": 3}, [], "sites.csv"),
+        ({}, ["--radius-km", "0"], "--radius-km"),
+        ({}, ["--radius-km", "nan"], "--radius-km"),
+    ])
+    def test_bad_input_rejected_before_compute(self, tmp_path, capsys,
+                                               inputs, args, needle):
+        args = args if "--start-date" in args else ["--start-date", "2015-01-01", *args]
+        code = run_cli("preprocess", *self._write_inputs(tmp_path, **inputs),
+                       *args, "--out", tmp_path / "prep")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and needle in err and "Traceback" not in err
+        assert not (tmp_path / "prep").exists()
 
 
 class TestFixedW:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize
 from scipy.stats import kstest, kstwobign, laplace, levy
 
 from extvae.distributions import (
+    XI_MIN,
     ExpPSParams,
     FrechetParams,
     GevFitError,
@@ -30,6 +32,7 @@ from extvae.distributions import (
     positive_stable_half_sample,
     tail_equivalence_check,
 )
+from extvae.distributions import _gev_negloglik
 from extvae.seeds import substream
 
 KS_CRIT_1PCT = kstwobign.isf(0.01)  # asymptotic 1% critical constant
@@ -216,6 +219,30 @@ class TestLognormal:
         assert abs(grid[np.argmax(vals)] - mode) < 0.01 * mode
 
 
+def gev_negloglik_scalar(params, x):
+    """The GEV negative log-likelihood alone, as the fit minimized it when
+    L-BFGS-B took finite-difference gradients."""
+    mu, log_sigma, xi = params
+    t = 1.0 + xi * (x - mu) / math.exp(log_sigma)
+    if np.any(t <= 0):
+        return 1e10
+    log_t = np.log(t)
+    return float(x.size * log_sigma + (1.0 + 1.0 / xi) * np.sum(log_t)
+                 + np.sum(np.exp(-log_t / xi)))
+
+
+def gev_fit_finite_differences(x):
+    """Reference: gev_fit's two-sided search with finite-difference gradients;
+    returns the better optimum's negative log-likelihood."""
+    sigma0 = max(math.sqrt(6.0) * float(np.std(x)) / math.pi, 1e-8)
+    mu0 = float(np.mean(x)) - 0.5772156649015329 * sigma0
+    return min(
+        minimize(gev_negloglik_scalar, x0=np.array([mu0, math.log(sigma0), xi0]),
+                 args=(x,), method="L-BFGS-B",
+                 bounds=[(None, None), (None, None), (lo, hi)]).fun
+        for xi0, lo, hi in ((0.1, XI_MIN, 5.0), (-0.1, -5.0, -XI_MIN)))
+
+
 class TestGev:
     def test_cdf_at_location(self):
         p = GevParams(mu=2.0, sigma=1.0, xi=0.2)
@@ -239,6 +266,35 @@ class TestGev:
         truth = GevParams(1.0, 0.5, -0.2)
         fit = gev_fit(gev_sample(truth, 10**4, seed=6))
         assert abs(fit.xi - truth.xi) < 0.1
+
+    @pytest.mark.parametrize("truth, params", [
+        (GevParams(0.0, 1.0, 0.3), [0.1, math.log(0.9), 0.25]),
+        (GevParams(1.0, 0.5, -0.2), [0.9, math.log(0.6), -0.15]),
+    ])
+    def test_negloglik_gradient_matches_central_differences(self, truth, params):
+        x = gev_sample(truth, 500, seed=7)
+        params = np.array(params)
+        nll, grad = _gev_negloglik(params, x)
+        assert nll == pytest.approx(gev_negloglik_scalar(params, x), rel=1e-12)
+        h = 1e-6
+        fd = [(_gev_negloglik(params + h * e, x)[0]
+               - _gev_negloglik(params - h * e, x)[0]) / (2.0 * h) for e in np.eye(3)]
+        np.testing.assert_allclose(grad, fd, rtol=1e-6)
+
+    def test_negloglik_barrier_outside_support(self):
+        x = np.array([0.0, 1.0, 5.0])
+        nll, grad = _gev_negloglik(np.array([0.0, 0.0, -0.5]), x)   # bound at 2
+        assert nll == 1e10
+        np.testing.assert_array_equal(grad, np.zeros(3))
+
+    @pytest.mark.parametrize("truth, seed", [(GevParams(0.0, 1.0, 0.3), 5),
+                                             (GevParams(1.0, 0.5, -0.2), 6)])
+    def test_fit_no_worse_than_finite_difference_fit(self, truth, seed):
+        x = gev_sample(truth, 10**4, seed=seed)
+        fit = gev_fit(x)
+        nll = gev_negloglik_scalar(
+            np.array([fit.mu, math.log(fit.sigma), fit.xi]), x)
+        assert nll <= gev_fit_finite_differences(x) + 1e-8
 
     def test_fit_needs_enough_data(self):
         with pytest.raises(ValueError):

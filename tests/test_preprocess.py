@@ -10,6 +10,38 @@ from extvae.distributions import GevParams, gev_cdf, gev_sample
 from extvae.seeds import substream
 
 
+# Reference implementations: the tiled-design seasonal OLS, the per-element
+# variance objective and the per-day month loop that the pooled and vectorized
+# forms in extvae.preprocess replace.
+
+def seasonal_tiled(responses, design):
+    responses = np.atleast_2d(np.asarray(responses, dtype=np.float64))
+    m = design.regression_matrix
+    stacked = np.tile(m, (responses.shape[0], 1))
+    beta = np.linalg.lstsq(stacked, responses.ravel(), rcond=None)[0]
+    return beta, m @ beta
+
+
+def variance_nll_raveled(b, r, ts):
+    log_eps = b[0] + b[1] * ts
+    w = r**2 * np.exp(-2.0 * log_eps)
+    d = 1.0 - w
+    return float(np.sum(log_eps + 0.5 * w)), np.array([np.sum(d), np.sum(d * ts)])
+
+
+def monthly_maxima_loop(values, dates):
+    keys, maxima, current = [], [], None
+    for v, d in zip(values, dates):
+        key = (d.year, d.month)
+        if key != current:
+            keys.append(key)
+            maxima.append(v)
+            current = key
+        elif v > maxima[-1]:
+            maxima[-1] = v
+    return keys, np.asarray(maxima, dtype=np.float64)
+
+
 class TestCyclicSplines:
     def test_periodicity_one_year(self):
         days = np.linspace(1.0, 365.0, 730)
@@ -86,6 +118,20 @@ class TestNeighborhoods:
         nbs = pp.neighborhoods(np.vstack([base, near, far]), radius_km=60.0)
         assert set(nbs[0]) == {0, 1}
 
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_row_blocks_match_full_matrix(self, monkeypatch, rows):
+        rng = substream(14)
+        coords = np.column_stack([150 + 2 * rng.random(300), -30 + 2 * rng.random(300)])
+        d = pp.haversine_km(coords, coords)
+        np.fill_diagonal(d, 0.0)
+        full = [np.where(row < 60.0)[0] for row in d]
+        monkeypatch.setattr(pp, "NEIGHBOR_ROWS", rows)
+        blocked = pp.neighborhoods(coords, radius_km=60.0)
+        assert len(blocked) == len(full)
+        assert max(len(nb) for nb in full) > 5
+        for a, b in zip(blocked, full):
+            np.testing.assert_array_equal(a, b)
+
     def test_haversine_known_value(self):
         # one degree of longitude at the equator
         a = np.array([[0.0, 0.0]])
@@ -121,7 +167,42 @@ class TestSeasonalFit:
         np.testing.assert_allclose(fitted1, fitted2, atol=1e-10)
 
 
+    @pytest.mark.parametrize("rows", [[0], [0, 1], list(range(8)) + [3]])
+    def test_neighbor_mean_matches_tiled_design(self, design, rows):
+        rng = substream(15)
+        m = design.regression_matrix
+        series = (m @ rng.standard_normal(m.shape[1]))[None, :] \
+            + rng.standard_normal((8, 730))
+        y = series[rows]
+        beta, fitted, resid = pp.fit_seasonal(y, design)
+        beta_ref, fitted_ref = seasonal_tiled(y, design)
+        np.testing.assert_allclose(beta, beta_ref, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(fitted, fitted_ref, rtol=1e-10, atol=1e-10)
+        np.testing.assert_array_equal(resid, y - fitted)
+
+
 class TestVarianceModel:
+    def test_pooled_objective_matches_raveled(self):
+        rng = substream(16)
+        n, n_days = 5, 1000
+        r = rng.standard_normal((n, n_days)) * np.exp(rng.standard_normal(n_days))
+        ts = np.arange(1.0, n_days + 1) / n_days
+        ss = np.einsum("ij,ij->j", r, r)
+        for b in rng.uniform(-1.0, 1.0, (10, 2)):
+            nll, grad = pp._variance_nll(b, ss, n, ts)
+            nll_ref, grad_ref = variance_nll_raveled(b, r.ravel(), np.tile(ts, n))
+            assert nll == pytest.approx(nll_ref, rel=1e-12)
+            np.testing.assert_allclose(grad, grad_ref, rtol=1e-12)
+
+    def test_series_share_the_time_index(self):
+        rng = substream(17)
+        r = rng.standard_normal((3, 500))
+        t = np.arange(1.0, 501.0)
+        assert pp.fit_variance(r, t).eps_hat.shape == (500,)
+        assert pp.fit_variance(r[0], t).beta1 == pp.fit_variance(r[:1], t).beta1
+        with pytest.raises(ValueError, match="align"):
+            pp.fit_variance(r, np.tile(t, 3))
+
     def test_homoskedastic_recovery(self):
         rng = substream(4)
         sd = 1.7
@@ -205,6 +286,25 @@ class TestMonthlyMaxima:
         months, maxima = pp.monthly_maxima(np.zeros(n), dates)
         assert len(months) == 127
         assert maxima.size == 127
+
+
+    @pytest.mark.parametrize("start, n", [
+        (dt.date(2014, 1, 1), 4018),         # the decade calendar
+        (dt.date(2020, 1, 17), 70),          # mid-month start, leap February
+        (dt.date(2019, 2, 10), 400),         # non-leap February onward
+        (dt.date(2023, 6, 30), 1),           # one day
+    ])
+    def test_matches_day_loop(self, start, n):
+        rng = substream(18)
+        dates = pp.daterange(start, n)
+        for values in (rng.standard_normal(n),
+                       rng.integers(-2, 3, n).astype(np.float64)):   # ties
+            keys, maxima = pp.monthly_maxima(values, dates)
+            keys_ref, maxima_ref = monthly_maxima_loop(values, dates)
+            assert keys == keys_ref
+            assert all(type(y) is int and type(m) is int for y, m in keys)
+            np.testing.assert_array_equal(maxima.view(np.int64),
+                                          maxima_ref.view(np.int64))
 
 
 class TestChi2Gof:
