@@ -28,7 +28,7 @@ from . import model as mdl
 from . import preprocess as pp
 from . import training as tr
 from .autodiff import NonFiniteError, fd_check
-from .distributions import GEV_MIN_OBS, tail_equivalence_check
+from .distributions import GEV_MIN_OBS, expps_sample_field, tail_equivalence_check
 from .model import HyperParams, ModelConfig
 from .seeds import substream
 
@@ -342,7 +342,10 @@ def _hyper_from(cfg: dict, desk: bool, overrides: dict) -> HyperParams:
     base.update({k: v for k, v in overrides.items() if v is not None})
     if "enc_widths" in base:
         base["enc_widths"] = tuple(base["enc_widths"])
-    return HyperParams(**base)
+    try:
+        return HyperParams(**base)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"hyperparameters: {err}") from None
 
 
 def cmd_train(args) -> int:
@@ -353,13 +356,15 @@ def cmd_train(args) -> int:
     knots = read_coords_csv(args.knots) if args.knots else None
     sites = read_coords_csv(args.sites) if args.sites else None
     out = args.out
-    os.makedirs(out, exist_ok=True)
 
     hyper = _hyper_from(cfg, args.desk, {
         "epochs": args.epochs, "learning_rate": args.lr, "seed": seed,
         "fix_w": True if args.fixed_w else None,
     })
-    train_cfg = tr.TrainConfig(hyper=hyper, **cfg.get("train", {}))
+    try:
+        train_cfg = tr.TrainConfig(hyper=hyper, **cfg.get("train", {}))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"config section 'train': {err}") from None
     data_cfg = _merged("data", DESK_DATA if args.desk else DEFAULT_DATA, cfg)
     radius = data_cfg["wendland_radius"]
 
@@ -372,8 +377,12 @@ def cmd_train(args) -> int:
                 raise TypeError("expected a JSON list of objects")
             for overrides in grid:
                 tr.apply_overrides(train_cfg, overrides)
+            if args.grid_epochs is not None:       # validated like a config value
+                dataclasses.replace(train_cfg, epochs=args.grid_epochs)
         except (KeyError, TypeError, ValueError) as err:     # JSONDecodeError too
             raise ConfigError(f"grid {args.grid}: {err}") from None
+    os.makedirs(out, exist_ok=True)
+    if args.grid:
         train_cfg, scores = tr.grid_search(
             x, c, train_cfg, grid, search_epochs=args.grid_epochs,
             knots=knots, sites=sites, wendland_radius=radius)
@@ -419,6 +428,11 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
                                   "draw_latent_noise": True,
                                   "draw_data_noise": True}, cfg)
     n_samples = args.n_samples if args.n_samples is not None else emu_cfg["n_samples"]
+    if not (isinstance(n_samples, int) and n_samples >= 1):
+        raise ConfigError(f"n_samples must be a positive integer, got {n_samples!r}")
+    if emu_cfg["mode"] not in emu.MODES:
+        raise ConfigError(f"emulate mode must be one of {', '.join(emu.MODES)}, "
+                          f"got {emu_cfg['mode']!r}")
     model = tr.checkpoint_load(args.checkpoint)
     sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
     x = read_matrix_csv(args.fields)
@@ -570,6 +584,8 @@ def cmd_metrics(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     seed = _seed(args, {})
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol!r}")
     hyper = HyperParams(latent_dim=4, n_theta_basis=4, conv_channels=8,
                         enc_widths=(16,), alpha0=30.0, rho0=0.5,
                         penalty_abs=True, seed=seed)
@@ -591,6 +607,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_tailcheck(args) -> int:
     seed = _seed(args, {})
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if not 0.0 < args.level < 1.0:
+        raise ConfigError(f"--level must lie in (0, 1), got {args.level!r}")
     tau, alpha0 = 1.0, 2.0
     # tight site cluster between the two knots: the shared latent factors
     # dominate, so joint exceedances accumulate
@@ -598,10 +618,8 @@ def cmd_tailcheck(args) -> int:
     knots = np.array([[0.25, 0.25], [0.75, 0.75]])
     w = fs.wendland_basis(sites, knots, radius=2.0)
     theta = np.array([0.1, 0.3])
-    from .distributions import ExpPSParams, expps_sample
-
     z = np.column_stack([
-        expps_sample(ExpPSParams(0.5, float(th)), args.n, substream(seed, "z", k))
+        expps_sample_field(np.full(args.n, th), substream(seed, "z", k))
         for k, th in enumerate(theta)
     ])
     y = z @ w.T
@@ -621,10 +639,11 @@ def cmd_preprocess(args) -> int:
     daily = read_matrix_csv(args.daily)
     coords = read_coords_csv(args.sites)
     try:
-        dates = pp.daterange(dt.date.fromisoformat(args.start_date), daily.shape[0])
+        calendar = pp.daily_calendar(dt.date.fromisoformat(args.start_date),
+                                     daily.shape[0])
     except (ValueError, OverflowError) as err:
         raise ConfigError(f"--start-date {args.start_date!r}: {err}") from None
-    n_months = len(pp.monthly_maxima(np.zeros(len(dates)), dates)[0])
+    n_months = len(calendar.months)
     if n_months < GEV_MIN_OBS:
         raise ConfigError(f"{args.daily}: {n_months} months of days, the GEV fit "
                           f"needs at least {GEV_MIN_OBS} monthly maxima")
@@ -643,7 +662,7 @@ def cmd_preprocess(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
 
-    results = pp.run_pipeline(daily, dates, coords, radius_km=args.radius_km,
+    results = pp.run_pipeline(daily, calendar, coords, radius_km=args.radius_km,
                               n_bins=args.bins, doubled=args.doubled)
     months = results[0].months
     maxima = np.column_stack([r.maxima for r in results])

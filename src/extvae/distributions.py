@@ -1,9 +1,9 @@
 """Distributions used by the extremes model.
 
 Closed-form CDFs, log-densities, and samplers for the log-Laplace multiplicative
-noise, the Frechet noise it replaces, positive-stable and exponentially-tilted
-positive-stable latent factors (stability index fixed at 1/2), log-normal
-variational posteriors, and the GEV marginal model.
+noise, the Frechet noise it replaces, exponentially-tilted positive-stable
+latent factors (stability index fixed at 1/2, drawn exactly as inverse
+Gaussians), log-normal variational posteriors, and the GEV marginal model.
 
 All samplers are deterministic given a seed; see :mod:`extvae.seeds`.
 """
@@ -56,9 +56,10 @@ class LogLaplaceParams:
 class ExpPSParams:
     """Exponentially-tilted positive-stable parameters.
 
-    Density and sampling are implemented for ``alpha == 0.5`` only, where the
-    closed form exists; the tilting parameter ``theta >= 0`` controls how light
-    the right tail is.
+    The density and the sampler exist for ``alpha == 0.5`` only, where the
+    closed form exists (:func:`expps_logdensity_half`,
+    :func:`expps_sample_field`); the tilting parameter ``theta >= 0`` controls
+    how light the right tail is.
     """
 
     alpha: float
@@ -142,20 +143,8 @@ def loglaplace_quantile(q, p: LogLaplaceParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# positive-stable(1/2) and its exponentially tilted version
+# exponentially tilted positive-stable(1/2)
 # ---------------------------------------------------------------------------
-
-def positive_stable_half_sample(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draws with Laplace transform exp(-sqrt(s)).
-
-    0.5 / Z^2 for standard normal Z; equivalently the one-sided stable law
-    whose density is z^(-3/2) exp(-1/(4z)) / (2 sqrt(pi)).
-    """
-    z = rng.standard_normal(n)
-    while np.any(z == 0.0):  # measure-zero guard; keeps 1/z^2 finite
-        z[z == 0.0] = rng.standard_normal(int(np.sum(z == 0.0)))
-    return 0.5 / z**2
-
 
 def expps_logdensity_half(z, theta) -> np.ndarray:
     """Log-density of expPS(1/2, theta); theta = 0 is the untilted stable law."""
@@ -173,66 +162,32 @@ def expps_logdensity_half(z, theta) -> np.ndarray:
     )
 
 
-def expps_sample(
-    p: ExpPSParams,
-    n: int,
-    seed,
-    max_rounds: int = 10**6,
-    return_stats: bool = False,
-):
-    """Rejection sampler: stable(1/2) proposals accepted with prob exp(-theta*x).
+def expps_sample_field(theta: np.ndarray, seed) -> np.ndarray:
+    """One expPS(1/2, theta[i]) draw per entry of an arbitrary-shape theta array.
 
-    The acceptance rate is exp(-sqrt(theta)), so the expected number of rounds
-    is modest for the tilting range the model uses; ``max_rounds`` only guards
-    pathological theta.
+    expPS(1/2, theta) is the inverse Gaussian law with mean mu = 1/(2 sqrt(theta))
+    and shape 1/2, drawn exactly by Michael, Schucany & Haas (1976): one
+    standard normal N and then one uniform U per entry.  With s = sqrt(theta),
+    the smaller root x = 1 / (2s + N^2 + |N| sqrt(N^2 + 4s)) is kept when
+    U (1 + 2 s x) <= 1, else the larger root mu (mu / x).  Both roots are
+    written without cancellation or overflow for every finite theta, and
+    theta = 0 gives the Levy draw 1/(2 N^2) with no branch.
     """
-    if p.alpha != 0.5:
-        raise ValueError("sampler implemented for alpha = 1/2 only")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    proposals = 0
-    accepted = 0
-    for _ in range(max_rounds):
-        need = n - filled
-        x = positive_stable_half_sample(need, rng)
-        if p.theta == 0.0:
-            keep = np.ones(need, dtype=bool)
-        else:
-            keep = rng.random(need) < np.exp(-p.theta * x)
-        proposals += need
-        k = int(np.sum(keep))
-        accepted += k
-        out[filled : filled + k] = x[keep]
-        filled += k
-        if filled == n:
-            if return_stats:
-                return out, {"proposals": proposals, "accepted": accepted}
-            return out
-    raise RuntimeError(
-        f"rejection sampler exceeded {max_rounds} rounds (theta={p.theta})"
-    )
-
-
-def expps_sample_field(theta: np.ndarray, seed, max_rounds: int = 10**6) -> np.ndarray:
-    """One expPS(1/2, theta[i]) draw per entry of an arbitrary-shape theta array."""
     theta = np.asarray(theta, dtype=np.float64)
     if np.any(theta < 0) or not np.all(np.isfinite(theta)):
         raise ValueError("theta must be >= 0 and finite")
     rng = as_generator(seed)
-    flat = theta.ravel()
-    out = np.empty(flat.shape, dtype=np.float64)
-    todo = np.arange(flat.size)
-    for _ in range(max_rounds):
-        x = positive_stable_half_sample(todo.size, rng)
-        keep = rng.random(todo.size) < np.exp(-flat[todo] * x)
-        out[todo[keep]] = x[keep]
-        todo = todo[~keep]
-        if todo.size == 0:
-            return out.reshape(theta.shape)
-    raise RuntimeError(f"rejection sampler exceeded {max_rounds} rounds")
+    s = np.sqrt(theta.ravel())
+    n = rng.standard_normal(s.size)
+    u = rng.random(s.size)
+    # N^2 floored at the smallest normal: keeps 1/(2 N^2) finite at theta = 0
+    # on the measure-zero event N = 0
+    n2 = np.maximum(n * n, np.finfo(np.float64).tiny)
+    x = 1.0 / (2.0 * s + n2 + np.sqrt(n2) * np.sqrt(n2 + 4.0 * s))
+    big = u * (1.0 + 2.0 * s * x) > 1.0        # never where theta = 0
+    mu = 0.5 / s[big]
+    x[big] = mu * (mu / x[big])
+    return x.reshape(theta.shape)
 
 
 # ---------------------------------------------------------------------------

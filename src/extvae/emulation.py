@@ -20,6 +20,7 @@ from .model import ModelParameters
 from .seeds import substream
 
 DEFAULT_N_SAMPLES = 2000
+MODES = ("reconstruction", "prior")
 
 
 @dataclass
@@ -80,8 +81,6 @@ def _chunk_pass(cfg, p, x, c_used, mu, sigma, w, sample_indices, seed,
         z = np.stack([
             expps_sample_field(theta[i], substream(seed, "prior-z", s))
             for i, s in enumerate(sample_indices)]).reshape(n_c * n_t, k)
-    elif mode != "reconstruction":
-        raise ValueError(f"unknown emulation mode {mode!r}")
 
     y = (z @ np.asarray(w).T).reshape(n_c, n_t, n_s)
     if draw_data_noise:
@@ -124,6 +123,8 @@ def emulate(
         raise ValueError("condition series length must match the data")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if mode not in MODES:
+        raise ValueError(f"unknown emulation mode {mode!r}")
     site_idx = np.arange(cfg.n_sites) if sites is None else np.asarray(sites, dtype=np.intp)
 
     p = ArrayView(model.params)

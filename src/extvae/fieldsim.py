@@ -134,18 +134,15 @@ def simulate_dataset(
     w: np.ndarray,
     alpha0: float,
     seed,
-    alpha: float = 0.5,
     return_latent: bool = False,
 ):
     """Draw fields from the generative model.
 
-    Per time step: latent factors Z_k ~ expPS(alpha, theta_kt) independently
+    Per time step: latent factors Z_k ~ expPS(1/2, theta_kt) independently
     across knots, de-noised field Y = W Z, observed field X = eps * Y with
     i.i.d. log-Laplace(0, 1/alpha0) noise eps.  Per-time substreams make the
     result independent of scheduling.
     """
-    if alpha != 0.5:
-        raise ValueError("simulation implemented for alpha = 1/2 only")
     theta = np.asarray(theta, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if np.any(w < 0) or np.any(~np.any(w > 0, axis=1)):

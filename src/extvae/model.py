@@ -83,6 +83,11 @@ class HyperParams:
             raise ValueError("pool_len must divide 2*latent_dim")
         if self.conv_channels < 1 or self.kernel_len < 1:
             raise ValueError("conv geometry must be positive")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
 
 
 def build_phi(knots: np.ndarray | None, latent_dim: int, n_basis: int) -> np.ndarray:

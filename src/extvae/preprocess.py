@@ -83,6 +83,29 @@ def daterange(start: dt.date, n_days: int) -> list[dt.date]:
     return [start + dt.timedelta(days=i) for i in range(n_days)]
 
 
+@dataclass(frozen=True)
+class DailyCalendar:
+    """Consecutive days from ``start`` and the calendar months they touch;
+    every site of a run shares one."""
+
+    start: dt.date
+    n_days: int
+    months: list[tuple[int, int]]   # (year, month) of each month, in order
+    month_starts: np.ndarray        # index of each month's first day
+
+
+def daily_calendar(start: dt.date, n_days: int) -> DailyCalendar:
+    """Scans the days once; raises OverflowError past year 9999."""
+    month = np.fromiter((d.year * 12 + d.month - 1 for d in daterange(start, n_days)),
+                        dtype=np.int64, count=n_days)
+    starts = np.flatnonzero(np.diff(month, prepend=month[:1] - 1))
+    first = month[starts]
+    return DailyCalendar(start=start, n_days=n_days,
+                         months=list(zip((first // 12).tolist(),
+                                         (first % 12 + 1).tolist())),
+                         month_starts=starts)
+
+
 @dataclass
 class SeasonalDesign:
     """Intercept, linear time, and periodic spline columns.
@@ -232,18 +255,14 @@ def detrend(x: np.ndarray, fitted: np.ndarray, eps_hat: np.ndarray) -> np.ndarra
     return (np.asarray(x, dtype=np.float64) - np.asarray(fitted, dtype=np.float64)) / eps_hat
 
 
-def monthly_maxima(values: np.ndarray, dates) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Maximum within each run of days in one calendar month; months with no
-    data are omitted. A tie between -0.0 and +0.0 may keep either zero."""
+def monthly_maxima(values: np.ndarray,
+                   calendar: DailyCalendar) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Maximum within each calendar month of the daily values. A tie between
+    -0.0 and +0.0 may keep either zero."""
     values = np.asarray(values, dtype=np.float64)
-    if len(values) != len(dates):
-        raise ValueError("values and dates must align")
-    month = np.fromiter((d.year * 12 + d.month - 1 for d in dates),
-                        dtype=np.int64, count=len(dates))
-    starts = np.flatnonzero(np.diff(month, prepend=month[:1] - 1))
-    first = month[starts]
-    keys = list(zip((first // 12).tolist(), (first % 12 + 1).tolist()))
-    return keys, np.maximum.reduceat(values, starts)
+    if len(values) != calendar.n_days:
+        raise ValueError("values and calendar days must align")
+    return calendar.months, np.maximum.reduceat(values, calendar.month_starts)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +374,7 @@ class SitePreprocessResult:
 def preprocess_site(
     site_index: int,
     daily: np.ndarray,
-    dates,
+    calendar: DailyCalendar,
     design: SeasonalDesign,
     neighbor_sets: list[np.ndarray],
     n_bins: int = 10,
@@ -369,7 +388,7 @@ def preprocess_site(
     # standard deviations are shared across the pooled neighbors
     var_model = fit_variance(residuals, design.time_index)
     detrended = detrend(daily[:, site_index], fitted, var_model.eps_hat)
-    months, maxima = monthly_maxima(detrended, dates)
+    months, maxima = monthly_maxima(detrended, calendar)
     gev = gev_fit(maxima)
     gof = chi2_gof(maxima, lambda e: gev_cdf(e, gev, warn_on_clamp=False),
                    n_bins=n_bins, n_params=GEV_PARAMS, doubled=doubled)
@@ -379,12 +398,12 @@ def preprocess_site(
                                 transformed=transformed)
 
 
-def run_pipeline(daily: np.ndarray, dates, coords_lonlat: np.ndarray,
-                 radius_km: float = DEFAULT_NEIGHBOR_KM, n_bins: int = 10,
-                 doubled: bool = False) -> list[SitePreprocessResult]:
+def run_pipeline(daily: np.ndarray, calendar: DailyCalendar,
+                 coords_lonlat: np.ndarray, radius_km: float = DEFAULT_NEIGHBOR_KM,
+                 n_bins: int = 10, doubled: bool = False) -> list[SitePreprocessResult]:
     """Per-site pipelines over a (days, sites) matrix; sites are independent."""
     daily = np.asarray(daily, dtype=np.float64)
-    design = build_design(daily.shape[0], dates[0])
+    design = build_design(calendar.n_days, calendar.start)
     nbs = neighborhoods(coords_lonlat, radius_km)
-    return [preprocess_site(j, daily, dates, design, nbs, n_bins, doubled)
+    return [preprocess_site(j, daily, calendar, design, nbs, n_bins, doubled)
             for j in range(daily.shape[1])]

@@ -618,7 +618,8 @@ class TestInputValidation:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("grid", ['[{"learning_rate": 1e-3},', '{"learning_rate": 1e-3}',
-                                      '[1, 2]', '[{"no_such_key": 1}]'])
+                                      '[1, 2]', '[{"no_such_key": 1}]',
+                                      '[{"learning_rate": -1}]', '[{"epochs": -1}]'])
     def test_malformed_grid_rejected(self, tiny_run, tmp_path, capsys, grid):
         root, cfg_path, sim, *_ = tiny_run
         (tmp_path / "grid.json").write_text(grid)
@@ -628,6 +629,57 @@ class TestInputValidation:
                        "--grid", tmp_path / "grid.json", "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, "grid.json")
         assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
+    @pytest.mark.parametrize("command, flags, edit, needle", [
+        pytest.param("train", ["--epochs", -1], {}, "epochs", id="train --epochs -1"),
+        pytest.param("train", ["--lr", -1], {}, "learning_rate", id="train --lr -1"),
+        pytest.param("train", ["--lr", "nan"], {}, "learning_rate", id="train --lr nan"),
+        pytest.param("train", [], {"hyper": {"epochs": -1}}, "epochs",
+                     id="train hyper.epochs -1"),
+        pytest.param("train", [], {"train": {"epochs": -1}}, "epochs",
+                     id="train train.epochs -1"),
+        pytest.param("train", ["--grid", "{grid}", "--grid-epochs", -1], {}, "epochs",
+                     id="train --grid-epochs -1"),
+        pytest.param("emulate", ["--n-samples", 0], {}, "n_samples",
+                     id="emulate --n-samples 0"),
+        pytest.param("emulate", [], {"emulate": {"n_samples": 0}}, "n_samples",
+                     id="emulate emulate.n_samples 0"),
+        pytest.param("emulate", [], {"emulate": {"mode": "pri"}}, "mode",
+                     id="emulate emulate.mode pri"),
+        pytest.param("counterfactual", [], {"emulate": {"mode": "pri"}}, "mode",
+                     id="counterfactual emulate.mode pri"),
+        pytest.param("tailcheck", ["--n", 0], {}, "--n", id="tailcheck --n 0"),
+        pytest.param("tailcheck", ["--level", 1.5], {}, "--level",
+                     id="tailcheck --level 1.5"),
+        pytest.param("tailcheck", ["--level", 0], {}, "--level", id="tailcheck --level 0"),
+        pytest.param("gradcheck", ["--tol", -1], {}, "--tol", id="gradcheck --tol -1"),
+        pytest.param("gradcheck", ["--tol", "inf"], {}, "--tol", id="gradcheck --tol inf"),
+    ])
+    def test_bad_numeric_input_rejected_before_compute(self, tiny_run, tmp_path,
+                                                       capsys, command, flags,
+                                                       edit, needle):
+        root, cfg_path, sim, train, _ = tiny_run
+        cfg = json.loads(cfg_path.read_text())
+        for section, values in edit.items():
+            cfg.setdefault(section, {}).update(values)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        (tmp_path / "grid.json").write_text('[{"rho0": 0.2}]')
+        flags = [str(f).format(grid=tmp_path / "grid.json") for f in flags]
+        data = ["--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv"]
+        extra = {
+            "train": ["--config", tmp_path / "cfg.json", *data],
+            "emulate": ["--config", tmp_path / "cfg.json",
+                        "--checkpoint", train / "checkpoint.json", *data],
+            "counterfactual": ["--config", tmp_path / "cfg.json",
+                               "--checkpoint", train / "checkpoint.json", *data,
+                               "--flip"],
+            "tailcheck": [], "gradcheck": [],
+        }[command]
+        out = [] if command in ("gradcheck", "tailcheck") else ["--out", tmp_path / "o"]
+        code = run_cli(command, *extra, *flags, *out)
+        self._one_line_exit_2(code, capsys, needle)
+        assert not (tmp_path / "o").exists()
 
 
 def _malform(state, data):

@@ -16,7 +16,6 @@ from extvae.distributions import (
     GevParams,
     LogLaplaceParams,
     expps_logdensity_half,
-    expps_sample,
     expps_sample_field,
     frechet_cdf,
     frechet_quantile,
@@ -29,11 +28,11 @@ from extvae.distributions import (
     loglaplace_logpdf,
     loglaplace_sample,
     lognormal_logpdf,
-    positive_stable_half_sample,
     tail_equivalence_check,
 )
 from extvae.distributions import _gev_negloglik
 from extvae.seeds import substream
+from expps_oracle import expps_sample, positive_stable_half_sample
 
 KS_CRIT_1PCT = kstwobign.isf(0.01)  # asymptotic 1% critical constant
 
@@ -129,6 +128,8 @@ class TestExpPS:
         with pytest.raises(ValueError):
             expps_logdensity_half(1.0, -0.5)
 
+    # the rejection oracle: acceptance rate exp(-sqrt(theta)), exact proposals
+
     def test_untilted_proposals_all_accepted(self):
         _, stats = expps_sample(ExpPSParams(0.5, 0.0), 5000, seed=1,
                                 return_stats=True)
@@ -143,25 +144,10 @@ class TestExpPS:
         se = math.sqrt(target * (1 - target) / stats["proposals"])
         assert abs(rate - target) < 3 * se
 
-    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0])
-    @pytest.mark.parametrize("s", [0.5, 1.0])
-    def test_laplace_transform(self, theta, s):
-        draws = expps_sample(ExpPSParams(0.5, theta), 10**5, seed=17)
-        vals = np.exp(-s * draws)
-        target = math.exp(theta**0.5 - (theta + s) ** 0.5)
-        se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - target) < 3 * se
-
     def test_positive_stable_sampler_matches_density(self):
         draws = positive_stable_half_sample(10**5, substream(23))
         stat = kstest(draws, levy(scale=0.5).cdf).statistic
         assert stat < KS_CRIT_1PCT / math.sqrt(draws.size)
-
-    def test_field_sampler_matches_scalar_law(self):
-        theta = np.array([[0.0, 1.0], [2.0, 0.3]])
-        draws = expps_sample_field(theta, seed=3)
-        assert draws.shape == theta.shape
-        assert np.all(draws > 0)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -169,10 +155,69 @@ class TestExpPS:
         with pytest.raises(ValueError):
             ExpPSParams(1.5, 1.0)
 
+    # the production sampler: exact inverse-Gaussian draws
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-30, 1e-8, 1.0, 2.0, 50.0])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_laplace_transform(self, theta, s):
+        draws = expps_sample_field(np.full(10**5, theta), seed=17)
+        vals = np.exp(-s * draws)
+        target = math.exp(theta**0.5 - (theta + s) ** 0.5)
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - target) < 3 * se
+
+    def test_untilted_draws_are_levy(self):
+        draws = expps_sample_field(np.zeros(10**5), seed=29)
+        stat = kstest(draws, levy(scale=0.5).cdf).statistic
+        assert stat < KS_CRIT_1PCT / math.sqrt(draws.size)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.0])
+    def test_matches_rejection_oracle(self, theta):
+        exact = expps_sample_field(np.full(20000, theta), seed=31)
+        oracle = expps_sample(ExpPSParams(0.5, theta), 20000, seed=37)
+        assert kstest(exact, oracle).pvalue > 0.01
+
+    @pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e4, 1e300,
+                                       np.finfo(np.float64).max])
+    def test_extreme_theta_finite_and_positive(self, theta):
+        with np.errstate(all="raise"):
+            draws = expps_sample_field(np.full(10**4, theta), seed=41)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+
+    def test_zero_normal_stays_finite(self):
+        class ZeroNormals(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                return np.zeros(size)
+
+        with np.errstate(all="raise"):
+            draws = expps_sample_field(np.array([0.0, 5e-324, 1.0]),
+                                       ZeroNormals(np.random.Philox(1)))
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+        assert draws[2] == 0.5          # both roots meet at mu when N = 0
+
+    def test_field_sampler_matches_scalar_law(self):
+        # each entry follows its own theta: the entrywise Laplace transform of
+        # a mixed field matches the law of its theta
+        theta = np.array([[0.0, 1.0], [2.0, 0.3]])
+        draws = expps_sample_field(np.broadcast_to(theta, (40000, 2, 2)), seed=3)
+        assert draws.shape == (40000, 2, 2)
+        assert np.all(draws > 0)
+        vals = np.exp(-draws)
+        target = np.exp(np.sqrt(theta) - np.sqrt(theta + 1.0))
+        se = vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0])
+        assert np.all(np.abs(vals.mean(axis=0) - target) < 3 * se)
+
+    def test_rejects_bad_theta(self):
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                expps_sample_field(np.array([1.0, bad]), seed=0)
+
     def test_seed_reproducibility(self):
-        a = expps_sample(ExpPSParams(0.5, 1.0), 500, seed=8)
-        b = expps_sample(ExpPSParams(0.5, 1.0), 500, seed=8)
+        theta = np.full((3, 4), 1.0)
+        a = expps_sample_field(theta, seed=8)
+        b = expps_sample_field(theta, seed=8)
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, expps_sample_field(theta, seed=9))
 
 
 class TestFrechet:

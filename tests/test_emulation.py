@@ -104,6 +104,11 @@ class TestEmulate:
         assert np.all(ens.samples > 0)
         recon = emu.emulate(model, x, c, n_samples=3, seed=6)
         assert not np.array_equal(ens.samples, recon.samples)
+        # per-sample prior streams: a sample does not depend on its block
+        more = emu.emulate(model, x, c, n_samples=5, seed=6, mode="prior")
+        np.testing.assert_array_equal(more.samples[:, :, :3], ens.samples)
+        with pytest.raises(ValueError, match="mode"):
+            emu.emulate(model, x, c, n_samples=1, mode="pri")
 
     def test_frozen_data_noise(self, small_model):
         model, x, c = small_model

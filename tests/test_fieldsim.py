@@ -137,11 +137,6 @@ class TestSimulateDataset:
         again = fs.simulate_dataset(theta, w, 30.0, seed=5)
         assert np.array_equal(x, again)
 
-    def test_alpha_fixed(self, small_sim):
-        _, _, w, theta, *_ = small_sim
-        with pytest.raises(ValueError):
-            fs.simulate_dataset(theta, w, 30.0, seed=1, alpha=0.7)
-
     def test_spatial_chi_decay(self):
         # adjacent cells are more tail-dependent than distant ones
         grid = fs.regular_grid(20, 20, 20.0)

@@ -265,16 +265,15 @@ class TestDetrend:
 
 class TestMonthlyMaxima:
     def test_constant_series(self):
-        dates = pp.daterange(dt.date(2020, 1, 1), 60)
-        months, maxima = pp.monthly_maxima(np.full(60, 2.0), dates)
+        months, maxima = pp.monthly_maxima(np.full(60, 2.0),
+                                           pp.daily_calendar(dt.date(2020, 1, 1), 60))
         assert months == [(2020, 1), (2020, 2)]
         np.testing.assert_array_equal(maxima, [2.0, 2.0])
 
     def test_single_spike(self):
-        dates = pp.daterange(dt.date(2020, 1, 1), 31)
         v = np.zeros(31)
         v[10] = 9.0
-        _, maxima = pp.monthly_maxima(v, dates)
+        _, maxima = pp.monthly_maxima(v, pp.daily_calendar(dt.date(2020, 1, 1), 31))
         assert maxima[0] == 9.0
 
     def test_decade_window_month_count(self):
@@ -282,10 +281,13 @@ class TestMonthlyMaxima:
         start = dt.date(2014, 5, 1)
         end = dt.date(2024, 11, 30)
         n = (end - start).days + 1
-        dates = pp.daterange(start, n)
-        months, maxima = pp.monthly_maxima(np.zeros(n), dates)
+        months, maxima = pp.monthly_maxima(np.zeros(n), pp.daily_calendar(start, n))
         assert len(months) == 127
         assert maxima.size == 127
+
+    def test_values_must_match_calendar(self):
+        with pytest.raises(ValueError, match="align"):
+            pp.monthly_maxima(np.zeros(30), pp.daily_calendar(dt.date(2020, 1, 1), 31))
 
 
     @pytest.mark.parametrize("start, n", [
@@ -297,9 +299,10 @@ class TestMonthlyMaxima:
     def test_matches_day_loop(self, start, n):
         rng = substream(18)
         dates = pp.daterange(start, n)
+        calendar = pp.daily_calendar(start, n)
         for values in (rng.standard_normal(n),
                        rng.integers(-2, 3, n).astype(np.float64)):   # ties
-            keys, maxima = pp.monthly_maxima(values, dates)
+            keys, maxima = pp.monthly_maxima(values, calendar)
             keys_ref, maxima_ref = monthly_maxima_loop(values, dates)
             assert keys == keys_ref
             assert all(type(y) is int and type(m) is int for y, m in keys)
@@ -417,7 +420,8 @@ class TestPipeline:
             base + 0.8 * rng.standard_normal(n) + 5.2,
         ])
         coords = np.array([[150.0, -30.0], [150.1, -30.0]])   # ~10 km apart
-        results = pp.run_pipeline(daily, design_dates, coords)
+        results = pp.run_pipeline(daily, pp.daily_calendar(dt.date(2014, 5, 1), n),
+                                  coords)
         assert len(results) == 2
         for r in results:
             assert np.all(r.transformed > 0)
