@@ -409,13 +409,14 @@ def cmd_train(args) -> int:
 
 
 def _parse_sites(text: str, n_sites: int) -> np.ndarray:
-    """``--sites`` as indices, each an integer in [0, n_sites)."""
+    """``--sites`` as indices, distinct integers in [0, n_sites)."""
     try:
         sites = np.array([int(s) for s in text.split(",")])
     except ValueError:
         sites = None
-    if sites is None or np.any((sites < 0) | (sites >= n_sites)):
-        raise ConfigError(f"--sites takes comma-separated integers in "
+    if sites is None or np.any((sites < 0) | (sites >= n_sites)) \
+            or np.unique(sites).size != sites.size:
+        raise ConfigError(f"--sites takes distinct comma-separated integers in "
                           f"0..{n_sites - 1}, got {text!r}")
     return sites
 
@@ -500,6 +501,26 @@ def cmd_counterfactual(args) -> int:
     return _emulate_common(args, counterfactual_mode=True)
 
 
+def _check_metrics_config(m_cfg: dict, n_sites: int) -> None:
+    """The ``metrics`` section's values, each in its range, or ConfigError."""
+    def number(v, lo=0, hi=np.inf, kinds=(int, float)):
+        return type(v) in kinds and lo <= v < hi    # False for nan and inf
+
+    u = m_cfg["u"]
+    for key, ok, want in (
+            ("ref_index", m_cfg["ref_index"] is None
+             or number(m_cfg["ref_index"], 0, n_sites, (int,)),
+             f"an integer in 0..{n_sites - 1}"),
+            ("n_boot", number(m_cfg["n_boot"], kinds=(int,)), "an integer >= 0"),
+            ("max_pairs", number(m_cfg["max_pairs"], 1, kinds=(int,)), "an integer >= 1"),
+            ("u", type(u) is list and u != [] and all(number(v, 0, 1) for v in u),
+             "a nonempty list of numbers in [0, 1)"),
+            *((key, m_cfg[key] is None or number(m_cfg[key]), "a finite number >= 0")
+              for key in ("distance", "tol"))):
+        if not ok:
+            raise ConfigError(f"metrics {key} must be {want}, got {m_cfg[key]!r}")
+
+
 def cmd_metrics(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
@@ -525,6 +546,7 @@ def cmd_metrics(args) -> int:
                 or not np.all((site_ids >= 0) & (site_ids < truth.shape[1])):
             raise ConfigError(f"ensemble {args.ensemble} does not fit the truth's "
                               f"{truth.shape[0]} time steps and {truth.shape[1]} sites")
+    _check_metrics_config(m_cfg, truth.shape[1])
     out = args.out
     os.makedirs(out, exist_ok=True)
     u = np.asarray(m_cfg["u"], dtype=np.float64)

@@ -121,6 +121,31 @@ def select_pairs(coords: np.ndarray, distance: float, tol: float,
     return pairs
 
 
+def _bootstrap(estimate, fields: np.ndarray, n_boot: int, seed: int):
+    """``estimate(fields)`` and its 95% percentile band over ``n_boot``
+    resamples of the rows (replicates), widened to contain the estimate."""
+    point = estimate(fields)
+    boots = np.full((n_boot, point.size), np.nan)
+    n_r = fields.shape[0]
+    for b in range(n_boot):
+        idx = substream(seed, "boot", b).integers(0, n_r, size=n_r)
+        boots[b] = estimate(fields[idx])
+    return (point, *_percentile_band(boots, point))
+
+
+def _percentile_band(boots: np.ndarray, point: np.ndarray):
+    """95% percentile interval, widened to contain the point estimate."""
+    with np.errstate(all="ignore"):
+        valid = np.any(~np.isnan(boots), axis=0)
+        lo = np.full(point.shape, np.nan)
+        hi = np.full(point.shape, np.nan)
+        lo[valid] = np.nanpercentile(boots[:, valid], 2.5, axis=0)
+        hi[valid] = np.nanpercentile(boots[:, valid], 97.5, axis=0)
+    lo = np.fmin(lo, point)
+    hi = np.fmax(hi, point)
+    return lo, hi
+
+
 def _chi_estimate(sub: np.ndarray, pairs_local: np.ndarray,
                   u_grid: np.ndarray) -> np.ndarray:
     """Mean over pairs of #(both exceed)/#(conditioning exceeds)."""
@@ -169,13 +194,8 @@ def chi_curve(
     pairs_local = np.searchsorted(sel, pairs)
     sub = fields[:, sel]
 
-    point = _chi_estimate(sub, pairs_local, u)
-    boots = np.full((n_boot, u.size), np.nan)
-    n_r = sub.shape[0]
-    for b in range(n_boot):
-        idx = substream(seed, "boot", b).integers(0, n_r, size=n_r)
-        boots[b] = _chi_estimate(sub[idx], pairs_local, u)
-    lo, hi = _percentile_band(boots, point)
+    point, lo, hi = _bootstrap(lambda f: _chi_estimate(f, pairs_local, u),
+                               sub, n_boot, seed)
     return ChiCurve(u=u, estimate=point, lo95=lo, hi95=hi,
                     defined=~np.isnan(point), distance=float(distance),
                     tol=float(tol), n_pairs=pairs.shape[0], seed=seed,
@@ -216,84 +236,61 @@ def are_curve(
     if fields.ndim != 2:
         raise ValueError("fields must be (replicates, cells)")
     u = np.asarray(u, dtype=np.float64)
-    point = _are_estimate(fields, ref_index, psi, u)
-    boots = np.full((n_boot, u.size), np.nan)
-    n_r = fields.shape[0]
-    for b in range(n_boot):
-        idx = substream(seed, "boot", b).integers(0, n_r, size=n_r)
-        boots[b] = _are_estimate(fields[idx], ref_index, psi, u)
-    lo, hi = _percentile_band(boots, point)
+    point, lo, hi = _bootstrap(lambda f: _are_estimate(f, ref_index, psi, u),
+                               fields, n_boot, seed)
     return AreCurve(u=u, estimate=point, lo95=lo, hi95=hi,
                     defined=~np.isnan(point), psi=float(psi),
                     ref_index=int(ref_index), seed=seed, n_boot=n_boot)
-
-
-def _percentile_band(boots: np.ndarray, point: np.ndarray):
-    """95% percentile interval, widened to contain the point estimate."""
-    with np.errstate(all="ignore"):
-        valid = np.any(~np.isnan(boots), axis=0)
-        lo = np.full(point.shape, np.nan)
-        hi = np.full(point.shape, np.nan)
-        lo[valid] = np.nanpercentile(boots[:, valid], 2.5, axis=0)
-        hi[valid] = np.nanpercentile(boots[:, valid], 97.5, axis=0)
-    lo = np.fmin(lo, point)
-    hi = np.fmax(hi, point)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
 # tail-weighted CRPS
 # ---------------------------------------------------------------------------
 
-def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
-    """Nearest-rank empirical quantile: the ceil(q*n)-th order statistic."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    k = max(1, math.ceil(q * v.size))
-    return float(v[k - 1])
-
-
-def twcrps(ensemble: np.ndarray, obs: float, threshold: float | None = None) -> float:
-    """Integral of (F_hat(z) - 1{z >= obs})^2 above the threshold.
-
-    F_hat is the right-continuous empirical CDF of the ensemble; the integral
-    is computed exactly by piecewise-constant integration over the sorted
-    breakpoints.  ``threshold=None`` uses the ensemble's nearest-rank 90th
-    percentile; ``-inf`` gives the unweighted score.
-    """
-    ens = np.sort(np.asarray(ensemble, dtype=np.float64).ravel())
-    if ens.size < 1:
-        raise ValueError("ensemble must be nonempty")
-    obs = float(obs)
-    if threshold is None:
-        threshold = nearest_rank_quantile(ens, 0.9)
-    pts = np.unique(np.concatenate([ens, [obs]]))
-    lo = max(threshold, pts[0])
-    pts = np.concatenate([[lo], pts[pts > lo]])
-    if pts.size < 2:
-        return 0.0
-    # F and the indicator are constant on [pts[i], pts[i+1])
-    f_vals = np.searchsorted(ens, pts[:-1], side="right") / ens.size
-    ind = (pts[:-1] >= obs).astype(np.float64)
-    widths = np.diff(pts)
-    return float(np.sum((f_vals - ind) ** 2 * widths))
+# breakpoints (members plus observation) scored at a time by twcrps_field:
+# 2^18 float64 is 2 MB, and a block's few temporaries stay near 10 MB
+TWCRPS_VALUES = 1 << 18
 
 
 def twcrps_field(samples: np.ndarray, obs: np.ndarray,
                  threshold: float | None = None) -> TwcrpsField:
-    """Scores per (time, site) for an ensemble (time, site, sample)."""
+    """Integral of (F_hat(z) - 1{z >= obs})^2 above the threshold, for every
+    (time, site) cell of an ensemble (time, site, sample).
+
+    F_hat is each cell's right-continuous empirical CDF.  The integral is
+    exact: the members and the observation, sorted together, are the
+    breakpoints b_0 <= ... <= b_n, and on [b_i, b_{i+1}) F_hat is
+    (i + 1 - 1{b_i >= obs}) / n.  ``threshold=None`` uses each cell's
+    nearest-rank 90th percentile, its ceil(0.9 n)-th smallest member;
+    ``-inf`` gives the unweighted score.  Time rows are scored in blocks of
+    about ``TWCRPS_VALUES`` breakpoints, which bounds the scratch memory.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     obs = np.asarray(obs, dtype=np.float64)
-    n_t, n_s, _ = samples.shape
-    if obs.shape != (n_t, n_s):
-        raise ValueError("observation matrix must match the ensemble layout")
+    n_t, n_s, n = samples.shape
+    if n < 1 or obs.shape != (n_t, n_s):
+        raise ValueError("observation matrix must match a nonempty ensemble layout")
     scores = np.empty((n_t, n_s))
     thresholds = np.empty((n_t, n_s))
-    for t in range(n_t):
-        for j in range(n_s):
-            ens = samples[t, j]
-            thr = nearest_rank_quantile(ens, 0.9) if threshold is None else threshold
-            thresholds[t, j] = thr
-            scores[t, j] = twcrps(ens, obs[t, j], thr)
+    count = np.arange(1, n + 1)
+    rows = max(1, TWCRPS_VALUES // max(n_s * (n + 1), 1))
+    for r0 in range(0, n_t, rows):
+        s = np.sort(samples[r0:r0 + rows], axis=2)
+        thr = thresholds[r0:r0 + rows]
+        thr[...] = s[..., math.ceil(0.9 * n) - 1] if threshold is None else threshold
+        y = obs[r0:r0 + rows, :, None]
+        b = np.concatenate([s, y], axis=2)
+        del s
+        b.sort(axis=2)
+        ind = b[..., :-1] >= y
+        width = b[..., 1:] - np.maximum(b[..., :-1], thr[..., None])
+        np.maximum(width, 0.0, out=width)
+        del b
+        f = (count - ind) / n
+        f -= ind
+        f *= f
+        f *= width
+        np.sum(f, axis=2, out=scores[r0:r0 + rows])
     return TwcrpsField(scores=scores, thresholds=thresholds)
 
 

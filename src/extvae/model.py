@@ -28,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamVector
+from .fieldsim import wendland_basis
 from .seeds import substream
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
@@ -159,7 +160,10 @@ class ModelConfig:
             raise ValueError("phi must be nonnegative")
         if self.hyper.fix_w:
             if self.fixed_w is None:
-                raise ValueError("fix_w requires an explicit fixed weight matrix")
+                self.fixed_w = default_wendland_w(self)
+            if self.fixed_w is None:
+                raise ValueError("fix_w needs sites, knots, and a Wendland radius, "
+                                 "or an explicit fixed weight matrix")
             self.fixed_w = np.asarray(self.fixed_w, dtype=np.float64)
             if self.fixed_w.shape != (self.n_sites, self.hyper.latent_dim):
                 raise ValueError("fixed weight matrix has the wrong shape")
@@ -211,8 +215,6 @@ def count_params(cfg: ModelConfig) -> int:
 
 
 def default_wendland_w(cfg: ModelConfig) -> np.ndarray | None:
-    from .fieldsim import wendland_basis  # local import to avoid a cycle
-
     if cfg.sites is None or cfg.knots is None or cfg.wendland_radius is None:
         return None
     return wendland_basis(cfg.sites, cfg.knots, cfg.wendland_radius)

@@ -151,16 +151,9 @@ def train(
         if model_config is not None:
             model_cfg = model_config
         else:
-            fixed_w = None
-            if cfg.hyper.fix_w:
-                if sites is None or knots is None or wendland_radius is None:
-                    raise ValueError("fix_w needs sites, knots, and a Wendland radius")
-                from .fieldsim import wendland_basis
-
-                fixed_w = wendland_basis(sites, knots, wendland_radius)
             model_cfg = ModelConfig(
                 n_sites=n_s, hyper=cfg.hyper, knots=knots, sites=sites,
-                wendland_radius=wendland_radius, fixed_w=fixed_w,
+                wendland_radius=wendland_radius,
             )
         params = mdl.init_params(model_cfg, cfg.run_seed)
         adam = AdamState.zeros(params.size)

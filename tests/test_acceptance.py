@@ -384,8 +384,10 @@ def test_criterion_8_metric_unit_oracles():
                        u=np.array([0.5]), n_boot=0, seed=0)
     are_ok = are.estimate[0] == pytest.approx(math.sqrt(4 / math.pi), rel=1e-12)
 
-    tw1 = mx.twcrps(np.full(4, 5.0), 7.0, threshold=5.0)
-    tw2 = mx.twcrps(np.array([1.0, 3.0]), 3.0, threshold=-np.inf)
+    tw1 = mx.twcrps_field(np.full((1, 1, 4), 5.0), np.array([[7.0]]),
+                          threshold=5.0).scores[0, 0]
+    tw2 = mx.twcrps_field(np.array([[[1.0, 3.0]]]), np.array([[3.0]]),
+                          threshold=-np.inf).scores[0, 0]
     tw_ok = tw1 == pytest.approx(2.0, rel=1e-12) and tw2 == pytest.approx(
         0.5, rel=1e-12)
 

@@ -581,7 +581,7 @@ class TestInputValidation:
         assert code == 2
         assert err.count("\n") == 1 and needle in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("sites", ["0,9999", "-1", "0,x", "1.5", "0,,2"])
+    @pytest.mark.parametrize("sites", ["0,9999", "-1", "0,x", "1.5", "0,,2", "0,0"])
     @pytest.mark.parametrize("command", ["emulate", "counterfactual"])
     def test_bad_sites_rejected_before_compute(self, tiny_run, tmp_path, capsys,
                                                command, sites):
@@ -655,11 +655,16 @@ class TestInputValidation:
         pytest.param("tailcheck", ["--level", 0], {}, "--level", id="tailcheck --level 0"),
         pytest.param("gradcheck", ["--tol", -1], {}, "--tol", id="gradcheck --tol -1"),
         pytest.param("gradcheck", ["--tol", "inf"], {}, "--tol", id="gradcheck --tol inf"),
+        *(pytest.param("metrics", [], {"metrics": {key: value}}, key,
+                       id=f"metrics metrics.{key} {value}")
+          for key, value in (("ref_index", 999), ("ref_index", -1), ("n_boot", -1),
+                             ("n_boot", 1.5), ("u", "abc"), ("u", [1.5]), ("u", []),
+                             ("max_pairs", 0), ("tol", -1), ("distance", -1.0))),
     ])
     def test_bad_numeric_input_rejected_before_compute(self, tiny_run, tmp_path,
                                                        capsys, command, flags,
                                                        edit, needle):
-        root, cfg_path, sim, train, _ = tiny_run
+        root, cfg_path, sim, train, emu_dir = tiny_run
         cfg = json.loads(cfg_path.read_text())
         for section, values in edit.items():
             cfg.setdefault(section, {}).update(values)
@@ -674,6 +679,9 @@ class TestInputValidation:
             "counterfactual": ["--config", tmp_path / "cfg.json",
                                "--checkpoint", train / "checkpoint.json", *data,
                                "--flip"],
+            "metrics": ["--config", tmp_path / "cfg.json", "--truth", sim / "fields.csv",
+                        "--emulated", emu_dir / "emulated_fields.csv",
+                        "--coords", sim / "sites.csv"],
             "tailcheck": [], "gradcheck": [],
         }[command]
         out = [] if command in ("gradcheck", "tailcheck") else ["--out", tmp_path / "o"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,37 +262,64 @@ def test_distance_row_blocks_match_the_full_matrix(monkeypatch, rows):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def twcrps_cell_oracle(ensemble, obs, threshold=None):
+    """One cell's twCRPS by the per-cell loop: the sorted distinct
+    breakpoints above the threshold, F_hat by ``searchsorted`` on each."""
+    ens = np.sort(np.asarray(ensemble, dtype=np.float64).ravel())
+    obs = float(obs)
+    if threshold is None:
+        threshold = float(ens[max(1, math.ceil(0.9 * ens.size)) - 1])
+    pts = np.unique(np.concatenate([ens, [obs]]))
+    lo = max(threshold, pts[0])
+    pts = np.concatenate([[lo], pts[pts > lo]])
+    if pts.size < 2:
+        return 0.0
+    f_vals = np.searchsorted(ens, pts[:-1], side="right") / ens.size
+    ind = (pts[:-1] >= obs).astype(np.float64)
+    return float(np.sum((f_vals - ind) ** 2 * np.diff(pts)))
+
+
+def twcrps_cell(ensemble, obs, threshold=None):
+    """``twcrps_field`` on a single (time, site) cell."""
+    ens = np.asarray(ensemble, dtype=np.float64).reshape(1, 1, -1)
+    res = mx.twcrps_field(ens, np.array([[obs]], dtype=np.float64), threshold)
+    return float(res.scores[0, 0])
+
+
 class TestTwcrps:
     def test_point_mass_at_observation(self):
-        assert mx.twcrps(np.full(10, 3.0), 3.0) == 0.0
+        assert twcrps_cell(np.full(10, 3.0), 3.0) == 0.0
 
     def test_hand_value_above_threshold(self):
         # ensemble at 5, obs 7, threshold 5: integrand 1 on [5, 7)
-        assert mx.twcrps(np.full(4, 5.0), 7.0, threshold=5.0) == pytest.approx(2.0)
+        assert twcrps_cell(np.full(4, 5.0), 7.0, threshold=5.0) == pytest.approx(2.0)
 
     def test_unweighted_two_member_case(self):
-        assert mx.twcrps(np.array([1.0, 3.0]), 3.0,
-                         threshold=-np.inf) == pytest.approx(0.5)
+        assert twcrps_cell(np.array([1.0, 3.0]), 3.0,
+                           threshold=-np.inf) == pytest.approx(0.5)
 
     def test_nearest_rank_threshold(self):
-        ens = np.arange(1.0, 11.0)
-        assert mx.nearest_rank_quantile(ens, 0.9) == 9.0
-        assert mx.nearest_rank_quantile(np.array([1.0, 3.0]), 0.9) == 3.0
+        def u90(ens):
+            res = mx.twcrps_field(ens.reshape(1, 1, -1), np.zeros((1, 1)))
+            return res.thresholds[0, 0]
+
+        assert u90(np.arange(1.0, 11.0)) == 9.0
+        assert u90(np.array([1.0, 3.0])) == 3.0
 
     def test_nonnegative_and_zero_iff_point_mass(self):
         rng = substream(13)
         for _ in range(20):
             ens = rng.random(8) * 4
             obs = rng.random() * 4
-            assert mx.twcrps(ens, obs, threshold=-np.inf) >= 0.0
-        assert mx.twcrps(np.full(5, 2.0), 2.0, threshold=-np.inf) == 0.0
+            assert twcrps_cell(ens, obs, threshold=-np.inf) >= 0.0
+        assert twcrps_cell(np.full(5, 2.0), 2.0, threshold=-np.inf) == 0.0
 
     def test_matches_brute_force_grid(self):
         rng = substream(14)
         ens = np.sort(rng.random(16) * 5)
         obs = 3.3
         thr = 2.0
-        exact = mx.twcrps(ens, obs, threshold=thr)
+        exact = twcrps_cell(ens, obs, threshold=thr)
         zs = np.linspace(thr, 10.0, 400001)
         f = np.searchsorted(ens, zs, side="right") / ens.size
         ind = (zs >= obs).astype(float)
@@ -299,7 +327,7 @@ class TestTwcrps:
         assert exact == pytest.approx(brute, abs=1e-3)
 
     def test_singleton_ensemble_is_point_mass(self):
-        assert mx.twcrps(np.array([2.0]), 5.0, threshold=-np.inf) == pytest.approx(3.0)
+        assert twcrps_cell(np.array([2.0]), 5.0, threshold=-np.inf) == pytest.approx(3.0)
 
     def test_field_wrapper_shapes(self):
         rng = substream(15)
@@ -309,6 +337,65 @@ class TestTwcrps:
         assert res.scores.shape == (3, 4)
         assert res.thresholds.shape == (3, 4)
         assert np.all(res.scores >= 0)
+
+    @pytest.mark.parametrize("threshold", [None, -np.inf, 0.5, 1e9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 60])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_field_matches_per_cell_oracle(self, n, threshold, tied):
+        # ties (values on a coarse lattice), observations equal to a member,
+        # below every member and above every member, one-member ensembles,
+        # and thresholds below, inside and above every breakpoint
+        rng = substream(16, n)
+        samples = rng.random((20, 6, n))
+        obs = rng.random((20, 6))
+        if tied:
+            samples, obs = np.round(samples * 4) / 4, np.round(obs * 4) / 4
+        obs[0] = samples[0, :, 0]
+        obs[1] = samples[1].min(axis=1) - 1.0
+        obs[2] = samples[2].max(axis=1) + 1.0
+        samples[3] = samples[3, :, :1]
+        res = mx.twcrps_field(samples, obs, threshold)
+        want = np.array([[twcrps_cell_oracle(samples[t, j], obs[t, j], threshold)
+                          for j in range(6)] for t in range(20)])
+        if n == 1:
+            assert np.array_equal(res.scores, want)
+        else:
+            np.testing.assert_allclose(res.scores, want, rtol=1e-15, atol=0.0)
+        if threshold is None:
+            k = math.ceil(0.9 * n) - 1
+            assert np.array_equal(res.thresholds, np.sort(samples, axis=2)[..., k])
+        else:
+            assert np.all(res.thresholds == threshold)
+        if threshold == 1e9:
+            assert np.all(res.scores == 0.0)
+
+    def test_row_blocks_do_not_change_a_bit(self, monkeypatch):
+        rng = substream(18)
+        samples = rng.random((37, 5, 9))
+        obs = rng.random((37, 5))
+        whole = mx.twcrps_field(samples, obs)
+        monkeypatch.setattr(mx, "TWCRPS_VALUES", 1)
+        blocked = mx.twcrps_field(samples, obs)
+        assert np.array_equal(whole.scores, blocked.scores)
+        assert np.array_equal(whole.thresholds, blocked.thresholds)
+
+    def test_scratch_memory_within_the_ensemble_size(self):
+        rng = substream(19)
+        samples = rng.random((528, 3, 2000))
+        obs = rng.random((528, 3))
+        tracemalloc.start()
+        try:
+            mx.twcrps_field(samples, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= samples.nbytes
+
+    def test_bad_layout_rejected(self):
+        with pytest.raises(ValueError):
+            mx.twcrps_field(np.ones((2, 3, 0)), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            mx.twcrps_field(np.ones((2, 3, 4)), np.ones((3, 2)))
 
 
 class TestQQ:

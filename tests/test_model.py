@@ -8,6 +8,7 @@ from extvae import autodiff as ad
 from extvae import model as mdl
 from extvae.autodiff import ArrayView, NonFiniteError, fd_check, value_and_gradient
 from extvae.distributions import expps_logdensity_half, lognormal_logpdf
+from extvae.fieldsim import wendland_basis
 from extvae.seeds import substream
 
 LN2 = math.log(2.0)
@@ -574,3 +575,14 @@ class TestParamCount:
         cfg = mdl.ModelConfig(n_sites=10, hyper=hyper,
                               fixed_w=np.ones((10, 4)))
         assert "w_raw" not in mdl.param_template(cfg)
+
+    def test_fixed_w_derived_from_geometry(self):
+        hyper = mdl.HyperParams(latent_dim=4, n_theta_basis=2, conv_channels=3,
+                                enc_widths=(8,), fix_w=True)
+        sites = np.column_stack([np.arange(10.0) % 5, np.arange(10.0) // 5])
+        knots = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 1.0], [4.0, 1.0]])
+        cfg = mdl.ModelConfig(n_sites=10, hyper=hyper, knots=knots, sites=sites,
+                              wendland_radius=5.0)
+        assert np.array_equal(cfg.fixed_w, wendland_basis(sites, knots, 5.0))
+        with pytest.raises(ValueError, match="Wendland radius"):
+            mdl.ModelConfig(n_sites=10, hyper=hyper, knots=knots, sites=sites)
