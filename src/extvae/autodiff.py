@@ -64,10 +64,13 @@ class Var:
                 continue
             for parent, vjp in node.parents:
                 contrib = vjp(g)
-                if parent.grad is None:
-                    parent.grad = contrib.copy()
-                else:
+                if parent.grad is not None:
                     parent.grad += contrib
+                elif (contrib is not g and contrib.flags.owndata
+                      and contrib.flags.writeable):
+                    parent.grad = contrib      # fresh from the vjp: no copy
+                else:
+                    parent.grad = contrib.copy()   # g itself or a view
 
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import datetime as dt
+import functools
 import hashlib
 import json
 import os
@@ -290,11 +292,24 @@ def write_manifest(out_dir: str, command: str, seed, inputs: list[str],
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_data_config(data_cfg: dict) -> None:
+    """The ``data`` section's values, each in its range, or ConfigError."""
+    for key, value in data_cfg.items():
+        if key in ("rows", "cols", "knot_side", "n_t"):
+            ok, want = type(value) is int and value >= 1, "an integer >= 1"
+        else:      # False for nan and inf
+            ok = type(value) in (int, float) and 0 < value < np.inf
+            want = "a finite number > 0"
+        if not ok:
+            raise ConfigError(f"data {key} must be {want}, got {value!r}")
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     preset = DESK_DATA if args.desk else DEFAULT_DATA
     data_cfg = _merged("data", preset, cfg)
     seed = _seed(args, cfg)
+    _check_data_config(data_cfg)
     out = args.out
     os.makedirs(out, exist_ok=True)
 
@@ -381,6 +396,11 @@ def cmd_train(args) -> int:
                 dataclasses.replace(train_cfg, epochs=args.grid_epochs)
         except (KeyError, TypeError, ValueError) as err:     # JSONDecodeError too
             raise ConfigError(f"grid {args.grid}: {err}") from None
+    try:                                       # geometry, e.g. --fixed-W's W
+        ModelConfig(n_sites=x.shape[1], hyper=hyper, knots=knots, sites=sites,
+                    wendland_radius=radius)
+    except ValueError as err:
+        raise ConfigError(f"model: {err}") from None
     os.makedirs(out, exist_ok=True)
     if args.grid:
         train_cfg, scores = tr.grid_search(
@@ -800,7 +820,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _hold_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds at their own 64-bit ceilings.
+
+    A training step frees megabytes of tape temporaries; under glibc's dynamic
+    thresholds the heap top goes back to the kernel after each step and is
+    faulted in again by the next.  32 MiB is the dynamic mmap threshold's cap
+    and 64 MiB its 2x trim rule; setting either stops the adjustment, so both
+    are set.  Allocation policy only: no value changes.  Returns False, and
+    does nothing, where there is no ``mallopt`` (another libc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1; 0 means refused
+    return bool(mallopt(-3, 32 << 20)) and bool(mallopt(-1, 64 << 20))
+
+
 def main(argv=None) -> int:
+    _hold_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,10 +14,16 @@ import pytest
 from extvae import fieldsim as fs
 from extvae import model as mdl
 from extvae import training as tr
+from extvae.cli import _hold_heap
 
 DESK_SEED = 2026
 DESK_EPOCHS = 3000
 DESK_RHO0 = 0.1
+
+
+def pytest_sessionstart(session):
+    # the allocator policy of the CLI: training without re-faulting the heap
+    _hold_heap()
 
 
 @pytest.fixture(scope="session")

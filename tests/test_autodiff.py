@@ -291,3 +291,46 @@ class TestViews:
         val_var, _ = value_and_gradient(loss, pv)
         val_arr = float(loss(ArrayView(pv)))
         assert val_var == pytest.approx(val_arr, rel=1e-15)
+
+
+class TestGradientOwnership:
+    """backward keeps a vjp's fresh array as the parent's grad and copies the
+    upstream g and views of it, so no node's grad aliases another node's."""
+
+    @staticmethod
+    def _backward(y):
+        y.backward()
+        grads = [n.grad for n in ad._toposort(y)]
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+
+    def test_leaf_feeding_both_operands(self):
+        a = ad.Var([1.0, -2.0, 3.0])
+        self._backward(ad.vsum(ad.add(a, a)))
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        b = ad.Var([1.0, -2.0, 3.0])
+        self._backward(ad.vsum(ad.mul(b, b)))
+        np.testing.assert_array_equal(b.grad, 2.0 * b.value)
+
+    def test_pass_through_add_to_two_parents(self):
+        # add hands the same g to a and b; a then gains a second contribution
+        a, b = ad.Var([1.0, 2.0]), ad.Var([-3.0, 0.5])
+        w = np.array([0.25, -4.0])
+        s = ad.add(a, b)
+        self._backward(ad.vsum(ad.add(ad.mul(s, w), ad.mul(a, 3.0))))
+        np.testing.assert_array_equal(a.grad, w + 3.0)
+        np.testing.assert_array_equal(b.grad, w)
+        np.testing.assert_array_equal(s.grad, w)
+
+    def test_reshape_and_transpose_views(self):
+        w = substream(19).standard_normal((2, 3))
+        a = ad.Var(np.arange(6.0))
+        self._backward(ad.vsum(ad.mul(ad.reshape(a, (2, 3)), w)))
+        np.testing.assert_array_equal(a.grad, w.ravel())
+        b = ad.Var(np.arange(6.0).reshape(3, 2))
+        self._backward(ad.vsum(ad.mul(ad.transpose(b), w)))
+        np.testing.assert_array_equal(b.grad, w.T)
+        c = ad.Var(np.arange(6.0).reshape(2, 3))
+        self._backward(ad.vsum(ad.mul(ad.transpose(ad.reshape(c, (3, 2))), w)))
+        np.testing.assert_array_equal(c.grad, w.T.reshape(2, 3))

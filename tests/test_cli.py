@@ -689,6 +689,26 @@ class TestInputValidation:
         self._one_line_exit_2(code, capsys, needle)
         assert not (tmp_path / "o").exists()
 
+    def test_fixed_w_without_geometry_rejected(self, tiny_run, tmp_path, capsys):
+        root, cfg_path, sim, *_ = tiny_run
+        code = run_cli("train", "--config", cfg_path,
+                       "--fields", sim / "fields.csv",
+                       "--conditions", sim / "conditions.csv",
+                       "--fixed-W", "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, "fix_w needs sites, knots")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("rows", 0), ("n_t", -5), ("alpha0", -1),
+                                            ("wendland_radius", 0), ("knot_side", 0),
+                                            ("tau", 0)])
+    def test_bad_data_config_rejected_before_simulate(self, tmp_path, capsys, key,
+                                                       value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "data": {key: value}}))
+        code = run_cli("simulate", "--desk", "--config", cfg, "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, f"data {key}")
+        assert not (tmp_path / "o").exists()
+
 
 def _malform(state, data):
     """Delete a key the model needs, swap two layout names, or change one

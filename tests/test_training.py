@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -238,3 +241,47 @@ class TestAdam:
         trending = list(np.linspace(2.0, 1.0, 60))
         assert not tr._is_converged(trending)
         assert not tr._is_converged([1.0] * 10)
+
+
+# a 20-epoch full-batch desk fit after a 3-epoch warm-up, with or without the
+# CLI's allocator policy; prints the fit's minor page faults and parameter hash
+_DESK_FIT = """
+import hashlib, json, resource, sys
+from extvae import cli, fieldsim as fs, model as mdl, training as tr
+if sys.argv[1] == "held":
+    assert cli._hold_heap()
+grid = fs.regular_grid(20, 20, 20.0)
+knots = fs.knot_lattice(4, 20.0)
+c = fs.smooth_condition(fs.synthetic_condition(200, 2026))
+x = fs.simulate_dataset(fs.simulate_theta(c, knots),
+                        fs.wendland_basis(grid.sites, knots, 6.0), 30.0, 2026)
+hyper = mdl.HyperParams(latent_dim=16, n_theta_basis=9, seed=2026, rho0=0.1,
+                        penalty_abs=True)
+def fit(epochs):
+    return tr.train(x, c, tr.TrainConfig(hyper=hyper, epochs=epochs), knots=knots,
+                    sites=grid.sites, wendland_radius=6.0)[0]
+fit(3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+model = fit(20)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"faults": faults,
+                  "params": hashlib.sha256(model.params.data.tobytes()).hexdigest()}))
+"""
+
+
+class TestAllocatorPolicy:
+    def test_held_heap_stops_faults_and_moves_no_bits(self):
+        from extvae import cli
+
+        if not cli._hold_heap():
+            pytest.skip("this libc has no mallopt")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        runs = {}
+        for mode in ("held", "default"):
+            done = subprocess.run([sys.executable, "-c", _DESK_FIT, mode], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=300)
+            runs[mode] = json.loads(done.stdout.splitlines()[-1])
+        assert runs["held"]["params"] == runs["default"]["params"]
+        assert runs["held"]["faults"] < 500 * 20, runs
