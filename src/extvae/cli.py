@@ -431,14 +431,10 @@ def cmd_train(args) -> int:
 def _parse_sites(text: str, n_sites: int) -> np.ndarray:
     """``--sites`` as indices, distinct integers in [0, n_sites)."""
     try:
-        sites = np.array([int(s) for s in text.split(",")])
+        return emu.check_sites([int(s) for s in text.split(",")], n_sites)
     except ValueError:
-        sites = None
-    if sites is None or np.any((sites < 0) | (sites >= n_sites)) \
-            or np.unique(sites).size != sites.size:
         raise ConfigError(f"--sites takes distinct comma-separated integers in "
-                          f"0..{n_sites - 1}, got {text!r}")
-    return sites
+                          f"0..{n_sites - 1}, got {text!r}") from None
 
 
 def _emulate_common(args, counterfactual_mode: bool) -> int:

@@ -138,8 +138,13 @@ def loglaplace_quantile(q, p: LogLaplaceParams) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if np.any(q <= 0) or np.any(q >= 1):
         raise ValueError("quantile level must lie in (0, 1)")
-    return np.where(q <= 0.5, (2.0 * q) ** (1.0 / p.alpha0),
-                    (2.0 * (1.0 - q)) ** (-1.0 / p.alpha0))
+    # (2q)^(1/a0) below the median, (2(1-q))^(-1/a0) above: each power is
+    # taken only where it is kept
+    flat = q.reshape(-1)
+    out = (2.0 * flat) ** (1.0 / p.alpha0)
+    hi = np.flatnonzero(flat > 0.5)
+    out[hi] = (2.0 * (1.0 - flat[hi])) ** (-1.0 / p.alpha0)
+    return out.reshape(q.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import model as mdl
 from .autodiff import ArrayView
-from .distributions import LogLaplaceParams, expps_sample_field, loglaplace_sample
+from .distributions import LogLaplaceParams, expps_sample_field, loglaplace_quantile
 from .model import ModelParameters
-from .seeds import substream
+from .seeds import CounterStream, open_unit, substream
 
 DEFAULT_N_SAMPLES = 2000
 MODES = ("reconstruction", "prior")
+# scratch a vectorized chunk of samples may hold, in bytes: at desk size this
+# keeps each of a chunk's arrays under glibc's 32 MiB mmap threshold (see
+# cli._hold_heap), so they are not page-faulted in anew for every chunk
+CHUNK_BYTES = 50_000_000
+# sites per block of W in the mixing product
+MIX_BLOCK = 64
+# noise runs closer than this many words are read as one span
+BRIDGE_WORDS = 1024
 
 
 @dataclass
@@ -51,21 +60,65 @@ def ablate_condition(c: np.ndarray, mode: str, seed) -> np.ndarray:
     raise ValueError(f"unknown ablation mode {mode!r}")
 
 
-def _chunk_pass(cfg, p, x, c_used, mu, sigma, w, sample_indices, seed,
-                mode, draw_latent_noise, draw_data_noise):
-    """Emulated paths for a block of sample indices, vectorized over samples.
+def _kept_blocks(w: np.ndarray, site_idx: np.ndarray):
+    """The blocks of MIX_BLOCK rows of W (the last one zero-padded) that hold
+    a kept site, (blocks, MIX_BLOCK, K), and where each kept site's row is
+    among those blocks' rows: a slice when they are all of them, in order."""
+    n_s, k = w.shape
+    padded = np.zeros((-(-n_s // MIX_BLOCK) * MIX_BLOCK, k))
+    padded[:n_s] = w
+    kept, pos = np.unique(site_idx // MIX_BLOCK, return_inverse=True)
+    rows = pos * MIX_BLOCK + site_idx % MIX_BLOCK
+    if np.array_equal(rows, np.arange(rows.size)):
+        rows = slice(0, rows.size)
+    return padded.reshape(-1, MIX_BLOCK, k)[kept], rows
 
-    Per-sample substreams keep the output independent of the chunking.
+
+def _run_words(stream: CounterStream, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The words of each run [starts[i], starts[i] + lens[i]), concatenated.
+
+    Runs are disjoint.  A run that starts less than BRIDGE_WORDS after the
+    previous one ends is read in one span with it, and the words are picked out
+    of the span: they are the same words, and a counter seek costs about as
+    much as drawing that many.
     """
-    n_t, n_s = x.shape
-    k = cfg.hyper.latent_dim
-    n_c = len(sample_indices)
+    ends = starts + lens
+    gaps = starts[1:] - ends[:-1]
+    cuts = np.flatnonzero((gaps < 0) | (gaps > BRIDGE_WORDS)) + 1
+    pieces = []
+    for g0, g1 in zip(np.r_[0, cuts], np.r_[cuts, starts.size]):
+        span = stream.words(int(starts[g0]), int(ends[g1 - 1] - starts[g0]))
+        lg = lens[g0:g1]
+        if span.size != lg.sum():
+            # word i of the group: its rank plus the gaps before its run
+            skip = starts[g0:g1] - starts[g0] - (np.cumsum(lg) - lg)
+            span = span[np.arange(lg.sum()) + np.repeat(skip, lg)]
+        pieces.append(span)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _chunk_pass(cfg, p, mu, sigma, cond, w_blocks, w_rows, site_idx, samples,
+                streams, mode, draw_latent_noise, draw_data_noise):
+    """Emulated paths at the kept sites, (samples, sites, time), and the
+    tilting field, (samples, time, K), for a range of sample indices.
+
+    Every draw is read at its own counter address, so a sample's values do not
+    depend on the chunking or on which other sites are kept:
+      - latent eps: word (s n_t + t) K + k of ``streams["eps"]``, through ndtri;
+      - data noise: word (s n_sites + j) n_t + t of ``streams["noise"]``, drawn
+        once per run of consecutive kept sites, through the log-Laplace quantile;
+      - prior-mode z: a generator at sample s's own region of ``streams["prior-z"]``.
+    The mixing multiplies each sample by whole blocks of W (``w_blocks``; kept
+    site i is row ``w_rows[i]`` of them), one product of a fixed shape each, so
+    a site's bits depend neither on the other sites nor on the chunk.
+    """
+    n_t, k = mu.shape
+    n_c = len(samples)
     if draw_latent_noise:
-        eps = np.stack([substream(seed, "latent", s).standard_normal((n_t, k))
-                        for s in sample_indices])
+        words = streams["eps"].words(samples.start * n_t * k, n_c * n_t * k)
+        eps = ndtri(open_unit(words)).reshape(n_c, n_t, k)
     else:
         eps = np.zeros((n_c, n_t, k))
-    cond = np.zeros(n_t) if cfg.sever_condition else c_used
     _, _, z = mdl.latent(p, mu, sigma, cond, eps)
     z = z.reshape(n_c * n_t, k)
 
@@ -78,17 +131,19 @@ def _chunk_pass(cfg, p, x, c_used, mu, sigma, w, sample_indices, seed,
     theta = theta.reshape(n_c, n_t, k)
 
     if mode == "prior":
-        z = np.stack([
-            expps_sample_field(theta[i], substream(seed, "prior-z", s))
-            for i, s in enumerate(sample_indices)]).reshape(n_c * n_t, k)
-
-    y = (z @ np.asarray(w).T).reshape(n_c, n_t, n_s)
+        z = np.stack([expps_sample_field(theta[i], streams["prior-z"].generator(s))
+                      for i, s in enumerate(samples)])
+    # (samples, kept blocks, MIX_BLOCK, time) -> the kept sites' rows
+    mixed = np.matmul(w_blocks, z.reshape(n_c, 1, n_t, k).transpose(0, 1, 3, 2))
+    y = mixed.reshape(n_c, -1, n_t)[:, w_rows]
     if draw_data_noise:
-        noise = np.stack([
-            loglaplace_sample(LogLaplaceParams(cfg.hyper.alpha0), n_t * n_s,
-                              substream(seed, "noise", s)).reshape(n_t, n_s)
-            for s in sample_indices])
-        y = noise * y
+        run0 = np.flatnonzero(np.diff(site_idx, prepend=-2) != 1)
+        lens = np.diff(np.r_[run0, site_idx.size]) * n_t
+        starts = ((np.arange(samples.start, samples.stop)[:, None] * cfg.n_sites
+                   + site_idx[run0]) * n_t).ravel()
+        u = open_unit(_run_words(streams["noise"], starts, np.tile(lens, n_c)))
+        noise = loglaplace_quantile(u, LogLaplaceParams(cfg.hyper.alpha0))
+        y = y * noise.reshape(y.shape)
     return y, theta
 
 
@@ -111,8 +166,9 @@ def emulate(
     Per time step and sample: encode the observed field, draw the latent
     factors on the log scale, decode, and redraw the multiplicative noise.
     Each sample also records the tilting field decoded from its own fused
-    three-step window.  ``sites`` restricts which columns are stored (the
-    tilting field is always complete).
+    three-step window.  ``sites`` (distinct indices, any order) selects which
+    columns are drawn and stored; they equal the same columns of the full-grid
+    ensemble bit for bit.  The tilting field is always complete.
     """
     x = np.asarray(data, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -125,16 +181,19 @@ def emulate(
         raise ValueError("n_samples must be >= 1")
     if mode not in MODES:
         raise ValueError(f"unknown emulation mode {mode!r}")
-    site_idx = np.arange(cfg.n_sites) if sites is None else np.asarray(sites, dtype=np.intp)
+    site_idx = np.arange(cfg.n_sites) if sites is None else check_sites(sites, cfg.n_sites)
 
     p = ArrayView(model.params)
     mu, sigma = mdl.encode(cfg, p, x)
-    w = mdl.weight_matrix(cfg, p)
+    w_blocks, w_rows = _kept_blocks(np.asarray(mdl.weight_matrix(cfg, p)), site_idx)
+    cond = np.zeros(x.shape[0]) if cfg.sever_condition else c
+    streams = {label: CounterStream(seed, f"emulate-{label}")
+               for label in ("eps", "noise", "prior-z")}
 
     n_t = x.shape[0]
     out = np.empty((n_t, site_idx.size, n_samples))
     theta = np.empty((n_t, cfg.hyper.latent_dim, n_samples))
-    # chunk samples so the vectorized pass stays within ~200 MB of scratch,
+    # chunk samples so the vectorized pass stays within CHUNK_BYTES of scratch,
     # counting every float64 one (sample, time) row of a chunk holds
     h = cfg.hyper
     k, ch, two_k = h.latent_dim, h.conv_channels, 2 * h.latent_dim
@@ -142,19 +201,32 @@ def emulate(
            + 2 * 3 * two_k                         # windows, padded
            + 3 * two_k * h.kernel_len              # conv windows as einsum copies them
            + 2 * ch * two_k + ch * two_k // h.pool_len  # conv output, biased, pooled
-           + 3 * cfg.n_sites)                      # W z, noise, mixed fields
-    budget = max(1, 200_000_000 // (8 * row * max(n_t, 1)))
+           + w_blocks.shape[0] * MIX_BLOCK         # mixed blocks
+           + 4 * site_idx.size)                    # kept columns, words, noise, paths
+    budget = max(1, CHUNK_BYTES // (8 * row * max(n_t, 1)))
     for start in range(0, n_samples, budget):
         block = range(start, min(start + budget, n_samples))
-        paths, thetas = _chunk_pass(cfg, p, x, c, mu, sigma, w, list(block),
-                                    seed, mode, draw_latent_noise,
-                                    draw_data_noise)
-        for i, s in enumerate(block):
-            out[:, :, s] = paths[i][:, site_idx]
-            theta[:, :, s] = thetas[i]
+        paths, thetas = _chunk_pass(cfg, p, mu, sigma, cond, w_blocks, w_rows,
+                                    site_idx, block, streams, mode,
+                                    draw_latent_noise, draw_data_noise)
+        out[:, :, block.start:block.stop] = paths.transpose(2, 1, 0)
+        theta[:, :, block.start:block.stop] = thetas.transpose(1, 2, 0)
     return EmulationEnsemble(samples=out, theta=theta, scenario=scenario,
                              seed=int(seed), site_indices=site_idx,
                              checkpoint_id=checkpoint_id)
+
+
+def check_sites(sites, n_sites: int) -> np.ndarray:
+    """``sites`` as a 1-D array of distinct integers in [0, n_sites)."""
+    msg = f"sites must be a nonempty 1-D array of distinct integers in [0, {n_sites})"
+    try:
+        arr = np.asarray(sites)
+    except ValueError:
+        raise ValueError(msg) from None
+    if (arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu"
+            or np.any((arr < 0) | (arr >= n_sites)) or np.unique(arr).size != arr.size):
+        raise ValueError(f"{msg}, got {np.array2string(arr, threshold=8)}")
+    return arr.astype(np.intp)
 
 
 def counterfactual(

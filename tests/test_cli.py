@@ -219,6 +219,42 @@ class TestEmulate:
                        "--out", tmp_path / "x") == 2
 
 
+class TestDeskSiteSelection:
+    """``--sites`` selects columns of the full-grid draw bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def desk_fit(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("desk")
+        sim, fit = root / "sim", root / "fit"
+        assert run_cli("simulate", "--desk", "--seed", 7, "--out", sim) == 0
+        assert run_cli("train", "--desk", "--seed", 7,
+                       "--fields", sim / "fields.csv",
+                       "--conditions", sim / "conditions.csv",
+                       "--knots", sim / "knots.csv", "--sites", sim / "sites.csv",
+                       "--epochs", 2, "--out", fit) == 0
+        return sim, fit
+
+    @pytest.mark.parametrize("command", ["emulate", "counterfactual"])
+    def test_sites_equal_full_grid_rows(self, desk_fit, tmp_path, command):
+        sim, fit = desk_fit
+        common = ["--checkpoint", fit / "checkpoint.json",
+                  "--fields", sim / "fields.csv",
+                  "--conditions", sim / "conditions.csv", "--n-samples", 3]
+        if command == "counterfactual":
+            common.append("--flip")
+        assert run_cli(command, *common, "--out", tmp_path / "full") == 0
+        assert run_cli(command, *common, "--sites", "250,0,17",
+                       "--out", tmp_path / "sub") == 0
+        full, full_ids, _ = cli._read_ensemble_csv(str(tmp_path / "full" / "ensemble.csv"))
+        sub, sub_ids, (scenario,) = cli._read_ensemble_csv(str(tmp_path / "sub" / "ensemble.csv"))
+        assert full_ids.tolist() == list(range(400))
+        assert sub_ids.tolist() == [0, 17, 250]
+        assert sub[scenario].tobytes() == np.ascontiguousarray(
+            full[scenario][:, [0, 17, 250], :]).tobytes()
+        assert ((tmp_path / "sub" / "theta_hat.csv").read_bytes()
+                == (tmp_path / "full" / "theta_hat.csv").read_bytes())
+
+
 class TestMetrics:
     def test_curve_csv_columns_and_self_chi(self, tiny_run, tmp_path):
         root, cfg_path, sim, train, emu_dir = tiny_run

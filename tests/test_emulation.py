@@ -8,7 +8,7 @@ from extvae import emulation as emu
 from extvae import fieldsim as fs
 from extvae import model as mdl
 from extvae.autodiff import ArrayView
-from extvae.seeds import substream
+from extvae.seeds import CounterStream, substream
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,74 @@ class TestEmulate:
         ecdf = lambda q: np.searchsorted(b, q, side="right") / b.size
         stat = kstest(a, ecdf).statistic
         assert stat < kstwobign.isf(0.01) / math.sqrt(a.size)
+
+
+class TestSiteAddressing:
+    """Every draw is read at its (sample, site, time) address, so a subset of
+    sites or a smaller chunk reproduces the full-grid columns bit for bit."""
+
+    FLAGS = [(True, True), (False, True), (True, False), (False, False)]
+
+    @pytest.mark.parametrize("mode", emu.MODES)
+    @pytest.mark.parametrize("latent_noise,data_noise", FLAGS)
+    def test_subset_equals_full_grid_columns(self, small_model, mode,
+                                             latent_noise, data_noise):
+        model, x, c = small_model
+        kw = dict(n_samples=4, seed=17, mode=mode, draw_latent_noise=latent_noise,
+                  draw_data_noise=data_noise)
+        full = emu.emulate(model, x, c, **kw)
+        for pick in [[19, 0, 7]] + [[j] for j in range(model.config.n_sites)]:
+            sub = emu.emulate(model, x, c, sites=np.array(pick), **kw)
+            assert sub.site_indices.tolist() == pick
+            assert sub.samples.tobytes() == np.ascontiguousarray(
+                full.samples[:, pick, :]).tobytes(), pick
+            assert sub.theta.tobytes() == full.theta.tobytes()
+
+    @pytest.mark.parametrize("mode", emu.MODES)
+    def test_one_sample_chunks_equal_one_chunk(self, small_model, monkeypatch, mode):
+        model, x, c = small_model
+        whole = emu.emulate(model, x, c, n_samples=5, seed=3, mode=mode)
+        calls = []
+        chunk_pass = emu._chunk_pass
+
+        def counting(*args):
+            paths, thetas = chunk_pass(*args)
+            calls.append(paths.shape[0])
+            return paths, thetas
+
+        monkeypatch.setattr(emu, "_chunk_pass", counting)
+        monkeypatch.setattr(emu, "CHUNK_BYTES", 1)
+        split = emu.emulate(model, x, c, n_samples=5, seed=3, mode=mode)
+        assert calls == [1] * 5
+        assert split.samples.tobytes() == whole.samples.tobytes()
+        assert split.theta.tobytes() == whole.theta.tobytes()
+
+    def test_bridged_runs_read_the_same_words(self):
+        stream = CounterStream(4, "runs")
+        # gaps of 2, more than BRIDGE_WORDS, 0, then a run that starts
+        # before the previous one ends (sites kept out of order)
+        starts = np.array([3, 10, 11 + emu.BRIDGE_WORDS, 5000, 5007, 100])
+        lens = np.array([5, 1, 4, 7, 2, 3])
+        got = emu._run_words(stream, starts, lens)
+        want = np.concatenate([stream.words(int(s), int(n))
+                               for s, n in zip(starts, lens)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sites", [[-1, 3, 3], [25], [3, 3], [1.5], [],
+                                       [[0, 1], [2, 3]], [[0, 1], [2]],
+                                       [True, False]])
+    def test_bad_sites_rejected_before_compute(self, small_model, monkeypatch,
+                                               sites):
+        model, x, c = small_model
+
+        def no_encode(*args):
+            raise AssertionError("encode ran before the sites were checked")
+
+        monkeypatch.setattr(mdl, "encode", no_encode)
+        with pytest.raises(ValueError, match="sites"):
+            emu.emulate(model, x, c, n_samples=2, sites=sites)
+        with pytest.raises(ValueError, match="sites"):
+            emu.counterfactual(model, x, c, 1.0 - c, n_samples=2, sites=sites)
 
 
 class TestCounterfactual:
