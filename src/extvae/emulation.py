@@ -26,9 +26,8 @@ MODES = ("reconstruction", "prior")
 # keeps each of a chunk's arrays under glibc's 32 MiB mmap threshold (see
 # cli._hold_heap), so they are not page-faulted in anew for every chunk
 CHUNK_BYTES = 50_000_000
-# sites per block of W in the mixing product
-MIX_BLOCK = 64
-# noise runs closer than this many words are read as one span
+# noise runs closer than this many words are read as one span: a counter seek
+# (~9 us) costs about as much as drawing this many words (~9 ns each)
 BRIDGE_WORDS = 1024
 
 
@@ -60,27 +59,12 @@ def ablate_condition(c: np.ndarray, mode: str, seed) -> np.ndarray:
     raise ValueError(f"unknown ablation mode {mode!r}")
 
 
-def _kept_blocks(w: np.ndarray, site_idx: np.ndarray):
-    """The blocks of MIX_BLOCK rows of W (the last one zero-padded) that hold
-    a kept site, (blocks, MIX_BLOCK, K), and where each kept site's row is
-    among those blocks' rows: a slice when they are all of them, in order."""
-    n_s, k = w.shape
-    padded = np.zeros((-(-n_s // MIX_BLOCK) * MIX_BLOCK, k))
-    padded[:n_s] = w
-    kept, pos = np.unique(site_idx // MIX_BLOCK, return_inverse=True)
-    rows = pos * MIX_BLOCK + site_idx % MIX_BLOCK
-    if np.array_equal(rows, np.arange(rows.size)):
-        rows = slice(0, rows.size)
-    return padded.reshape(-1, MIX_BLOCK, k)[kept], rows
-
-
 def _run_words(stream: CounterStream, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The words of each run [starts[i], starts[i] + lens[i]), concatenated.
 
     Runs are disjoint.  A run that starts less than BRIDGE_WORDS after the
     previous one ends is read in one span with it, and the words are picked out
-    of the span: they are the same words, and a counter seek costs about as
-    much as drawing that many.
+    of the span: they are the same words, read with fewer seeks.
     """
     ends = starts + lens
     gaps = starts[1:] - ends[:-1]
@@ -97,20 +81,20 @@ def _run_words(stream: CounterStream, starts: np.ndarray, lens: np.ndarray) -> n
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _chunk_pass(cfg, p, mu, sigma, cond, w_blocks, w_rows, site_idx, samples,
-                streams, mode, draw_latent_noise, draw_data_noise):
+def _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, samples, streams, mode,
+                draw_latent_noise, draw_data_noise):
     """Emulated paths at the kept sites, (samples, sites, time), and the
     tilting field, (samples, time, K), for a range of sample indices.
 
     Every draw is read at its own counter address, so a sample's values do not
     depend on the chunking or on which other sites are kept:
       - latent eps: word (s n_t + t) K + k of ``streams["eps"]``, through ndtri;
-      - data noise: word (s n_sites + j) n_t + t of ``streams["noise"]``, drawn
+      - data noise: word (s n_sites + j) n_t + t of ``streams["noise"]``, read
         once per run of consecutive kept sites, through the log-Laplace quantile;
       - prior-mode z: a generator at sample s's own region of ``streams["prior-z"]``.
-    The mixing multiplies each sample by whole blocks of W (``w_blocks``; kept
-    site i is row ``w_rows[i]`` of them), one product of a fixed shape each, so
-    a site's bits depend neither on the other sites nor on the chunk.
+    The mixing multiplies each sample by the whole of W, one product of a
+    fixed shape, and keeps the kept sites' rows, so a site's bits depend
+    neither on the other sites nor on the chunk.
     """
     n_t, k = mu.shape
     n_c = len(samples)
@@ -133,17 +117,15 @@ def _chunk_pass(cfg, p, mu, sigma, cond, w_blocks, w_rows, site_idx, samples,
     if mode == "prior":
         z = np.stack([expps_sample_field(theta[i], streams["prior-z"].generator(s))
                       for i, s in enumerate(samples)])
-    # (samples, kept blocks, MIX_BLOCK, time) -> the kept sites' rows
-    mixed = np.matmul(w_blocks, z.reshape(n_c, 1, n_t, k).transpose(0, 1, 3, 2))
-    y = mixed.reshape(n_c, -1, n_t)[:, w_rows]
+    # (samples, sites, time)
+    y = np.matmul(w, z.reshape(n_c, n_t, k).transpose(0, 2, 1))[:, site_idx]
     if draw_data_noise:
         run0 = np.flatnonzero(np.diff(site_idx, prepend=-2) != 1)
         lens = np.diff(np.r_[run0, site_idx.size]) * n_t
         starts = ((np.arange(samples.start, samples.stop)[:, None] * cfg.n_sites
                    + site_idx[run0]) * n_t).ravel()
         u = open_unit(_run_words(streams["noise"], starts, np.tile(lens, n_c)))
-        noise = loglaplace_quantile(u, LogLaplaceParams(cfg.hyper.alpha0))
-        y = y * noise.reshape(y.shape)
+        y *= loglaplace_quantile(u, LogLaplaceParams(cfg.hyper.alpha0)).reshape(y.shape)
     return y, theta
 
 
@@ -185,7 +167,7 @@ def emulate(
 
     p = ArrayView(model.params)
     mu, sigma = mdl.encode(cfg, p, x)
-    w_blocks, w_rows = _kept_blocks(np.asarray(mdl.weight_matrix(cfg, p)), site_idx)
+    w = np.asarray(mdl.weight_matrix(cfg, p))
     cond = np.zeros(x.shape[0]) if cfg.sever_condition else c
     streams = {label: CounterStream(seed, f"emulate-{label}")
                for label in ("eps", "noise", "prior-z")}
@@ -201,14 +183,13 @@ def emulate(
            + 2 * 3 * two_k                         # windows, padded
            + 3 * two_k * h.kernel_len              # conv windows as einsum copies them
            + 2 * ch * two_k + ch * two_k // h.pool_len  # conv output, biased, pooled
-           + w_blocks.shape[0] * MIX_BLOCK         # mixed blocks
-           + 4 * site_idx.size)                    # kept columns, words, noise, paths
+           + cfg.n_sites                           # mixed, every site
+           + 4 * site_idx.size)                    # kept rows, words, noise, paths
     budget = max(1, CHUNK_BYTES // (8 * row * max(n_t, 1)))
     for start in range(0, n_samples, budget):
         block = range(start, min(start + budget, n_samples))
-        paths, thetas = _chunk_pass(cfg, p, mu, sigma, cond, w_blocks, w_rows,
-                                    site_idx, block, streams, mode,
-                                    draw_latent_noise, draw_data_noise)
+        paths, thetas = _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, block,
+                                    streams, mode, draw_latent_noise, draw_data_noise)
         out[:, :, block.start:block.stop] = paths.transpose(2, 1, 0)
         theta[:, :, block.start:block.stop] = thetas.transpose(1, 2, 0)
     return EmulationEnsemble(samples=out, theta=theta, scenario=scenario,
