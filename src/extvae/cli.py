@@ -66,9 +66,8 @@ DEFAULT_HYPER = {"latent_dim": 64, "n_theta_basis": 16, "enc_widths": [64],
 
 _SECTION_KEYS = {
     "data": set(DEFAULT_DATA),
-    "hyper": set(HyperParams.__dataclass_fields__),
-    "train": {"batch_size", "epochs", "checkpoint_every", "beta1", "beta2",
-              "adam_eps"},
+    "hyper": set(HyperParams.__dataclass_fields__) - {"seed"},   # top-level seed
+    "train": {"batch_size", "checkpoint_every", "beta1", "beta2", "adam_eps"},
     "emulate": {"n_samples", "mode", "draw_latent_noise", "draw_data_noise"},
     "metrics": {"distance", "tol", "u", "n_boot", "max_pairs", "ref_index"},
     "paths": {"out"},
@@ -384,23 +383,27 @@ def cmd_train(args) -> int:
     radius = data_cfg["wendland_radius"]
 
     grid_scores_path = None
+    candidates = [train_cfg]
+    if args.grid_epochs is not None and not args.grid:
+        raise ConfigError("--grid-epochs needs --grid")
     if args.grid:
         try:
             with open(args.grid, "r", encoding="utf-8") as fh:
                 grid = json.load(fh)
             if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
                 raise TypeError("expected a JSON list of objects")
-            for overrides in grid:
-                tr.apply_overrides(train_cfg, overrides)
-            if args.grid_epochs is not None:       # validated like a config value
-                dataclasses.replace(train_cfg, epochs=args.grid_epochs)
+            candidates += [tr.apply_overrides(train_cfg, g) for g in grid]
+            if args.grid_epochs is not None:       # the search runs' length
+                tr.apply_overrides(train_cfg, {"epochs": args.grid_epochs})
         except (KeyError, TypeError, ValueError) as err:     # JSONDecodeError too
             raise ConfigError(f"grid {args.grid}: {err}") from None
     try:                                       # geometry, e.g. --fixed-W's W
-        ModelConfig(n_sites=x.shape[1], hyper=hyper, knots=knots, sites=sites,
-                    wendland_radius=radius)
+        for cand in candidates:
+            ModelConfig(n_sites=x.shape[1], hyper=cand.hyper, knots=knots,
+                        sites=sites, wendland_radius=radius)
     except ValueError as err:
-        raise ConfigError(f"model: {err}") from None
+        where = "" if cand is train_cfg else f"grid {args.grid}: "
+        raise ConfigError(f"{where}model: {err}") from None
     os.makedirs(out, exist_ok=True)
     if args.grid:
         train_cfg, scores = tr.grid_search(
@@ -420,7 +423,7 @@ def cmd_train(args) -> int:
     inputs = [p for p in (args.fields, args.conditions, args.knots, args.sites,
                           args.grid, args.config) if p]
     outputs = [ckpt_path, report_path] + ([grid_scores_path] if grid_scores_path else [])
-    write_manifest(out, "train", seed, inputs, outputs)
+    write_manifest(out, "train", train_cfg.hyper.seed, inputs, outputs)
     print(f"trained {report.epochs_completed} epochs "
           f"({report.n_params} parameters, {report.seconds:.1f}s), "
           f"final loss {report.loss_history[-1] if report.loss_history else float('nan'):.6g}, "
@@ -450,6 +453,9 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
     if emu_cfg["mode"] not in emu.MODES:
         raise ConfigError(f"emulate mode must be one of {', '.join(emu.MODES)}, "
                           f"got {emu_cfg['mode']!r}")
+    for key in ("draw_latent_noise", "draw_data_noise"):
+        if type(emu_cfg[key]) is not bool:
+            raise ConfigError(f"emulate {key} must be true or false, got {emu_cfg[key]!r}")
     model = tr.checkpoint_load(args.checkpoint)
     sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
     x = read_matrix_csv(args.fields)

@@ -84,8 +84,11 @@ class HyperParams:
             raise ValueError("pool_len must divide 2*latent_dim")
         if self.conv_channels < 1 or self.kernel_len < 1:
             raise ValueError("conv geometry must be positive")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
+        for name in ("epochs", "seed"):           # numpy seeds must be >= 0
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and type(value) is not bool
+                    and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")

@@ -42,29 +42,33 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How to run the optimiser.  The run length, seed and learning rate are
+    ``hyper.epochs``, ``hyper.seed`` and ``hyper.learning_rate``."""
+
     hyper: HyperParams = field(default_factory=HyperParams)
     batch_size: int | None = None        # None: full batch up to FULL_BATCH_LIMIT
-    epochs: int | None = None            # None: hyper.epochs
-    seed: int | None = None              # None: hyper.seed
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    checkpoint_every: int = 0
+    checkpoint_every: int = 0            # 0: only the final state
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs is not None and self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        def real(v, lo, hi=np.inf, kind=(int, float)):    # False for nan and inf
+            return isinstance(v, kind) and type(v) is not bool and lo <= v < hi
 
-    @property
-    def run_epochs(self) -> int:
-        return self.hyper.epochs if self.epochs is None else self.epochs
-
-    @property
-    def run_seed(self) -> int:
-        return self.hyper.seed if self.seed is None else self.seed
+        for name, ok, want in (
+                ("batch_size",
+                 self.batch_size is None or real(self.batch_size, 1, kind=int),
+                 "None or an integer >= 1"),
+                ("beta1", real(self.beta1, 0, 1), "a number in [0, 1)"),
+                ("beta2", real(self.beta2, 0, 1), "a number in [0, 1)"),
+                ("adam_eps", real(self.adam_eps, 0) and self.adam_eps > 0,
+                 "a finite number > 0"),
+                ("checkpoint_every", real(self.checkpoint_every, 0, kind=int),
+                 "an integer >= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -74,7 +78,6 @@ class TrainReport:
     converged: bool
     n_params: int
     epochs_completed: int
-    final_params: ParamVector | None = None
 
 
 @dataclass
@@ -124,14 +127,14 @@ def train(
     knots: np.ndarray | None = None,
     sites: np.ndarray | None = None,
     wendland_radius: float | None = None,
-    model_config: ModelConfig | None = None,
     resume_from: dict | str | None = None,
 ) -> tuple[ModelParameters, TrainReport]:
     """Maximize the penalized objective; returns the model and an epoch log.
 
     ``resume_from`` accepts a checkpoint (dict or path); training then
-    continues from the recorded epoch with the saved Adam state and matches an
-    uninterrupted run bit for bit.
+    continues from the recorded epoch to ``cfg.hyper.epochs`` with the saved
+    Adam state and matches an uninterrupted run bit for bit.  Every other
+    hyperparameter of ``cfg`` must equal the checkpoint's.
     """
     x = np.asarray(data, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -140,22 +143,22 @@ def train(
     if c.shape != (x.shape[0],):
         raise ValueError("condition series length must match the data")
     n_t, n_s = x.shape
+    hyper = cfg.hyper
 
     if resume_from is not None:
         state = resume_from if isinstance(resume_from, dict) else checkpoint_read(resume_from)
         model, adam, start_epoch, history = _restore_training_state(state)
-        cfg = replace(cfg, hyper=model.config.hyper)
+        if replace(model.config.hyper, epochs=hyper.epochs) != hyper:
+            raise ValueError("hyperparameters differ from the checkpoint's "
+                             "in more than epochs")
+        model_cfg = replace(model.config, hyper=hyper)
         params = model.params
-        model_cfg = model.config
     else:
-        if model_config is not None:
-            model_cfg = model_config
-        else:
-            model_cfg = ModelConfig(
-                n_sites=n_s, hyper=cfg.hyper, knots=knots, sites=sites,
-                wendland_radius=wendland_radius,
-            )
-        params = mdl.init_params(model_cfg, cfg.run_seed)
+        model_cfg = ModelConfig(
+            n_sites=n_s, hyper=hyper, knots=knots, sites=sites,
+            wendland_radius=wendland_radius,
+        )
+        params = mdl.init_params(model_cfg, hyper.seed)
         adam = AdamState.zeros(params.size)
         start_epoch = 0
         history: list[float] = []
@@ -163,9 +166,7 @@ def train(
     if model_cfg.n_sites != n_s:
         raise ValueError("model was built for a different site count")
 
-    seed = cfg.run_seed
-    lr = model_cfg.hyper.learning_rate
-    epochs = cfg.run_epochs
+    seed, lr, epochs = hyper.seed, hyper.learning_rate, hyper.epochs
     t0 = time.perf_counter()
 
     for epoch in range(start_epoch, epochs):
@@ -173,7 +174,7 @@ def train(
         epoch_loss = 0.0
         for bi, batch in enumerate(_batches(n_t, cfg.batch_size, shuffle_rng)):
             eps = substream(seed, "eps", epoch, bi).standard_normal(
-                (model_cfg.hyper.mc_draws, n_t, model_cfg.hyper.latent_dim))
+                (hyper.mc_draws, n_t, hyper.latent_dim))
 
             def loss(p):
                 return -mdl.penalized_elbo(model_cfg, p, x, c, eps,
@@ -195,7 +196,7 @@ def train(
             params = params.replace(adam.update(params.data, grad, lr,
                                                 cfg.beta1, cfg.beta2, cfg.adam_eps))
         history.append(epoch_loss / n_t)
-        if (cfg.checkpoint_every and cfg.checkpoint_path
+        if (cfg.checkpoint_every and cfg.checkpoint_path and epoch + 1 < epochs
                 and (epoch + 1) % cfg.checkpoint_every == 0):
             checkpoint_save(cfg.checkpoint_path,
                             ModelParameters(model_cfg, params),
@@ -210,9 +211,8 @@ def train(
         converged=_is_converged(history),
         n_params=params.size,
         epochs_completed=epochs,
-        final_params=params,
     )
-    if cfg.checkpoint_path and not cfg.checkpoint_every:
+    if cfg.checkpoint_path:
         checkpoint_save(cfg.checkpoint_path, model, adam=adam,
                         epochs_completed=epochs, loss_history=history, seed=seed)
     return model, report
@@ -223,21 +223,13 @@ def train(
 # ---------------------------------------------------------------------------
 
 def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
-    """Override hyper fields (by name or 'hyper.name') or TrainConfig fields."""
-    hyper_kwargs = {}
-    train_kwargs = {}
-    hyper_fields = set(HyperParams.__dataclass_fields__)
-    train_fields = set(TrainConfig.__dataclass_fields__)
-    for key, value in overrides.items():
-        name = key.split(".", 1)[1] if key.startswith("hyper.") else key
-        if name in hyper_fields:
-            hyper_kwargs[name] = tuple(value) if name == "enc_widths" else value
-        elif name in train_fields:
-            train_kwargs[name] = value
-        else:
-            raise KeyError(f"unknown hyperparameter {key!r}")
-    hyper = replace(cfg.hyper, **hyper_kwargs) if hyper_kwargs else cfg.hyper
-    return replace(cfg, hyper=hyper, **train_kwargs)
+    """``cfg`` with the named HyperParams fields replaced."""
+    unknown = sorted(set(overrides) - set(HyperParams.__dataclass_fields__))
+    if unknown:
+        raise KeyError(f"unknown hyperparameter(s) {unknown}")
+    if "enc_widths" in overrides:
+        overrides = {**overrides, "enc_widths": tuple(overrides["enc_widths"])}
+    return replace(cfg, hyper=replace(cfg.hyper, **overrides))
 
 
 def grid_search(
@@ -252,16 +244,15 @@ def grid_search(
     wendland_radius=None,
 ) -> tuple[TrainConfig, list[float]]:
     """Train every candidate, score by final mean negative objective, return
-    the argmin (ties keep the earliest grid entry)."""
+    the argmin's config (ties keep the earliest grid entry).  ``search_epochs``
+    shortens the scoring runs only; the returned config keeps its epochs."""
     if not grid:
         raise ValueError("grid must be nonempty")
+    configs = [apply_overrides(base_cfg, overrides) for overrides in grid]
     scores: list[float] = []
-    configs: list[TrainConfig] = []
-    for overrides in grid:
-        cand = apply_overrides(base_cfg, overrides)
+    for cand in configs:
         if search_epochs is not None:
-            cand = replace(cand, epochs=search_epochs)
-        configs.append(cand)
+            cand = apply_overrides(cand, {"epochs": search_epochs})
         try:
             _, report = train(data, c, cand, knots=knots, sites=sites,
                               wendland_radius=wendland_radius)
@@ -270,11 +261,7 @@ def grid_search(
             scores.append(np.inf)
     if not np.any(np.isfinite(scores)):
         raise TrainingError("every grid candidate aborted")
-    best = int(np.argmin(scores))
-    winner = configs[best]
-    if search_epochs is not None:
-        winner = replace(winner, epochs=base_cfg.epochs)
-    return winner, scores
+    return configs[int(np.argmin(scores))], scores
 
 
 # ---------------------------------------------------------------------------

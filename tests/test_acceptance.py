@@ -7,6 +7,7 @@ session-scoped desk-instance fit from conftest.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
     hyper = mdl.HyperParams(latent_dim=4, n_theta_basis=4, conv_channels=8,
                             enc_widths=(16,), rho0=0.1, penalty_abs=True,
                             seed=5)
-    cfg = tr.TrainConfig(hyper=hyper, epochs=25)
+    cfg = tr.TrainConfig(hyper=replace(hyper, epochs=25))
     m1, r1 = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                       wendland_radius=25.0)
     m2, r2 = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
@@ -357,11 +358,10 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 
     # checkpoint at epoch 24, resume the final epoch, compare the final loss
     ckpt = tmp_path / "ckpt.json"
-    cfg24 = tr.TrainConfig(hyper=hyper, epochs=24, checkpoint_every=24,
+    cfg24 = tr.TrainConfig(hyper=replace(hyper, epochs=24), checkpoint_every=24,
                            checkpoint_path=str(ckpt))
     tr.train(x, c, cfg24, knots=knots, sites=grid.sites, wendland_radius=25.0)
-    _, r_resumed = tr.train(x, c, tr.TrainConfig(hyper=hyper, epochs=25),
-                            resume_from=str(ckpt))
+    _, r_resumed = tr.train(x, c, cfg, resume_from=str(ckpt))
     final_a = r_resumed.loss_history[-1]
     final_b = r1.loss_history[-1]
     round_trip_ok = abs(final_a - final_b) <= 1e-12 * abs(final_b)

@@ -153,6 +153,23 @@ class TestTrain:
         assert rows[0] == ["candidate", "score"]
         assert len(rows) == 3
 
+    def test_final_state_saved_between_periodic_checkpoints(self, tiny_run, tmp_path):
+        # checkpoint_every 7 over 10 epochs: the checkpoint holds epoch 10,
+        # the same bytes as a run without periodic checkpoints
+        root, cfg_path, sim, *_ = tiny_run
+        cfg = json.loads(cfg_path.read_text())
+        for name, section in (("every7", {"checkpoint_every": 7}), ("plain", {})):
+            (tmp_path / f"{name}.json").write_text(json.dumps({**cfg, "train": section}))
+            assert run_cli("train", "--config", tmp_path / f"{name}.json",
+                           "--fields", sim / "fields.csv",
+                           "--conditions", sim / "conditions.csv",
+                           "--knots", sim / "knots.csv", "--sites", sim / "sites.csv",
+                           "--epochs", 10, "--out", tmp_path / name) == 0
+        ckpt = (tmp_path / "every7" / "checkpoint.json").read_bytes()
+        assert json.loads(ckpt)["rng"]["epochs_completed"] == 10
+        assert ckpt == (tmp_path / "plain" / "checkpoint.json").read_bytes()
+        assert len(read_rows(tmp_path / "every7" / "train_report.csv")) == 11
+
 
 class TestEmulate:
     def test_ensemble_csv_layout(self, tiny_run):
@@ -655,16 +672,22 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("grid", ['[{"learning_rate": 1e-3},', '{"learning_rate": 1e-3}',
                                       '[1, 2]', '[{"no_such_key": 1}]',
-                                      '[{"learning_rate": -1}]', '[{"epochs": -1}]'])
+                                      '[{"learning_rate": -1}]', '[{"epochs": -1}]',
+                                      '[{"epochs": 2.5}]', '[{"seed": -1}]',
+                                      '[{"latent_dim": 9}]',
+                                      # HyperParams field names only
+                                      '[{"checkpoint_path": "TMP/stray.json"}]',
+                                      '[{"batch_size": 8}]', '[{"hyper.rho0": 0.2}]'])
     def test_malformed_grid_rejected(self, tiny_run, tmp_path, capsys, grid):
         root, cfg_path, sim, *_ = tiny_run
-        (tmp_path / "grid.json").write_text(grid)
+        (tmp_path / "grid.json").write_text(grid.replace("TMP", tmp_path.as_posix()))
         code = run_cli("train", "--config", cfg_path,
                        "--fields", sim / "fields.csv",
                        "--conditions", sim / "conditions.csv",
+                       "--knots", sim / "knots.csv", "--sites", sim / "sites.csv",
                        "--grid", tmp_path / "grid.json", "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, "grid.json")
-        assert not (tmp_path / "o" / "checkpoint.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
 
 
     @pytest.mark.parametrize("command, flags, edit, needle", [
@@ -673,8 +696,20 @@ class TestInputValidation:
         pytest.param("train", ["--lr", "nan"], {}, "learning_rate", id="train --lr nan"),
         pytest.param("train", [], {"hyper": {"epochs": -1}}, "epochs",
                      id="train hyper.epochs -1"),
-        pytest.param("train", [], {"train": {"epochs": -1}}, "epochs",
+        pytest.param("train", [], {"train": {"epochs": -1}}, "'train': ['epochs']",
                      id="train train.epochs -1"),
+        # the run length and seed live in HyperParams only
+        pytest.param("train", [], {"train": {"epochs": 10}}, "'train': ['epochs']",
+                     id="train train.epochs 10"),
+        pytest.param("train", [], {"hyper": {"seed": 5}}, "'hyper': ['seed']",
+                     id="train hyper.seed 5"),
+        *(pytest.param("train", [], {"train": {key: value}}, key,
+                       id=f"train train.{key} {value}")
+          for key, value in (("batch_size", 2.5), ("batch_size", 0), ("beta1", "x"),
+                             ("beta1", 1.0), ("beta2", -0.1), ("adam_eps", -1),
+                             ("adam_eps", float("nan")), ("checkpoint_every", -1))),
+        pytest.param("train", ["--grid-epochs", 1], {}, "--grid-epochs",
+                     id="train --grid-epochs without --grid"),
         pytest.param("train", ["--grid", "{grid}", "--grid-epochs", -1], {}, "epochs",
                      id="train --grid-epochs -1"),
         pytest.param("emulate", ["--n-samples", 0], {}, "n_samples",
@@ -685,6 +720,10 @@ class TestInputValidation:
                      id="emulate emulate.mode pri"),
         pytest.param("counterfactual", [], {"emulate": {"mode": "pri"}}, "mode",
                      id="counterfactual emulate.mode pri"),
+        pytest.param("emulate", [], {"emulate": {"draw_data_noise": "no"}},
+                     "draw_data_noise", id="emulate emulate.draw_data_noise no"),
+        pytest.param("counterfactual", [], {"emulate": {"draw_latent_noise": 0}},
+                     "draw_latent_noise", id="counterfactual emulate.draw_latent_noise 0"),
         pytest.param("tailcheck", ["--n", 0], {}, "--n", id="tailcheck --n 0"),
         pytest.param("tailcheck", ["--level", 1.5], {}, "--level",
                      id="tailcheck --level 1.5"),

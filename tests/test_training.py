@@ -29,17 +29,17 @@ def tiny_problem():
 class TestTrain:
     def test_zero_epochs_returns_init(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=0)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=0))
         model, report = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                                  wendland_radius=25.0)
-        init = mdl.init_params(model.config, cfg.run_seed)
+        init = mdl.init_params(model.config, cfg.hyper.seed)
         assert np.array_equal(model.params.data, init.data)
         assert report.loss_history == []
         assert report.epochs_completed == 0
 
     def test_deterministic_histories(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=15)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=15))
         _, r1 = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                          wendland_radius=25.0)
         _, r2 = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
@@ -48,14 +48,14 @@ class TestTrain:
 
     def test_loss_decreases(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=120)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=120))
         _, report = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                              wendland_radius=25.0)
         assert report.loss_history[-1] < report.loss_history[0]
 
     def test_minibatch_path(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=4, batch_size=8)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=4), batch_size=8)
         model, report = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                                  wendland_radius=25.0)
         assert len(report.loss_history) == 4
@@ -63,16 +63,24 @@ class TestTrain:
 
     def test_param_count_independent_of_time(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=1)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=1))
         m1, r1 = tr.train(x[:10], c[:10], cfg, knots=knots, sites=grid.sites,
                           wendland_radius=25.0)
         m2, r2 = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                           wendland_radius=25.0)
         assert r1.n_params == r2.n_params == mdl.count_params(m1.config)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", 2.5), ("beta1", 1.0), ("beta1", "x"),
+        ("beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", np.inf),
+        ("checkpoint_every", -1), ("checkpoint_every", True)])
+    def test_config_fields_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+
     def test_validation_errors(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=1)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=1))
         with pytest.raises(ValueError):
             tr.train(-x, c, cfg)
         with pytest.raises(ValueError):
@@ -82,7 +90,7 @@ class TestTrain:
 class TestGridSearch:
     def test_single_candidate(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        base = tr.TrainConfig(hyper=hyper, epochs=3)
+        base = tr.TrainConfig(hyper=replace(hyper, epochs=3))
         best, scores = tr.grid_search(x, c, base, [{"learning_rate": 5e-4}],
                                       knots=knots, sites=grid.sites,
                                       wendland_radius=25.0)
@@ -91,7 +99,7 @@ class TestGridSearch:
 
     def test_tie_keeps_first(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        base = tr.TrainConfig(hyper=hyper, epochs=3)
+        base = tr.TrainConfig(hyper=replace(hyper, epochs=3))
         grid_spec = [{"learning_rate": 1e-3}, {"learning_rate": 1e-3}]
         best, scores = tr.grid_search(x, c, base, grid_spec, knots=knots,
                                       sites=grid.sites, wendland_radius=25.0)
@@ -100,12 +108,23 @@ class TestGridSearch:
 
     def test_absurd_rate_scores_worse(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
-        base = tr.TrainConfig(hyper=hyper, epochs=25)
+        base = tr.TrainConfig(hyper=replace(hyper, epochs=25))
         best, scores = tr.grid_search(
             x, c, base, [{"learning_rate": 1e-3}, {"learning_rate": 1e3}],
             knots=knots, sites=grid.sites, wendland_radius=25.0)
         assert best.hyper.learning_rate == 1e-3
         assert scores[1] > scores[0] or not np.isfinite(scores[1])
+
+    def test_search_epochs_shorten_only_the_search(self, tiny_problem):
+        grid, knots, x, c, hyper = tiny_problem
+        base = tr.TrainConfig(hyper=replace(hyper, epochs=5))
+        best, scores = tr.grid_search(x, c, base, [{"rho0": 0.2}], search_epochs=2,
+                                      knots=knots, sites=grid.sites,
+                                      wendland_radius=25.0)
+        assert best.hyper == replace(hyper, epochs=5, rho0=0.2)
+        _, short = tr.train(x, c, tr.TrainConfig(hyper=replace(best.hyper, epochs=2)),
+                            knots=knots, sites=grid.sites, wendland_radius=25.0)
+        assert scores == [short.loss_history[-1]]
 
     def test_empty_grid_rejected(self, tiny_problem):
         *_, x, c, hyper = tiny_problem[2], tiny_problem[3], tiny_problem[4]
@@ -116,17 +135,21 @@ class TestGridSearch:
     def test_unknown_override_rejected(self):
         with pytest.raises(KeyError):
             tr.apply_overrides(tr.TrainConfig(), {"nope": 1})
+        for retired in ({"hyper.rho0": 0.2}, {"batch_size": 8},
+                        {"checkpoint_path": "x.json"}):
+            with pytest.raises(KeyError):
+                tr.apply_overrides(tr.TrainConfig(), retired)
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_problem, tmp_path):
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=10)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=10))
         model, report = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                                  wendland_radius=25.0)
         path = tmp_path / "ckpt.json"
         tr.checkpoint_save(path, model, epochs_completed=10,
-                           loss_history=report.loss_history, seed=cfg.run_seed)
+                           loss_history=report.loss_history, seed=cfg.hyper.seed)
         loaded = tr.checkpoint_load(path)
         assert np.array_equal(loaded.params.data, model.params.data)
         assert loaded.config.hyper == model.config.hyper
@@ -136,7 +159,7 @@ class TestCheckpoint:
         from extvae import emulation as emu
 
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=5)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=5))
         model, _ = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                             wendland_radius=25.0)
         path = tmp_path / "ckpt.json"
@@ -148,18 +171,18 @@ class TestCheckpoint:
 
     def test_loaded_params_reproduce_final_loss(self, tiny_problem, tmp_path):
         grid, knots, x, c, hyper = tiny_problem
-        cfg = tr.TrainConfig(hyper=hyper, epochs=12)
+        cfg = tr.TrainConfig(hyper=replace(hyper, epochs=12))
         model, report = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                                  wendland_radius=25.0)
         path = tmp_path / "ckpt.json"
         tr.checkpoint_save(path, model, epochs_completed=12,
-                           loss_history=report.loss_history, seed=cfg.run_seed)
+                           loss_history=report.loss_history, seed=cfg.hyper.seed)
         loaded = tr.checkpoint_load(path)
         # the last epoch's loss was evaluated at the pre-update parameters;
         # re-run the final step from the stored state instead
-        resumed, rep2 = tr.train(x, c, replace(cfg, epochs=13),
-                                 resume_from=str(path))
-        straight, rep3 = tr.train(x, c, replace(cfg, epochs=13), knots=knots,
+        cfg13 = tr.TrainConfig(hyper=replace(hyper, epochs=13))
+        resumed, rep2 = tr.train(x, c, cfg13, resume_from=str(path))
+        straight, rep3 = tr.train(x, c, cfg13, knots=knots,
                                   sites=grid.sites, wendland_radius=25.0)
         assert rep2.loss_history[-1] == pytest.approx(rep3.loss_history[-1],
                                                       rel=1e-12)
@@ -167,21 +190,31 @@ class TestCheckpoint:
     def test_resume_equals_uninterrupted(self, tiny_problem, tmp_path):
         grid, knots, x, c, hyper = tiny_problem
         path = tmp_path / "ckpt.json"
-        cfg10 = tr.TrainConfig(hyper=hyper, epochs=10, checkpoint_every=10,
+        cfg10 = tr.TrainConfig(hyper=replace(hyper, epochs=10), checkpoint_every=10,
                                checkpoint_path=str(path))
         m10, r10 = tr.train(x, c, cfg10, knots=knots, sites=grid.sites,
                             wendland_radius=25.0)
-        m20, r20 = tr.train(x, c, replace(cfg10, epochs=20, checkpoint_every=0,
-                                          checkpoint_path=None),
-                            knots=knots, sites=grid.sites, wendland_radius=25.0)
-        resumed, rr = tr.train(x, c, tr.TrainConfig(hyper=hyper, epochs=20),
-                               resume_from=str(path))
+        cfg20 = tr.TrainConfig(hyper=replace(hyper, epochs=20))
+        m20, r20 = tr.train(x, c, cfg20, knots=knots, sites=grid.sites,
+                            wendland_radius=25.0)
+        resumed, rr = tr.train(x, c, cfg20, resume_from=str(path))
         assert np.array_equal(resumed.params.data, m20.params.data)
         assert rr.loss_history == r20.loss_history
 
+    def test_resume_keeps_the_checkpoint_hyperparameters(self, tiny_problem, tmp_path):
+        grid, knots, x, c, hyper = tiny_problem
+        path = tmp_path / "ckpt.json"
+        tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=2),
+                                      checkpoint_path=str(path)),
+                 knots=knots, sites=grid.sites, wendland_radius=25.0)
+        for other in (replace(hyper, epochs=4, seed=4),
+                      replace(hyper, epochs=4, learning_rate=5e-4)):
+            with pytest.raises(ValueError, match="checkpoint"):
+                tr.train(x, c, tr.TrainConfig(hyper=other), resume_from=str(path))
+
     def test_truncated_file_rejected(self, tiny_problem, tmp_path):
         grid, knots, x, c, hyper = tiny_problem
-        model, _ = tr.train(x, c, tr.TrainConfig(hyper=hyper, epochs=1),
+        model, _ = tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=1)),
                             knots=knots, sites=grid.sites, wendland_radius=25.0)
         path = tmp_path / "ckpt.json"
         tr.checkpoint_save(path, model)
@@ -192,7 +225,7 @@ class TestCheckpoint:
 
     def test_version_mismatch_rejected(self, tiny_problem, tmp_path):
         grid, knots, x, c, hyper = tiny_problem
-        model, _ = tr.train(x, c, tr.TrainConfig(hyper=hyper, epochs=1),
+        model, _ = tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=1)),
                             knots=knots, sites=grid.sites, wendland_radius=25.0)
         path = tmp_path / "ckpt.json"
         tr.checkpoint_save(path, model)
@@ -204,7 +237,7 @@ class TestCheckpoint:
 
     def test_corrupt_payload_rejected(self, tiny_problem, tmp_path):
         grid, knots, x, c, hyper = tiny_problem
-        model, _ = tr.train(x, c, tr.TrainConfig(hyper=hyper, epochs=1),
+        model, _ = tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=1)),
                             knots=knots, sites=grid.sites, wendland_radius=25.0)
         path = tmp_path / "ckpt.json"
         tr.checkpoint_save(path, model)
@@ -247,6 +280,7 @@ class TestAdam:
 # CLI's allocator policy; prints the fit's minor page faults and parameter hash
 _DESK_FIT = """
 import hashlib, json, resource, sys
+from dataclasses import replace
 from extvae import cli, fieldsim as fs, model as mdl, training as tr
 if sys.argv[1] == "held":
     assert cli._hold_heap()
@@ -258,8 +292,8 @@ x = fs.simulate_dataset(fs.simulate_theta(c, knots),
 hyper = mdl.HyperParams(latent_dim=16, n_theta_basis=9, seed=2026, rho0=0.1,
                         penalty_abs=True)
 def fit(epochs):
-    return tr.train(x, c, tr.TrainConfig(hyper=hyper, epochs=epochs), knots=knots,
-                    sites=grid.sites, wendland_radius=6.0)[0]
+    return tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=epochs)),
+                    knots=knots, sites=grid.sites, wendland_radius=6.0)[0]
 fit(3)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 model = fit(20)
