@@ -31,31 +31,22 @@ from . import preprocess as pp
 from . import training as tr
 from .autodiff import NonFiniteError, fd_check
 from .distributions import GEV_MIN_OBS, expps_sample_field, tail_equivalence_check
-from .model import HyperParams, ModelConfig
+from .model import ConfigError, HyperParams, ModelConfig, check_value
 from .seeds import substream
 
 CONFIG_SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
 # presets and configuration
 # ---------------------------------------------------------------------------
 
-DEFAULT_DATA = {
-    "rows": 50, "cols": 50, "extent": 20.0, "knot_side": 8,
-    "wendland_radius": 3.0, "n_t": 528, "gamma": 2.0, "b": 2.0, "tau": 15.0,
-    "alpha0": 30.0,
-}
+# the desk preset's changes to the "data" defaults in _SECTION_KEYS
 DESK_DATA = {
-    "rows": 20, "cols": 20, "extent": 20.0, "knot_side": 4,
+    "rows": 20, "cols": 20, "knot_side": 4, "n_t": 200,
     # 4x4 knots on [0,20]^2 sit ~6.7 apart; radius 3 would leave interior
     # sites outside every basis support
-    "wendland_radius": 6.0, "n_t": 200, "gamma": 2.0, "b": 2.0, "tau": 15.0,
-    "alpha0": 30.0,
+    "wendland_radius": 6.0,
 }
 # presets select the absolute-value temporal penalty: the signed form does
 # not block the slow scale drift described in the README
@@ -64,12 +55,30 @@ DESK_HYPER = {"latent_dim": 16, "n_theta_basis": 9, "enc_widths": [64],
 DEFAULT_HYPER = {"latent_dim": 64, "n_theta_basis": 16, "enc_widths": [64],
                  "rho0": 0.1, "penalty_abs": True}
 
+
+def _rows(kind, bounds: dict, **defaults) -> dict:
+    """Table rows (default, kind, bounds) for keys that share a kind and bounds."""
+    return {key: (default, kind, bounds) for key, default in defaults.items()}
+
+
+# Each section's keys.  HyperParams and TrainConfig check the "hyper" and
+# "train" values; every other key's row gives its default (a None default
+# admits null too), and its kind and bounds as check_value takes them.
 _SECTION_KEYS = {
-    "data": set(DEFAULT_DATA),
+    "data": {**_rows(int, {"ge": 1}, rows=50, cols=50, knot_side=8, n_t=528),
+             **_rows(float, {"gt": 0}, extent=20.0, wendland_radius=3.0, gamma=2.0,
+                     b=2.0, tau=15.0, alpha0=30.0)},
     "hyper": set(HyperParams.__dataclass_fields__) - {"seed"},   # top-level seed
-    "train": {"batch_size", "checkpoint_every", "beta1", "beta2", "adam_eps"},
-    "emulate": {"n_samples", "mode", "draw_latent_noise", "draw_data_noise"},
-    "metrics": {"distance", "tol", "u", "n_boot", "max_pairs", "ref_index"},
+    "train": {"batch_size", "checkpoint_every"},
+    "emulate": {**_rows(int, {"ge": 1}, n_samples=emu.DEFAULT_N_SAMPLES),
+                **_rows(emu.MODES, {}, mode="reconstruction"),
+                **_rows(bool, {}, draw_latent_noise=True, draw_data_noise=True)},
+    "metrics": {**_rows(float, {"ge": 0}, distance=None, tol=None),
+                **_rows([float], {"ge": 0, "lt": 1},
+                        u=[0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.925, 0.95, 0.975, 0.99]),
+                # ref_index is also < the site count, known once the truth is read
+                **_rows(int, {"ge": 0}, n_boot=mx.N_BOOT_DEFAULT, ref_index=None),
+                **_rows(int, {"ge": 1}, max_pairs=mx.MAX_PAIRS_PER_BIN)},
     "paths": {"out"},
 }
 
@@ -85,6 +94,8 @@ def load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} does not hold a JSON object")
     version = cfg.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
@@ -93,7 +104,9 @@ def load_config(path: str | None) -> dict:
             continue
         if key not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section {key!r}")
-        unknown = set(value) - _SECTION_KEYS[key]
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object")
+        unknown = set(value) - set(_SECTION_KEYS[key])
         if unknown:
             raise ConfigError(f"unknown key(s) in config section {key!r}: "
                               f"{sorted(unknown)}")
@@ -102,16 +115,29 @@ def load_config(path: str | None) -> dict:
 
 def _seed(args, cfg: dict) -> int:
     """``--seed``, else the config's, else 0; numpy seeds must be >= 0."""
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
+    return check_value("seed", args.seed if args.seed is not None
+                       else cfg.get("seed", 0), int, ge=0)
 
 
-def _merged(section: str, preset: dict, cfg: dict) -> dict:
-    out = dict(preset)
-    out.update(cfg.get(section, {}))
-    return out
+def _merged(section: str, cfg: dict, preset: dict, flags: dict | None = None) -> dict:
+    """``preset``, then the config's ``section``, then the flags that are set."""
+    return {**preset, **cfg.get(section, {}),
+            **{key: v for key, v in (flags or {}).items() if v is not None}}
+
+
+def _settings(section: str, cfg: dict, preset: dict | None = None,
+              flags: dict | None = None, **bounds) -> dict:
+    """The ``section`` values over its table defaults, each checked against its
+    row; ``bounds`` adds a key's run-time bounds, e.g. ``ref_index={"lt": n}``."""
+    rows = _SECTION_KEYS[section]
+    values = _merged(section, cfg, {key: row[0] for key, row in rows.items()}
+                     | (preset or {}), flags)
+    for key, value in values.items():
+        default, kind, limits = rows[key]
+        if value is not None or default is not None:
+            values[key] = check_value(f"{section} {key}", value, kind, **limits,
+                                      **bounds.get(key, {}))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +317,10 @@ def write_manifest(out_dir: str, command: str, seed, inputs: list[str],
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _check_data_config(data_cfg: dict) -> None:
-    """The ``data`` section's values, each in its range, or ConfigError."""
-    for key, value in data_cfg.items():
-        if key in ("rows", "cols", "knot_side", "n_t"):
-            ok, want = type(value) is int and value >= 1, "an integer >= 1"
-        else:      # False for nan and inf
-            ok = type(value) in (int, float) and 0 < value < np.inf
-            want = "a finite number > 0"
-        if not ok:
-            raise ConfigError(f"data {key} must be {want}, got {value!r}")
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    preset = DESK_DATA if args.desk else DEFAULT_DATA
-    data_cfg = _merged("data", preset, cfg)
+    data_cfg = _settings("data", cfg, DESK_DATA if args.desk else None)
     seed = _seed(args, cfg)
-    _check_data_config(data_cfg)
     out = args.out
     os.makedirs(out, exist_ok=True)
 
@@ -350,15 +362,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _hyper_from(cfg: dict, desk: bool, overrides: dict) -> HyperParams:
-    base = dict(DESK_HYPER if desk else DEFAULT_HYPER)
-    base.update(cfg.get("hyper", {}))
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    if "enc_widths" in base:
-        base["enc_widths"] = tuple(base["enc_widths"])
+def _hyper_from(cfg: dict, desk: bool, flags: dict) -> HyperParams:
     try:
-        return HyperParams(**base)
-    except (TypeError, ValueError) as err:
+        return HyperParams(**_merged("hyper", cfg, DESK_HYPER if desk else DEFAULT_HYPER,
+                                     flags))
+    except ValueError as err:
         raise ConfigError(f"hyperparameters: {err}") from None
 
 
@@ -379,8 +387,7 @@ def cmd_train(args) -> int:
         train_cfg = tr.TrainConfig(hyper=hyper, **cfg.get("train", {}))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"config section 'train': {err}") from None
-    data_cfg = _merged("data", DESK_DATA if args.desk else DEFAULT_DATA, cfg)
-    radius = data_cfg["wendland_radius"]
+    radius = _settings("data", cfg, DESK_DATA if args.desk else None)["wendland_radius"]
 
     grid_scores_path = None
     candidates = [train_cfg]
@@ -443,19 +450,8 @@ def _parse_sites(text: str, n_sites: int) -> np.ndarray:
 def _emulate_common(args, counterfactual_mode: bool) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
-    emu_cfg = _merged("emulate", {"n_samples": emu.DEFAULT_N_SAMPLES,
-                                  "mode": "reconstruction",
-                                  "draw_latent_noise": True,
-                                  "draw_data_noise": True}, cfg)
-    n_samples = args.n_samples if args.n_samples is not None else emu_cfg["n_samples"]
-    if not (isinstance(n_samples, int) and n_samples >= 1):
-        raise ConfigError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if emu_cfg["mode"] not in emu.MODES:
-        raise ConfigError(f"emulate mode must be one of {', '.join(emu.MODES)}, "
-                          f"got {emu_cfg['mode']!r}")
-    for key in ("draw_latent_noise", "draw_data_noise"):
-        if type(emu_cfg[key]) is not bool:
-            raise ConfigError(f"emulate {key} must be true or false, got {emu_cfg[key]!r}")
+    emu_cfg = _settings("emulate", cfg, flags={"n_samples": args.n_samples})
+    n_samples = emu_cfg["n_samples"]
     model = tr.checkpoint_load(args.checkpoint)
     sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
     x = read_matrix_csv(args.fields)
@@ -523,35 +519,9 @@ def cmd_counterfactual(args) -> int:
     return _emulate_common(args, counterfactual_mode=True)
 
 
-def _check_metrics_config(m_cfg: dict, n_sites: int) -> None:
-    """The ``metrics`` section's values, each in its range, or ConfigError."""
-    def number(v, lo=0, hi=np.inf, kinds=(int, float)):
-        return type(v) in kinds and lo <= v < hi    # False for nan and inf
-
-    u = m_cfg["u"]
-    for key, ok, want in (
-            ("ref_index", m_cfg["ref_index"] is None
-             or number(m_cfg["ref_index"], 0, n_sites, (int,)),
-             f"an integer in 0..{n_sites - 1}"),
-            ("n_boot", number(m_cfg["n_boot"], kinds=(int,)), "an integer >= 0"),
-            ("max_pairs", number(m_cfg["max_pairs"], 1, kinds=(int,)), "an integer >= 1"),
-            ("u", type(u) is list and u != [] and all(number(v, 0, 1) for v in u),
-             "a nonempty list of numbers in [0, 1)"),
-            *((key, m_cfg[key] is None or number(m_cfg[key]), "a finite number >= 0")
-              for key in ("distance", "tol"))):
-        if not ok:
-            raise ConfigError(f"metrics {key} must be {want}, got {m_cfg[key]!r}")
-
-
 def cmd_metrics(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
-    m_cfg = _merged("metrics", {
-        "distance": None, "tol": None,
-        "u": [0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.925, 0.95, 0.975, 0.99],
-        "n_boot": mx.N_BOOT_DEFAULT, "max_pairs": mx.MAX_PAIRS_PER_BIN,
-        "ref_index": None,
-    }, cfg)
     truth = read_matrix_csv(args.truth)
     emulated = read_matrix_csv(args.emulated)
     coords = read_coords_csv(args.coords)
@@ -568,7 +538,9 @@ def cmd_metrics(args) -> int:
                 or not np.all((site_ids >= 0) & (site_ids < truth.shape[1])):
             raise ConfigError(f"ensemble {args.ensemble} does not fit the truth's "
                               f"{truth.shape[0]} time steps and {truth.shape[1]} sites")
-    _check_metrics_config(m_cfg, truth.shape[1])
+    m_cfg = _settings("metrics", cfg, ref_index={"lt": truth.shape[1]})
+    if not m_cfg["u"]:
+        raise ConfigError("metrics u must not be empty")
     out = args.out
     os.makedirs(out, exist_ok=True)
     u = np.asarray(m_cfg["u"], dtype=np.float64)
@@ -628,8 +600,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     seed = _seed(args, {})
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError(f"--tol must be positive and finite, got {args.tol!r}")
+    check_value("--tol", args.tol, float, gt=0)
     hyper = HyperParams(latent_dim=4, n_theta_basis=4, conv_channels=8,
                         enc_widths=(16,), alpha0=30.0, rho0=0.5,
                         penalty_abs=True, seed=seed)
@@ -651,10 +622,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_tailcheck(args) -> int:
     seed = _seed(args, {})
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
-    if not 0.0 < args.level < 1.0:
-        raise ConfigError(f"--level must lie in (0, 1), got {args.level!r}")
+    check_value("--n", args.n, int, ge=1)
+    check_value("--level", args.level, float, gt=0, lt=1)
     tau, alpha0 = 1.0, 2.0
     # tight site cluster between the two knots: the shared latent factors
     # dominate, so joint exceedances accumulate
@@ -698,11 +667,9 @@ def cmd_preprocess(args) -> int:
     if coords.shape[0] != daily.shape[1]:
         raise ConfigError(f"{args.sites} has {coords.shape[0]} sites, "
                           f"{args.daily} has {daily.shape[1]}")
-    if args.bins <= pp.GEV_PARAMS + 1:
-        raise ConfigError(f"--bins {args.bins}: need more bins than fitted "
-                          f"parameters plus one ({pp.GEV_PARAMS + 1})")
-    if not args.radius_km > 0:
-        raise ConfigError(f"--radius-km {args.radius_km}: must be positive")
+    # a chi-square test needs more bins than fitted parameters plus one
+    check_value("--bins", args.bins, int, gt=pp.GEV_PARAMS + 1)
+    check_value("--radius-km", args.radius_km, float, gt=0)
     out = args.out
     os.makedirs(out, exist_ok=True)
 

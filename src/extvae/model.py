@@ -42,6 +42,55 @@ _W_INIT_FLOOR = 1e-3
 PENALTY_DENOM_FLOOR = 1e-3
 
 
+class ConfigError(ValueError):
+    """A configuration value of the wrong kind, out of range, or unknown."""
+
+
+def check_value(name: str, value, kind, *, ge=None, gt=None, lt=None):
+    """``value`` if it is of ``kind`` and within the bounds, else ConfigError.
+
+    ``kind`` is ``int``, ``float`` (any real), ``bool``, a tuple of the allowed
+    values, or ``[kind]`` for a list or tuple of such values (returned as a
+    tuple).  bool is never a number, a real is finite, an int may be a numpy
+    integer and a real any int or numpy float; numpy scalars come back as
+    Python ones.
+    """
+    if isinstance(kind, list):
+        if isinstance(value, (list, tuple)):
+            return tuple(check_value(f"each {name} entry", v, kind[0], ge=ge, gt=gt,
+                                     lt=lt) for v in value)
+        ok, want = False, "a list"
+    elif isinstance(kind, tuple):
+        ok, want = value in kind, "one of " + ", ".join(map(str, kind))
+    elif kind is bool:
+        ok, want = isinstance(value, (bool, np.bool_)), "true or false"
+    else:
+        number = (int, np.integer) + ((float, np.floating) if kind is float else ())
+        ok = (isinstance(value, number) and not isinstance(value, bool)
+              and -math.inf < value < math.inf
+              and (ge is None or value >= ge) and (gt is None or value > gt)
+              and (lt is None or value < lt))
+        bounds = [f"{op} {b}" for op, b in ((">=", ge), (">", gt), ("<", lt))
+                  if b is not None]
+        noun = "an integer" if kind is int else "a finite number"
+        want = f"{noun} {' and '.join(bounds)}".rstrip()
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
+# each HyperParams field but alpha: its kind and bounds; seeds are numpy's, >= 0
+_HYPER_KINDS = {
+    **dict.fromkeys(("latent_dim", "n_theta_basis", "mc_draws", "conv_channels",
+                     "kernel_len", "pool_len"), (int, {"ge": 1})),
+    "enc_widths": ([int], {"ge": 1}),
+    **dict.fromkeys(("epochs", "seed"), (int, {"ge": 0})),
+    **dict.fromkeys(("alpha0", "learning_rate"), (float, {"gt": 0})),
+    "rho0": (float, {"ge": 0}),
+    **dict.fromkeys(("penalty_abs", "fix_w"), (bool, {})),
+}
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Model and training hyperparameters.
@@ -68,30 +117,15 @@ class HyperParams:
     fix_w: bool = False
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.n_theta_basis < 1:
-            raise ValueError("latent_dim and n_theta_basis must be >= 1")
+        for name, (kind, bounds) in _HYPER_KINDS.items():
+            object.__setattr__(self, name, check_value(name, getattr(self, name), kind,
+                                                       **bounds))
         if self.n_theta_basis > self.latent_dim:
-            raise ValueError("n_theta_basis must not exceed latent_dim")
+            raise ConfigError("n_theta_basis must not exceed latent_dim")
         if self.alpha != 0.5:
-            raise ValueError("only alpha = 1/2 is supported")
-        if self.alpha0 <= 0 or not np.isfinite(self.alpha0):
-            raise ValueError("alpha0 must be positive and finite")
-        if self.rho0 < 0:
-            raise ValueError("rho0 must be >= 0")
-        if self.mc_draws < 1:
-            raise ValueError("mc_draws must be >= 1")
+            raise ConfigError("only alpha = 1/2 is supported")
         if (2 * self.latent_dim) % self.pool_len != 0:
-            raise ValueError("pool_len must divide 2*latent_dim")
-        if self.conv_channels < 1 or self.kernel_len < 1:
-            raise ValueError("conv geometry must be positive")
-        for name in ("epochs", "seed"):           # numpy seeds must be >= 0
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and type(value) is not bool
-                    and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate!r}")
+            raise ConfigError("pool_len must divide 2*latent_dim")
 
 
 def build_phi(knots: np.ndarray | None, latent_dim: int, n_basis: int) -> np.ndarray:

@@ -17,11 +17,13 @@ import numpy as np
 
 from . import model as mdl
 from .autodiff import NonFiniteError, ParamVector, value_and_gradient
-from .model import HyperParams, ModelConfig, ModelParameters
+from .model import HyperParams, ModelConfig, ModelParameters, check_value
 from .seeds import substream
 
 CHECKPOINT_FORMAT_VERSION = 1
 FULL_BATCH_LIMIT = 512
+# Adam's moment decay rates and denominator guard, at their usual values
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 MINIBATCH_SIZE = 128
 PLATEAU_WINDOW = 50
 PLATEAU_TOL = 1e-4
@@ -47,28 +49,13 @@ class TrainConfig:
 
     hyper: HyperParams = field(default_factory=HyperParams)
     batch_size: int | None = None        # None: full batch up to FULL_BATCH_LIMIT
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     checkpoint_every: int = 0            # 0: only the final state
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        def real(v, lo, hi=np.inf, kind=(int, float)):    # False for nan and inf
-            return isinstance(v, kind) and type(v) is not bool and lo <= v < hi
-
-        for name, ok, want in (
-                ("batch_size",
-                 self.batch_size is None or real(self.batch_size, 1, kind=int),
-                 "None or an integer >= 1"),
-                ("beta1", real(self.beta1, 0, 1), "a number in [0, 1)"),
-                ("beta2", real(self.beta2, 0, 1), "a number in [0, 1)"),
-                ("adam_eps", real(self.adam_eps, 0) and self.adam_eps > 0,
-                 "a finite number > 0"),
-                ("checkpoint_every", real(self.checkpoint_every, 0, kind=int),
-                 "an integer >= 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        if self.batch_size is not None:
+            check_value("batch_size", self.batch_size, int, ge=1)
+        check_value("checkpoint_every", self.checkpoint_every, int, ge=0)
 
 
 @dataclass
@@ -90,14 +77,13 @@ class AdamState:
     def zeros(cls, n: int) -> "AdamState":
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
 
-    def update(self, params: np.ndarray, grad: np.ndarray, lr: float,
-               beta1: float, beta2: float, eps: float) -> np.ndarray:
+    def update(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
         self.step += 1
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad**2
-        m_hat = self.m / (1.0 - beta1**self.step)
-        v_hat = self.v / (1.0 - beta2**self.step)
-        return params - lr * m_hat / (np.sqrt(v_hat) + eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad**2
+        m_hat = self.m / (1.0 - ADAM_BETA1**self.step)
+        v_hat = self.v / (1.0 - ADAM_BETA2**self.step)
+        return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _batches(n_t: int, batch_size: int | None, rng: np.random.Generator):
@@ -193,8 +179,7 @@ def train(
                     epoch=epoch, batch=bi,
                 )
             epoch_loss += value * len(batch)
-            params = params.replace(adam.update(params.data, grad, lr,
-                                                cfg.beta1, cfg.beta2, cfg.adam_eps))
+            params = params.replace(adam.update(params.data, grad, lr))
         history.append(epoch_loss / n_t)
         if (cfg.checkpoint_every and cfg.checkpoint_path and epoch + 1 < epochs
                 and (epoch + 1) % cfg.checkpoint_every == 0):
@@ -227,8 +212,6 @@ def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
     unknown = sorted(set(overrides) - set(HyperParams.__dataclass_fields__))
     if unknown:
         raise KeyError(f"unknown hyperparameter(s) {unknown}")
-    if "enc_widths" in overrides:
-        overrides = {**overrides, "enc_widths": tuple(overrides["enc_widths"])}
     return replace(cfg, hyper=replace(cfg.hyper, **overrides))
 
 
@@ -294,11 +277,9 @@ def checkpoint_state(model: ModelParameters, *, adam: AdamState | None = None,
                      epochs_completed: int = 0, loss_history=None,
                      seed: int | None = None) -> dict:
     cfg = model.config
-    hyper = asdict(cfg.hyper)
-    hyper["enc_widths"] = list(hyper["enc_widths"])
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "hyper": hyper,
+        "hyper": asdict(cfg.hyper),
         "model": {
             "n_sites": cfg.n_sites,
             "knots": _encode_array(cfg.knots),
@@ -377,11 +358,9 @@ def _model_from_state(state: dict) -> ModelParameters:
     if missing:
         raise CheckpointError(f"checkpoint is missing {', '.join(missing)}")
     try:
-        hyper = HyperParams(**{**hyper_dict,
-                               "enc_widths": tuple(hyper_dict["enc_widths"])})
         cfg = ModelConfig(
             n_sites=ms["n_sites"],
-            hyper=hyper,
+            hyper=HyperParams(**hyper_dict),
             knots=_decode_array(ms["knots"]),
             sites=_decode_array(ms["sites"]),
             wendland_radius=ms["wendland_radius"],

@@ -114,6 +114,15 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg,
                        "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("doc", [[1], {"schema_version": 1, "data": 5},
+                                     {"schema_version": 1, "hyper": "ab"}])
+    def test_config_not_an_object_rejected(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_wrong_schema_version_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"schema_version": 99}))
@@ -677,7 +686,9 @@ class TestInputValidation:
                                       '[{"latent_dim": 9}]',
                                       # HyperParams field names only
                                       '[{"checkpoint_path": "TMP/stray.json"}]',
-                                      '[{"batch_size": 8}]', '[{"hyper.rho0": 0.2}]'])
+                                      '[{"batch_size": 8}]', '[{"hyper.rho0": 0.2}]',
+                                      # kinds as well as ranges
+                                      '[{"pool_len": 0}]', '[{"fix_w": "no"}]'])
     def test_malformed_grid_rejected(self, tiny_run, tmp_path, capsys, grid):
         root, cfg_path, sim, *_ = tiny_run
         (tmp_path / "grid.json").write_text(grid.replace("TMP", tmp_path.as_posix()))
@@ -703,11 +714,22 @@ class TestInputValidation:
                      id="train train.epochs 10"),
         pytest.param("train", [], {"hyper": {"seed": 5}}, "'hyper': ['seed']",
                      id="train hyper.seed 5"),
+        # beta1, beta2 and adam_eps are unknown keys: Adam's constants are fixed
         *(pytest.param("train", [], {"train": {key: value}}, key,
                        id=f"train train.{key} {value}")
           for key, value in (("batch_size", 2.5), ("batch_size", 0), ("beta1", "x"),
                              ("beta1", 1.0), ("beta2", -0.1), ("adam_eps", -1),
                              ("adam_eps", float("nan")), ("checkpoint_every", -1))),
+        # each hyperparameter's kind as well as its range
+        *(pytest.param("train", [], {"hyper": {key: value}}, key,
+                       id=f"train hyper.{key} {value}")
+          for key, value in (("pool_len", 0), ("conv_channels", 8.0),
+                             ("rho0", float("nan")), ("penalty_abs", "no"),
+                             ("latent_dim", 4.0), ("mc_draws", 1.5),
+                             ("enc_widths", [16.5]), ("learning_rate", True))),
+        # with the geometry a fixed W needs, so that only the kind can fail
+        pytest.param("train", ["--knots", "{sim}/knots.csv", "--sites", "{sim}/sites.csv"],
+                     {"hyper": {"fix_w": "no"}}, "fix_w", id="train hyper.fix_w no"),
         pytest.param("train", ["--grid-epochs", 1], {}, "--grid-epochs",
                      id="train --grid-epochs without --grid"),
         pytest.param("train", ["--grid", "{grid}", "--grid-epochs", -1], {}, "epochs",
@@ -716,6 +738,8 @@ class TestInputValidation:
                      id="emulate --n-samples 0"),
         pytest.param("emulate", [], {"emulate": {"n_samples": 0}}, "n_samples",
                      id="emulate emulate.n_samples 0"),
+        pytest.param("emulate", [], {"emulate": {"n_samples": True}}, "n_samples",
+                     id="emulate emulate.n_samples true"),
         pytest.param("emulate", [], {"emulate": {"mode": "pri"}}, "mode",
                      id="emulate emulate.mode pri"),
         pytest.param("counterfactual", [], {"emulate": {"mode": "pri"}}, "mode",
@@ -745,7 +769,7 @@ class TestInputValidation:
             cfg.setdefault(section, {}).update(values)
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         (tmp_path / "grid.json").write_text('[{"rho0": 0.2}]')
-        flags = [str(f).format(grid=tmp_path / "grid.json") for f in flags]
+        flags = [str(f).format(grid=tmp_path / "grid.json", sim=sim) for f in flags]
         data = ["--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv"]
         extra = {
             "train": ["--config", tmp_path / "cfg.json", *data],

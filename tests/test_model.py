@@ -44,6 +44,40 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             mdl.HyperParams(latent_dim=3, n_theta_basis=2, pool_len=4)
 
+    def test_enc_widths_normalised(self):
+        h = mdl.HyperParams(enc_widths=[np.int64(8), 4])
+        assert h.enc_widths == (8, 4) and type(h.enc_widths[0]) is int
+
+
+_REJECT = object()
+
+
+class TestCheckValue:
+    @pytest.mark.parametrize("kind", [int, float])
+    @pytest.mark.parametrize("value, bounds, as_int, as_real", [
+        (True, {}, _REJECT, _REJECT),
+        (math.nan, {}, _REJECT, _REJECT),
+        (math.inf, {}, _REJECT, _REJECT),
+        ("1", {}, _REJECT, _REJECT),
+        (2.5, {}, _REJECT, 2.5),
+        (np.int64(3), {}, 3, 3),
+        (np.float64(0.5), {}, _REJECT, 0.5),
+        (1, {"ge": 1}, 1, 1),                    # lower bound, inclusive
+        (0, {"ge": 1}, _REJECT, _REJECT),
+        (0, {"gt": 0}, _REJECT, _REJECT),        # lower bound, exclusive
+        (3, {"lt": 3}, _REJECT, _REJECT),        # upper bound, exclusive
+        (2, {"lt": 3}, 2, 2),
+    ], ids=["True", "nan", "inf", "str", "2.5", "np.int64", "np.float64", "ge-bound",
+            "below-ge", "gt-bound", "lt-bound", "below-lt"])
+    def test_kind_and_range(self, kind, value, bounds, as_int, as_real):
+        want = as_int if kind is int else as_real
+        if want is _REJECT:
+            with pytest.raises(mdl.ConfigError, match="^v must be"):
+                mdl.check_value("v", value, kind, **bounds)
+        else:
+            got = mdl.check_value("v", value, kind, **bounds)
+            assert got == want and type(got) is type(want)
+
 
 class TestEncode:
     def test_zero_params_give_softplus_zero(self, tiny_cfg):
