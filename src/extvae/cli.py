@@ -15,8 +15,10 @@ import dataclasses
 import datetime as dt
 import functools
 import hashlib
+import itertools
 import json
 import os
+import signal
 import sys
 import warnings
 
@@ -79,12 +81,13 @@ _SECTION_KEYS = {
                 # ref_index is also < the site count, known once the truth is read
                 **_rows(int, {"ge": 0}, n_boot=mx.N_BOOT_DEFAULT, ref_index=None),
                 **_rows(int, {"ge": 1}, max_pairs=mx.MAX_PAIRS_PER_BIN)},
-    "paths": {"out"},
 }
 
 
 def load_config(path: str | None) -> dict:
-    """Read and strictly validate a run configuration document."""
+    """Read and strictly validate a run configuration document: every
+    section's keys, and the kind and bounds of each value in the sections a
+    table checks, whether or not the command reads them."""
     if path is None:
         return {}
     if not os.path.exists(path):
@@ -110,6 +113,8 @@ def load_config(path: str | None) -> dict:
         if unknown:
             raise ConfigError(f"unknown key(s) in config section {key!r}: "
                               f"{sorted(unknown)}")
+        if isinstance(_SECTION_KEYS[key], dict):
+            _settings(key, cfg)
     return cfg
 
 
@@ -128,7 +133,8 @@ def _merged(section: str, cfg: dict, preset: dict, flags: dict | None = None) ->
 def _settings(section: str, cfg: dict, preset: dict | None = None,
               flags: dict | None = None, **bounds) -> dict:
     """The ``section`` values over its table defaults, each checked against its
-    row; ``bounds`` adds a key's run-time bounds, e.g. ``ref_index={"lt": n}``."""
+    row (a list must not be empty); ``bounds`` adds a key's run-time bounds,
+    e.g. ``ref_index={"lt": n}``."""
     rows = _SECTION_KEYS[section]
     values = _merged(section, cfg, {key: row[0] for key, row in rows.items()}
                      | (preset or {}), flags)
@@ -137,6 +143,8 @@ def _settings(section: str, cfg: dict, preset: dict | None = None,
         if value is not None or default is not None:
             values[key] = check_value(f"{section} {key}", value, kind, **limits,
                                       **bounds.get(key, {}))
+            if values[key] == ():
+                raise ConfigError(f"{section} {key} must not be empty")
     return values
 
 
@@ -147,6 +155,14 @@ def _settings(section: str, cfg: dict, preset: dict | None = None,
 # Every table is CSV as csv.writer writes it (header row, CRLF, minimal
 # quoting) with floats as %.17g, so values read back bit for bit.  Rows are
 # filled from %-templates one time step at a time; reads go through loadtxt.
+# A table of at least 2 * BLOCK_CELLS values is formatted or parsed in row
+# blocks, one per usable CPU: forked workers take blocks 1.. while the parent
+# takes block 0.  The bytes and bits are those of one block.
+
+BLOCK_CELLS = 1 << 18
+_SCAN_BYTES = 1 << 18
+_PIPE_BYTES = 1 << 16             # what a Linux pipe holds
+
 
 def _quote(text) -> str:
     """A text cell as csv.writer quotes it."""
@@ -156,41 +172,206 @@ def _quote(text) -> str:
     return text
 
 
-def _lines(cells: list[str], block, prefix: str = "", index: bool = True):
-    """Per step t of ``block``, the text of one line per cell: ``prefix``,
-    t (when ``index``), the cell; the cells' %-fields take block[t]'s values
-    in C order."""
-    block = np.asarray(block)
-    for t in range(block.shape[0]):
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _row_edges(rows: int, cells: int) -> list[int]:
+    """Row edges of the blocks for a table of ``rows`` rows and ``cells``
+    values: one block per usable CPU, each of at least BLOCK_CELLS values."""
+    n = max(1, min(_usable_cpus(), cells // BLOCK_CELLS, rows))
+    return [k * rows // n for k in range(n + 1)]
+
+
+class _Workers:
+    """Forked row-block workers.  Each writes the buffers its work returns to
+    a pipe and leaves by os._exit: 0 when done, 1 when the work raised.
+    Leaving the ``with`` block kills and reaps every worker not yet reaped.
+    Forked, so that a worker reads the table where it lies; a worker only
+    formats or parses text, which takes no lock a BLAS thread may hold."""
+
+    def __init__(self, path: str):
+        self.path, self.pipes = path, {}          # pid -> the pipe's read end
+
+    def __enter__(self):
+        return self
+
+    def start(self, work, *args) -> int:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r), os.close(w)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    pipe.writelines(work(*args))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        self.pipes[pid] = r
+        return pid
+
+    def reap(self, pid: int) -> bool:
+        """Whether the worker did its work; OSError naming the file if it died."""
+        os.close(self.pipes.pop(pid))
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code not in (0, 1):
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise OSError(f"{self.path}: a row-block worker died ({how})")
+        return code == 0
+
+    def __exit__(self, *exc) -> None:
+        for pid, r in self.pipes.items():
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self.pipes.clear()
+
+
+def _lines(rows, cells: list[str], block, prefix: str = "", index: bool = True):
+    """Per step t in ``rows`` of ``block``, the text of one line per cell:
+    ``prefix``, t (when ``index``), the cell; the cells' %-fields take
+    block[t]'s values in C order."""
+    for t in rows:
         lead = f"{prefix}{t}" if index else prefix
         yield (lead + lead.join(cells)) % tuple(np.ravel(block[t]).tolist())
 
 
-def _write_csv(path: str, header, *chunks) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _encoded(*args) -> list[bytes]:
+    """The text of ``_lines``, all formatted before any is sent: a worker does
+    not wait on its pipe while the parent formats block 0."""
+    return [text.encode("utf-8") for text in _lines(*args)]
+
+
+def _write_csv(path: str, header, *tables) -> None:
+    """``header``, then each table's lines; a table is the arguments of one
+    ``_lines`` call but ``rows``, and is formatted in row blocks."""
+    with open(path, "w", newline="", encoding="utf-8") as fh, _Workers(path) as workers:
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        for lines in chunks:
-            fh.writelines(lines)
+        for cells, block, *rest in tables:
+            block = np.asarray(block)
+            edges = _row_edges(block.shape[0], block.size)
+            pids = [workers.start(_encoded, range(lo, hi), cells, block, *rest)
+                    for lo, hi in zip(edges[1:], edges[2:])]
+            fh.writelines(_lines(range(edges[1]), cells, block, *rest))
+            for pid in pids:                       # each block's text, in order
+                fh.flush()
+                while text := os.read(workers.pipes[pid], _PIPE_BYTES):
+                    fh.buffer.write(text)
+                if not workers.reap(pid):
+                    raise OSError(f"{path}: a row-block worker failed")
+
+
+def _loadtxt(lines, n_cols: int, start: int, stop: int, converters=None):
+    """The rows of ``lines``: columns start:stop parsed as floats, the others
+    not parsed."""
+    conv = {c: lambda _: 0.0 for c in range(n_cols) if not start <= c < stop}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # no data rows
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                          ndmin=2, converters=conv | (converters or {}))
+
+
+def _split_plan(fh, start: int, stop):
+    """How a table is read in row blocks: (stop, the header's width, the
+    blocks' row edges, the byte offset of each block's first line).  None for
+    one block: a small table, a quote in the data (a quoted cell may hold a
+    line break), a lone CR (a line break to loadtxt, not to this scan), or a
+    header that does not decode or is too narrow for start:stop."""
+    header = fh.readline()
+    data_bytes = os.fstat(fh.fileno()).st_size - len(header)
+    if _usable_cpus() < 2 or data_bytes < 2 * BLOCK_CELLS:   # a value takes a byte
+        return None
+    try:
+        n_cols = len(next(csv.reader([header.decode("utf-8")]), []))
+    except (ValueError, csv.Error):
+        return None
+    stop = n_cols if stop is None else stop
+    if header.count(b"\r") != header.endswith(b"\r\n") or n_cols < max(stop, start + 1):
+        return None
+    chunks, at, last = [], len(header), b""      # (offset, line breaks) per chunk
+    while chunk := fh.read(_SCAN_BYTES):
+        if chunk.endswith(b"\r"):
+            chunk += fh.read(1)
+        byte = np.frombuffer(chunk, np.uint8)
+        cr = np.flatnonzero(byte == ord("\r"))
+        if b'"' in chunk or chunk.endswith(b"\r") or np.any(byte[cr + 1] != ord("\n")):
+            return None
+        chunks.append((at, np.count_nonzero(byte == ord("\n"))))
+        at, last = at + len(chunk), chunk[-1:]
+    rows = sum(n for _, n in chunks) + (last not in (b"", b"\n"))
+    edges = _row_edges(rows, rows * n_cols)
+    if len(edges) < 3:
+        return None
+    offsets, seen = [len(header)], 0             # line e starts after break e
+    for at, n in chunks:
+        while len(offsets) < len(edges) - 1 and edges[len(offsets)] <= seen + n:
+            breaks = np.flatnonzero(np.frombuffer(
+                os.pread(fh.fileno(), _SCAN_BYTES + 1, at), np.uint8) == ord("\n"))
+            offsets.append(at + int(breaks[edges[len(offsets)] - seen - 1]) + 1)
+        seen += n
+    return stop, n_cols, edges, offsets
+
+
+def _parse_block(path: str, offset: int, n_rows: int, n_cols: int, start: int,
+                 stop: int) -> np.ndarray:
+    """Columns start:stop of the ``n_rows`` lines from byte ``offset``, each
+    as wide as the header; ValueError otherwise (a blank line is no row)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.buffer.seek(offset)
+        table = _loadtxt(itertools.islice(fh, n_rows), n_cols, start, stop)
+    if table.shape != (n_rows, n_cols):
+        raise ValueError(f"{table.shape} rows and columns, not {(n_rows, n_cols)}")
+    return table[:, start:stop]
+
+
+def _read_blocks(path: str, start: int, stop: int, n_cols: int, edges, offsets):
+    """The table parsed in row blocks into one array, which the workers'
+    blocks are read into from their pipes; None when a block does not parse
+    to its rows, so that one block gives the verdict."""
+    out = np.empty((edges[-1], stop - start))
+    with _Workers(path) as workers:
+        pids = [workers.start(lambda *a: [np.ascontiguousarray(_parse_block(*a))],
+                              path, offset, hi - lo, n_cols, start, stop)
+                for offset, lo, hi in zip(offsets[1:], edges[1:], edges[2:])]
+        try:
+            out[:edges[1]] = _parse_block(path, offsets[0], edges[1], n_cols, start, stop)
+        except ValueError:
+            return None
+        for pid, lo, hi in zip(pids, edges[1:], edges[2:]):
+            view, got = out[lo:hi].data.cast("B"), 0
+            while got < view.nbytes and (n := os.readv(workers.pipes[pid], [view[got:]])):
+                got += n
+            if not workers.reap(pid) or got < view.nbytes:
+                return None
+    return out
 
 
 def _read_csv(path: str, start: int, stop=None, converters=None) -> np.ndarray:
     """Columns start:stop of the data rows as float64; the others are not
-    parsed, but every row must be as wide as the header."""
-    with open(path, "r", encoding="utf-8") as fh:   # a missing file is an OSError
-        try:
+    parsed, but every row must be as wide as the header.  Read in row blocks
+    unless ``converters`` is given: a converter may keep state across rows."""
+    try:
+        if converters is None:
+            with open(path, "rb") as fh:              # a missing file is an OSError
+                plan = _split_plan(fh, start, stop)
+            if plan and (table := _read_blocks(path, start, *plan)) is not None:
+                return table
+        with open(path, "r", encoding="utf-8") as fh:
             n_cols = len(next(csv.reader([fh.readline()]), []))
             stop = n_cols if stop is None else stop
-            conv = {c: lambda _: 0.0 for c in range(n_cols) if not start <= c < stop}
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # no data rows
-                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                   ndmin=2, converters=conv | (converters or {}))
-            need = max(stop, start + 1)
-            if table.shape[0] == 0 or table.shape[1] != n_cols or n_cols < need:
-                raise ValueError(f"{table.shape[0]} rows of {table.shape[1]} columns, "
-                                 f"{n_cols} in the header, {need} needed")
-        except (ValueError, csv.Error) as err:
-            raise ConfigError(f"malformed CSV {path}: {err}") from None
+            table = _loadtxt(fh, n_cols, start, stop, converters)
+        need = max(stop, start + 1)
+        if table.shape[0] == 0 or table.shape[1] != n_cols or n_cols < need:
+            raise ValueError(f"{table.shape[0]} rows of {table.shape[1]} columns, "
+                             f"{n_cols} in the header, {need} needed")
+    except (ValueError, csv.Error) as err:
+        raise ConfigError(f"malformed CSV {path}: {err}") from None
     return np.ascontiguousarray(table[:, start:stop])
 
 
@@ -201,7 +382,7 @@ def write_matrix_csv(path: str, matrix: np.ndarray, prefix: str,
     if ids is None:
         ids = range(matrix.shape[1])
     _write_csv(path, [index_name] + [f"{prefix}{j}" for j in ids],
-               _lines([",%.17g" * matrix.shape[1] + "\r\n"], matrix))
+               ([",%.17g" * matrix.shape[1] + "\r\n"], matrix))
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -211,7 +392,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 def write_series_csv(path: str, values: np.ndarray, name: str = "condition",
                      index_name: str = "time_index") -> None:
-    _write_csv(path, [index_name, name], _lines([",%.17g\r\n"], values))
+    _write_csv(path, [index_name, name], ([",%.17g\r\n"], values))
 
 
 def read_series_csv(path: str) -> np.ndarray:
@@ -219,7 +400,7 @@ def read_series_csv(path: str) -> np.ndarray:
 
 
 def write_coords_csv(path: str, coords: np.ndarray, id_name: str) -> None:
-    _write_csv(path, [id_name, "x", "y"], _lines([",%.17g,%.17g\r\n"], coords))
+    _write_csv(path, [id_name, "x", "y"], ([",%.17g,%.17g\r\n"], coords))
 
 
 def read_coords_csv(path: str) -> np.ndarray:
@@ -243,7 +424,7 @@ def write_ensemble(path: str, ens: emu.EmulationEnsemble, binary: bool) -> None:
     cells = [f",{sid},{s},%.17g,{scenario}\r\n" for sid in ens.site_indices.tolist()
              for s in range(ens.n_samples)]
     _write_csv(path, ["time_index", "site_id", "sample_index", "value", "scenario"],
-               _lines(cells, ens.samples))
+               (cells, ens.samples))
 
 
 def _read_ensemble_csv(path: str):
@@ -286,9 +467,9 @@ def _read_ensemble_bin(path: str):
 
 
 def write_curve_csv(path: str, curve) -> None:
-    _write_csv(path, ["u", "estimate", "lo95", "hi95"], _lines(
+    _write_csv(path, ["u", "estimate", "lo95", "hi95"], (
         ["%.17g,%.17g,%.17g,%.17g\r\n"], np.column_stack(
-            [curve.u, curve.estimate, curve.lo95, curve.hi95]), index=False))
+            [curve.u, curve.estimate, curve.lo95, curve.hi95]), "", False))
 
 
 def _sha256(path: str) -> str:
@@ -300,13 +481,16 @@ def _sha256(path: str) -> str:
 
 
 def write_manifest(out_dir: str, command: str, seed, inputs: list[str],
-                   outputs: list[str], config: dict | None = None) -> None:
+                   outputs: list[str], config: dict | None = None,
+                   digests: dict | None = None) -> None:
+    """``digests``: the sha256 of inputs already hashed, by path."""
+    known = digests or {}
     manifest = {
         "command": command,
         "version": __version__,
         "seed": seed,
         "config": config or {},
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+        "inputs": {os.path.basename(p): known.get(p) or _sha256(p) for p in inputs},
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -453,6 +637,7 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
     emu_cfg = _settings("emulate", cfg, flags={"n_samples": args.n_samples})
     n_samples = emu_cfg["n_samples"]
     model = tr.checkpoint_load(args.checkpoint)
+    checkpoint_id = _sha256(args.checkpoint)
     sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
     x = read_matrix_csv(args.fields)
     c = read_series_csv(args.conditions)
@@ -479,22 +664,22 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
                                  draw_latent_noise=emu_cfg["draw_latent_noise"],
                                  draw_data_noise=emu_cfg["draw_data_noise"],
                                  sites=sites_sel,
-                                 checkpoint_id=_sha256(args.checkpoint))
+                                 checkpoint_id=checkpoint_id)
     else:
         ens = emu.emulate(model, x, c_used, n_samples, seed, scenario=scenario,
                           mode=emu_cfg["mode"],
                           draw_latent_noise=emu_cfg["draw_latent_noise"],
                           draw_data_noise=emu_cfg["draw_data_noise"],
                           sites=sites_sel,
-                          checkpoint_id=_sha256(args.checkpoint))
+                          checkpoint_id=checkpoint_id)
 
     ens_path = os.path.join(out, "ensemble.bin" if args.binary else "ensemble.csv")
     write_ensemble(ens_path, ens, args.binary)
 
     theta_path = os.path.join(out, "theta_hat.csv")
     _write_csv(theta_path, ["time_index", "knot_id", "mean", "std"],
-               _lines([f",{k},%.17g,%.17g\r\n" for k in range(ens.theta.shape[1])],
-                      np.stack([ens.theta.mean(axis=2), ens.theta.std(axis=2)], axis=2)))
+               ([f",{k},%.17g,%.17g\r\n" for k in range(ens.theta.shape[1])],
+                np.stack([ens.theta.mean(axis=2), ens.theta.std(axis=2)], axis=2)))
 
     fields_path = os.path.join(out, "emulated_fields.csv")
     write_matrix_csv(fields_path, ens.samples[:, :, 0], "site_",
@@ -506,7 +691,7 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
     if args.binary:
         outputs.append(ens_path + ".json")
     write_manifest(out, "counterfactual" if counterfactual_mode else "emulate",
-                   seed, inputs, outputs)
+                   seed, inputs, outputs, digests={args.checkpoint: checkpoint_id})
     print(f"wrote {scenario} ensemble of {ens.n_samples} samples to {out}")
     return 0
 
@@ -539,8 +724,6 @@ def cmd_metrics(args) -> int:
             raise ConfigError(f"ensemble {args.ensemble} does not fit the truth's "
                               f"{truth.shape[0]} time steps and {truth.shape[1]} sites")
     m_cfg = _settings("metrics", cfg, ref_index={"lt": truth.shape[1]})
-    if not m_cfg["u"]:
-        raise ConfigError("metrics u must not be empty")
     out = args.out
     os.makedirs(out, exist_ok=True)
     u = np.asarray(m_cfg["u"], dtype=np.float64)
@@ -573,19 +756,18 @@ def cmd_metrics(args) -> int:
         labels = [_quote(s).replace("%", "%%") for s in scenarios]
         scores_path = os.path.join(out, "twcrps.csv")
         _write_csv(scores_path, ["scenario", "time_index", "site_id", "twcrps"],
-                   *(_lines([f",{sid},%.17g\r\n" for sid in site_ids.tolist()],
-                            scores[s], prefix=lab + ",")
+                   *(([f",{sid},%.17g\r\n" for sid in site_ids.tolist()],
+                      scores[s], lab + ",")
                      for s, lab in zip(scenarios, labels)))
         summary_path = os.path.join(out, "twcrps_summary.csv")
         _write_csv(summary_path, ["scenario", "median_twcrps"],
-                   _lines([f"{lab},%.17g\r\n" for lab in labels],
-                          [[np.median(scores[s]) for s in scenarios]], index=False))
+                   ([f"{lab},%.17g\r\n" for lab in labels],
+                    [[np.median(scores[s]) for s in scenarios]], "", False))
         q = np.linspace(0.01, 0.99, 99)
         qo, qe = mx.qq_data(obs.ravel(), ens[scenarios[0]].ravel(), q)
         qq_path = os.path.join(out, "qq.csv")
         _write_csv(qq_path, ["q", "obs_quantile", "ensemble_quantile"],
-                   _lines(["%.17g,%.17g,%.17g\r\n"], np.column_stack([q, qo, qe]),
-                          index=False))
+                   (["%.17g,%.17g,%.17g\r\n"], np.column_stack([q, qo, qe]), "", False))
         outputs += [scores_path, summary_path, qq_path]
 
     with open(os.path.join(out, "metrics_meta.json"), "w", encoding="utf-8") as fh:
@@ -685,15 +867,15 @@ def cmd_preprocess(args) -> int:
     write_matrix_csv(fields_path, transformed, "site_", index_name="time_index")
     gev_path = os.path.join(out, "gev_params.csv")
     _write_csv(gev_path, ["site_id", "mu", "sigma", "xi"],
-               _lines([",%.17g,%.17g,%.17g\r\n"],
-                      [(r.gev.mu, r.gev.sigma, r.gev.xi) for r in results]))
+               ([",%.17g,%.17g,%.17g\r\n"],
+                [(r.gev.mu, r.gev.sigma, r.gev.xi) for r in results]))
     gof_path = os.path.join(out, "gof.csv")
     _write_csv(gof_path, ["site_id", "statistic", "df", "p_value"],
-               _lines([",%.17g,%d,%.17g\r\n"],
-                      [(r.gof.statistic, r.gof.df, r.gof.p_value) for r in results]))
+               ([",%.17g,%d,%.17g\r\n"],
+                [(r.gof.statistic, r.gof.df, r.gof.p_value) for r in results]))
     months_path = os.path.join(out, "months.csv")
     _write_csv(months_path, ["month_index", "year", "month"],
-               _lines([",%d,%d\r\n"], months))
+               ([",%d,%d\r\n"], months))
 
     outputs = [maxima_path, fields_path, gev_path, gof_path, months_path]
     write_manifest(out, "preprocess", None, [args.daily, args.sites], outputs)

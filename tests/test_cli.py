@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -243,6 +245,20 @@ class TestEmulate:
                        "--fields", sim / "fields.csv",
                        "--conditions", sim / "conditions.csv",
                        "--out", tmp_path / "x") == 2
+
+    def test_checkpoint_hashed_once(self, tiny_run, tmp_path, monkeypatch):
+        _, cfg_path, sim, train, _ = tiny_run
+        ckpt = train / "checkpoint.json"
+        hashed, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(p) or sha256(p))
+        assert run_cli("emulate", "--config", cfg_path, "--checkpoint", ckpt,
+                       "--fields", sim / "fields.csv",
+                       "--conditions", sim / "conditions.csv",
+                       "--n-samples", 2, "--out", tmp_path / "o") == 0
+        assert hashed.count(str(ckpt)) == 1
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["inputs"]["checkpoint.json"] == \
+            hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
 
 class TestDeskSiteSelection:
@@ -561,6 +577,170 @@ class TestFileLayer:
         assert same_bits(back, np.array([[1.5, 2.25], [-0.0, 1e-300]]))
 
 
+# ---------------------------------------------------------------------------
+# row blocks: large tables formatted and parsed by forked workers
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def split(monkeypatch):
+    """Tables of 16 values and more split into row blocks on 4 usable CPUs.
+    Yields the pids of the forked workers; no worker may outlive the test."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "BLOCK_CELLS", 8)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_workers(monkeypatch, name, act):
+    """Make cli.<name> call ``act`` first when it runs in a forked worker."""
+    parent, real = os.getpid(), getattr(cli, name)
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            act()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, patched)
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise():
+    raise MemoryError("worker out of memory")
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("shape,workers", [((9, 7), 3), ((3, 40), 2), ((1, 40), 0)],
+                             ids=["wide", "rows-below-cpus", "one-row"])
+    def test_split_matrix_write_is_one_block_bytes(self, tmp_path, split, shape, workers):
+        m = awkward_matrix(*shape)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        cli.write_matrix_csv(str(new), m, "site_")
+        assert len(split) == workers
+        ref_write_matrix_csv(str(ref), m, "site_")
+        assert new.read_bytes() == ref.read_bytes()
+        back = cli.read_matrix_csv(str(new))
+        assert same_bits(back, m) and back.flags.c_contiguous
+
+    def test_split_long_ensemble_write_is_one_block_bytes(self, tmp_path, split):
+        samples = awkward_matrix(5 * 3, 4).reshape(5, 3, 4)
+        ens = emu.EmulationEnsemble(samples=samples, theta=np.ones((5, 2, 4)),
+                                    scenario='odd, "quoted" 100%', seed=1,
+                                    site_indices=np.array([17, 0, 250]))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        cli.write_ensemble(str(new), ens, binary=False)
+        assert len(split) == 3
+        ref_write_ensemble(str(ref), ens)
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("layout", ["lf", "no-final-newline", "padded", "blank-line"])
+    def test_split_read_is_one_block_bits(self, tmp_path, split, layout):
+        m = awkward_matrix(11, 5, shift=2)
+        cells = [[f"{v:.17g}" for v in row] for row in m]
+        if layout == "padded":
+            cells = [[f"  {c} " for c in row] for row in cells]
+        lines = ["t,a,b,c,d,e"] + [f"{t}," + ",".join(row) for t, row in enumerate(cells)]
+        if layout == "blank-line":           # no row to loadtxt: one block decides
+            lines.insert(7, "")
+        text = "\n".join(lines) + ("" if layout == "no-final-newline" else "\n")
+        (tmp_path / "m.csv").write_bytes(text.encode())
+        back = cli.read_matrix_csv(str(tmp_path / "m.csv"))
+        assert len(split) == 3
+        assert same_bits(back, m) and back.flags.c_contiguous
+
+    @pytest.mark.parametrize("text", ['t,a,b\n' + '0,1,2\n' * 6 + '6,"7",8\n',
+                                      't,a,b\r\n' + '0,1,2\r\n' * 6 + '6,7,8\r'],
+                             ids=["quoted-cell", "lone-cr"])
+    def test_quote_or_lone_cr_takes_one_block(self, tmp_path, split, text):
+        (tmp_path / "m.csv").write_bytes(text.encode())
+        back = cli.read_matrix_csv(str(tmp_path / "m.csv"))
+        assert split == []
+        assert same_bits(back, np.array([[1.0, 2.0]] * 6 + [[7.0, 8.0]]))
+
+    def test_bad_cell_in_a_later_block_reads_as_one_block(self, tmp_path, capsys,
+                                                          monkeypatch, split):
+        _write_tiny_inputs(tmp_path)
+        lines = (tmp_path / "fields.csv").read_text().splitlines()
+        lines[-1] = "5,1.0,abc,1.0"
+        (tmp_path / "fields.csv").write_text("\r\n".join(lines) + "\r\n")
+        args = ("train", "--fields", tmp_path / "fields.csv",
+                "--conditions", tmp_path / "conditions.csv", "--epochs", 1,
+                "--out", tmp_path / "o")
+        assert run_cli(*args) == 2
+        assert split
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fields.csv" in err and "Traceback" not in err
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("act", [_die, _raise], ids=["dies", "raises"])
+    def test_failed_write_worker_is_one_line_exit_2(self, tmp_path, capsys,
+                                                    monkeypatch, split, act):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        _in_workers(monkeypatch, "_encoded", act)
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert split
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "row-block worker" in err and ".csv" in err
+        assert "Traceback" not in err
+
+    def test_dead_read_worker_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                split):
+        _write_tiny_inputs(tmp_path)
+        _in_workers(monkeypatch, "_parse_block", _die)
+        assert run_cli("train", "--fields", tmp_path / "fields.csv",
+                       "--conditions", tmp_path / "conditions.csv", "--epochs", 1,
+                       "--out", tmp_path / "o") == 2
+        assert split
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fields.csv" in err and "died" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_parent_failure_kills_and_reaps_workers(self, tmp_path, monkeypatch, split):
+        m = awkward_matrix(9, 7)
+        cli.write_matrix_csv(str(tmp_path / "m.csv"), m, "site_")
+        split.clear()
+        real, parent = cli._parse_block, os.getpid()
+
+        def parent_fails(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_parse_block", parent_fails)
+        with pytest.raises(KeyboardInterrupt):
+            cli.read_matrix_csv(str(tmp_path / "m.csv"))
+        assert len(split) == 3
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "one") == 0
+        monkeypatch.setattr(cli, "BLOCK_CELLS", 8)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "four") == 0
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert "fields.csv" in names and "manifest.json" in names
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "four" / name).read_bytes(), name
+
+
 def _write_tiny_inputs(root):
     cli.write_matrix_csv(str(root / "fields.csv"), np.ones((6, 3)), "site_")
     cli.write_series_csv(str(root / "conditions.csv"), np.linspace(0, 1, 6))
@@ -795,6 +975,47 @@ class TestInputValidation:
                        "--conditions", sim / "conditions.csv",
                        "--fixed-W", "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, "fix_w needs sites, knots")
+        assert not (tmp_path / "o").exists()
+
+    def test_paths_section_rejected(self, tmp_path, capsys):
+        # nothing reads a "paths" section, so an output directory named there
+        # would be ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1,
+                                   "paths": {"out": str(tmp_path / "elsewhere")}}))
+        code = run_cli("simulate", "--desk", "--config", cfg, "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, "'paths'")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("edit, needle", [
+        ({"data": {"n_t": 2.0}}, "data n_t"),
+        ({"emulate": {"mode": "pri"}}, "emulate mode"),
+        ({"metrics": {"n_boot": 1.5}}, "metrics n_boot"),
+        ({"metrics": {"u": []}}, "metrics u")],
+        ids=["data.n_t 2.0", "emulate.mode pri", "metrics.n_boot 1.5", "metrics.u []"])
+    @pytest.mark.parametrize("command", ["simulate", "train", "emulate",
+                                         "counterfactual", "metrics"])
+    def test_every_section_checked_by_every_command(self, tiny_run, tmp_path, capsys,
+                                                    command, edit, needle):
+        root, cfg_path, sim, train, emu_dir = tiny_run
+        cfg = json.loads(cfg_path.read_text())
+        for section, values in edit.items():
+            cfg.setdefault(section, {}).update(values)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        data = ["--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv"]
+        extra = {
+            "simulate": [],
+            "train": data,
+            "emulate": ["--checkpoint", train / "checkpoint.json", *data],
+            "counterfactual": ["--checkpoint", train / "checkpoint.json", *data,
+                               "--flip"],
+            "metrics": ["--truth", sim / "fields.csv",
+                        "--emulated", emu_dir / "emulated_fields.csv",
+                        "--coords", sim / "sites.csv"],
+        }[command]
+        code = run_cli(command, "--config", tmp_path / "cfg.json", *extra,
+                       "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, needle)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [("rows", 0), ("n_t", -5), ("alpha0", -1),
