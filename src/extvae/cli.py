@@ -63,8 +63,8 @@ def _rows(kind, bounds: dict, **defaults) -> dict:
     return {key: (default, kind, bounds) for key, default in defaults.items()}
 
 
-# Each section's keys.  HyperParams and TrainConfig check the "hyper" and
-# "train" values; every other key's row gives its default (a None default
+# Each section's keys.  model._HYPER_KINDS and TrainConfig check the "hyper"
+# and "train" values; every other key's row gives its default (a None default
 # admits null too), and its kind and bounds as check_value takes them.
 _SECTION_KEYS = {
     "data": {**_rows(int, {"ge": 1}, rows=50, cols=50, knot_side=8, n_t=528),
@@ -86,8 +86,8 @@ _SECTION_KEYS = {
 
 def load_config(path: str | None) -> dict:
     """Read and strictly validate a run configuration document: every
-    section's keys, and the kind and bounds of each value in the sections a
-    table checks, whether or not the command reads them."""
+    section's keys, and the kind and bounds of each value, whether or not the
+    command reads them."""
     if path is None:
         return {}
     if not os.path.exists(path):
@@ -113,7 +113,16 @@ def load_config(path: str | None) -> dict:
         if unknown:
             raise ConfigError(f"unknown key(s) in config section {key!r}: "
                               f"{sorted(unknown)}")
-        if isinstance(_SECTION_KEYS[key], dict):
+        if key == "hyper":        # train checks across keys, with the preset
+            for name, v in value.items():
+                kind, bounds = mdl._HYPER_KINDS[name]
+                check_value(f"hyper {name}", v, kind, **bounds)
+        elif key == "train":
+            try:
+                tr.TrainConfig(**value)
+            except ConfigError as err:
+                raise ConfigError(f"train {err}") from None
+        else:
             _settings(key, cfg)
     return cfg
 
@@ -248,23 +257,23 @@ def _encoded(*args) -> list[bytes]:
     return [text.encode("utf-8") for text in _lines(*args)]
 
 
-def _write_csv(path: str, header, *tables) -> None:
-    """``header``, then each table's lines; a table is the arguments of one
+def _write_csv(path: str, header, table) -> None:
+    """``header``, then the table's lines; the table is the arguments of one
     ``_lines`` call but ``rows``, and is formatted in row blocks."""
+    cells, block, *rest = table
+    block = np.asarray(block)
+    edges = _row_edges(block.shape[0], block.size)
     with open(path, "w", newline="", encoding="utf-8") as fh, _Workers(path) as workers:
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        for cells, block, *rest in tables:
-            block = np.asarray(block)
-            edges = _row_edges(block.shape[0], block.size)
-            pids = [workers.start(_encoded, range(lo, hi), cells, block, *rest)
-                    for lo, hi in zip(edges[1:], edges[2:])]
-            fh.writelines(_lines(range(edges[1]), cells, block, *rest))
-            for pid in pids:                       # each block's text, in order
-                fh.flush()
-                while text := os.read(workers.pipes[pid], _PIPE_BYTES):
-                    fh.buffer.write(text)
-                if not workers.reap(pid):
-                    raise OSError(f"{path}: a row-block worker failed")
+        pids = [workers.start(_encoded, range(lo, hi), cells, block, *rest)
+                for lo, hi in zip(edges[1:], edges[2:])]
+        fh.writelines(_lines(range(edges[1]), cells, block, *rest))
+        for pid in pids:                           # each block's text, in order
+            fh.flush()
+            while text := os.read(workers.pipes[pid], _PIPE_BYTES):
+                fh.buffer.write(text)
+            if not workers.reap(pid):
+                raise OSError(f"{path}: a row-block worker failed")
 
 
 def _loadtxt(lines, n_cols: int, start: int, stop: int, converters=None):
@@ -355,7 +364,7 @@ def _read_blocks(path: str, start: int, stop: int, n_cols: int, edges, offsets):
 def _read_csv(path: str, start: int, stop=None, converters=None) -> np.ndarray:
     """Columns start:stop of the data rows as float64; the others are not
     parsed, but every row must be as wide as the header.  Read in row blocks
-    unless ``converters`` is given: a converter may keep state across rows."""
+    unless ``converters`` is given; a converter's ConfigError is raised as is."""
     try:
         if converters is None:
             with open(path, "rb") as fh:              # a missing file is an OSError
@@ -371,6 +380,8 @@ def _read_csv(path: str, start: int, stop=None, converters=None) -> np.ndarray:
             raise ValueError(f"{table.shape[0]} rows of {table.shape[1]} columns, "
                              f"{n_cols} in the header, {need} needed")
     except (ValueError, csv.Error) as err:
+        if isinstance(err.__cause__, ConfigError):       # a converter's verdict
+            raise err.__cause__ from None
         raise ConfigError(f"malformed CSV {path}: {err}") from None
     return np.ascontiguousarray(table[:, start:stop])
 
@@ -407,19 +418,7 @@ def read_coords_csv(path: str) -> np.ndarray:
     return _read_csv(path, 1, 3)
 
 
-def write_ensemble(path: str, ens: emu.EmulationEnsemble, binary: bool) -> None:
-    if binary:
-        ens.samples.astype("<f8").tofile(path)
-        sidecar = {
-            "shape": list(ens.samples.shape),
-            "dtype": "<f8", "order": "C",
-            "axes": ["time_index", "site_position", "sample_index"],
-            "site_indices": ens.site_indices.tolist(),
-            "scenario": ens.scenario, "seed": ens.seed,
-        }
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=1)
-        return
+def write_ensemble(path: str, ens: emu.EmulationEnsemble) -> None:
     scenario = _quote(ens.scenario).replace("%", "%%")
     cells = [f",{sid},{s},%.17g,{scenario}\r\n" for sid in ens.site_indices.tolist()
              for s in range(ens.n_samples)]
@@ -428,42 +427,35 @@ def write_ensemble(path: str, ens: emu.EmulationEnsemble, binary: bool) -> None:
 
 
 def _read_ensemble_csv(path: str):
-    """Long ensemble -> ({scenario: (time, site, sample)}, site ids, scenarios);
-    a scenario holds each (time, site, sample) of its indices exactly once."""
-    codes: dict[str, int] = {}
-    table = _read_csv(path, 0, 5, {4: lambda s: codes.setdefault(s, len(codes))})
+    """Long ensemble of one scenario -> ((time, site, sample) array, site ids,
+    scenario); the file holds each (time, site, sample) of its indices exactly
+    once, and the first data row's scenario on every row."""
+    with open(path, "r", encoding="utf-8") as fh:      # as _read_csv reads it
+        try:
+            row = next(itertools.islice(csv.reader(fh), 1, None), [])
+        except (ValueError, csv.Error) as err:
+            raise ConfigError(f"malformed CSV {path}: {err}") from None
+    scenario = row[4] if len(row) > 4 else ""
+
+    def same_scenario(text: str) -> float:
+        if text != scenario:
+            raise ConfigError(f"ensemble {path} holds a second scenario {text!r} "
+                              f"after {scenario!r}; a file holds one")
+        return 0.0
+
+    table = _read_csv(path, 0, 4, {4: same_scenario})
     idx = table[:, :3]
     if not np.all(np.isfinite(idx) & (idx == np.round(idx))):
         raise ConfigError(f"malformed CSV {path}: non-integer index")
-    idx = idx.astype(np.int64)
-    site_ids = np.unique(idx[:, 1])
-    out = {}
-    for scen, code in codes.items():
-        rows = table[:, 4] == code
-        ts, ti = np.unique(idx[rows, 0], return_inverse=True)
-        ss, si = np.unique(idx[rows, 2], return_inverse=True)
-        shape = (ts.size, site_ids.size, ss.size)
-        flat = np.ravel_multi_index(
-            (ti, np.searchsorted(site_ids, idx[rows, 1]), si), shape)
-        if flat.size != np.prod(shape) or np.bincount(flat).min() != 1:
-            raise ConfigError(f"ensemble {path}: {scen!r} misses or repeats cells")
-        out[scen] = np.empty(shape)
-        out[scen].flat[flat] = table[rows, 3]
-    return out, site_ids, list(codes)
-
-
-def _read_ensemble_bin(path: str):
-    """The ``emulate --binary`` layout, through its JSON sidecar."""
-    try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if (meta["dtype"], meta["order"], len(meta["shape"])) != ("<f8", "C", 3):
-            raise ValueError("the sidecar must give dtype <f8, order C and 3 axes")
-        samples = np.fromfile(path, dtype="<f8").reshape(meta["shape"])
-        site_ids = np.asarray(meta["site_indices"], np.int64).reshape(samples.shape[1])
-    except (ValueError, KeyError, TypeError) as err:
-        raise ConfigError(f"binary ensemble {path}: {err}") from None
-    return {meta["scenario"]: samples}, site_ids, [meta["scenario"]]
+    (ts, ti), (site_ids, ji), (ss, si) = (np.unique(col, return_inverse=True)
+                                          for col in idx.astype(np.int64).T)
+    shape = (ts.size, site_ids.size, ss.size)
+    flat = np.ravel_multi_index((ti, ji, si), shape)
+    if flat.size != np.prod(shape) or np.bincount(flat).min() != 1:
+        raise ConfigError(f"ensemble {path} misses or repeats cells")
+    samples = np.empty(shape)
+    samples.flat[flat] = table[:, 3]
+    return samples, site_ids, scenario
 
 
 def write_curve_csv(path: str, curve) -> None:
@@ -567,16 +559,15 @@ def cmd_train(args) -> int:
         "epochs": args.epochs, "learning_rate": args.lr, "seed": seed,
         "fix_w": True if args.fixed_w else None,
     })
-    try:
-        train_cfg = tr.TrainConfig(hyper=hyper, **cfg.get("train", {}))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"config section 'train': {err}") from None
+    train_cfg = tr.TrainConfig(hyper=hyper, **cfg.get("train", {}))
     radius = _settings("data", cfg, DESK_DATA if args.desk else None)["wendland_radius"]
 
     grid_scores_path = None
     candidates = [train_cfg]
-    if args.grid_epochs is not None and not args.grid:
-        raise ConfigError("--grid-epochs needs --grid")
+    if args.grid_epochs is not None:
+        if not args.grid:
+            raise ConfigError("--grid-epochs needs --grid")
+        check_value("--grid-epochs", args.grid_epochs, int, ge=0)
     if args.grid:
         try:
             with open(args.grid, "r", encoding="utf-8") as fh:
@@ -584,8 +575,6 @@ def cmd_train(args) -> int:
             if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
                 raise TypeError("expected a JSON list of objects")
             candidates += [tr.apply_overrides(train_cfg, g) for g in grid]
-            if args.grid_epochs is not None:       # the search runs' length
-                tr.apply_overrides(train_cfg, {"epochs": args.grid_epochs})
         except (KeyError, TypeError, ValueError) as err:     # JSONDecodeError too
             raise ConfigError(f"grid {args.grid}: {err}") from None
     try:                                       # geometry, e.g. --fixed-W's W
@@ -637,7 +626,7 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
     emu_cfg = _settings("emulate", cfg, flags={"n_samples": args.n_samples})
     n_samples = emu_cfg["n_samples"]
     model = tr.checkpoint_load(args.checkpoint)
-    checkpoint_id = _sha256(args.checkpoint)
+    ckpt_sha = _sha256(args.checkpoint)
     sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
     x = read_matrix_csv(args.fields)
     c = read_series_csv(args.conditions)
@@ -658,23 +647,16 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
         c_used = emu.ablate_condition(c, args.condition_mode, seed)
         scenario = args.condition_mode
 
+    opts = {key: emu_cfg[key] for key in ("mode", "draw_latent_noise", "draw_data_noise")}
     if counterfactual_mode:
         ens = emu.counterfactual(model, x, c, c_used, n_samples, seed,
-                                 mode=emu_cfg["mode"],
-                                 draw_latent_noise=emu_cfg["draw_latent_noise"],
-                                 draw_data_noise=emu_cfg["draw_data_noise"],
-                                 sites=sites_sel,
-                                 checkpoint_id=checkpoint_id)
+                                 sites=sites_sel, **opts)
     else:
         ens = emu.emulate(model, x, c_used, n_samples, seed, scenario=scenario,
-                          mode=emu_cfg["mode"],
-                          draw_latent_noise=emu_cfg["draw_latent_noise"],
-                          draw_data_noise=emu_cfg["draw_data_noise"],
-                          sites=sites_sel,
-                          checkpoint_id=checkpoint_id)
+                          sites=sites_sel, **opts)
 
-    ens_path = os.path.join(out, "ensemble.bin" if args.binary else "ensemble.csv")
-    write_ensemble(ens_path, ens, args.binary)
+    ens_path = os.path.join(out, "ensemble.csv")
+    write_ensemble(ens_path, ens)
 
     theta_path = os.path.join(out, "theta_hat.csv")
     _write_csv(theta_path, ["time_index", "knot_id", "mean", "std"],
@@ -687,11 +669,9 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
 
     inputs = [p for p in (args.checkpoint, args.fields, args.conditions,
                           getattr(args, "cf_conditions", None), args.config) if p]
-    outputs = [p for p in (ens_path, theta_path, fields_path)]
-    if args.binary:
-        outputs.append(ens_path + ".json")
     write_manifest(out, "counterfactual" if counterfactual_mode else "emulate",
-                   seed, inputs, outputs, digests={args.checkpoint: checkpoint_id})
+                   seed, inputs, [ens_path, theta_path, fields_path],
+                   digests={args.checkpoint: ckpt_sha})
     print(f"wrote {scenario} ensemble of {ens.n_samples} samples to {out}")
     return 0
 
@@ -716,10 +696,8 @@ def cmd_metrics(args) -> int:
             f"emulated has {emulated.shape[1]}, coords has {coords.shape[0]} "
             "rows (emulate without --sites to produce full-grid fields)")
     if args.ensemble:
-        binary = os.path.exists(args.ensemble + ".json")   # emulate --binary
-        read = _read_ensemble_bin if binary else _read_ensemble_csv
-        ens, site_ids, scenarios = read(args.ensemble)
-        if {a.shape[0] for a in ens.values()} != {truth.shape[0]} \
+        ens, site_ids, scenario = _read_ensemble_csv(args.ensemble)
+        if ens.shape[0] != truth.shape[0] \
                 or not np.all((site_ids >= 0) & (site_ids < truth.shape[1])):
             raise ConfigError(f"ensemble {args.ensemble} does not fit the truth's "
                               f"{truth.shape[0]} time steps and {truth.shape[1]} sites")
@@ -752,19 +730,17 @@ def cmd_metrics(args) -> int:
 
     if args.ensemble:
         obs = truth[:, site_ids]
-        scores = {s: mx.twcrps_field(ens[s], obs).scores for s in scenarios}
-        labels = [_quote(s).replace("%", "%%") for s in scenarios]
+        scores = mx.twcrps_field(ens, obs).scores
+        label = _quote(scenario).replace("%", "%%")
         scores_path = os.path.join(out, "twcrps.csv")
         _write_csv(scores_path, ["scenario", "time_index", "site_id", "twcrps"],
-                   *(([f",{sid},%.17g\r\n" for sid in site_ids.tolist()],
-                      scores[s], lab + ",")
-                     for s, lab in zip(scenarios, labels)))
+                   ([f",{sid},%.17g\r\n" for sid in site_ids.tolist()], scores,
+                    label + ","))
         summary_path = os.path.join(out, "twcrps_summary.csv")
         _write_csv(summary_path, ["scenario", "median_twcrps"],
-                   ([f"{lab},%.17g\r\n" for lab in labels],
-                    [[np.median(scores[s]) for s in scenarios]], "", False))
+                   ([f"{label},%.17g\r\n"], [[np.median(scores)]], "", False))
         q = np.linspace(0.01, 0.99, 99)
-        qo, qe = mx.qq_data(obs.ravel(), ens[scenarios[0]].ravel(), q)
+        qo, qe = mx.qq_data(obs.ravel(), ens.ravel(), q)
         qq_path = os.path.join(out, "qq.csv")
         _write_csv(qq_path, ["q", "obs_quantile", "ensemble_quantile"],
                    (["%.17g,%.17g,%.17g\r\n"], np.column_stack([q, qo, qe]), "", False))
@@ -938,7 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--conditions", required=True)
         sp.add_argument("--n-samples", type=int, default=None)
         sp.add_argument("--sites", help="comma-separated site indices to keep")
-        sp.add_argument("--binary", action="store_true")
         if name == "emulate":
             sp.add_argument("--condition-mode", choices=["white-noise", "fixed"],
                             help="ablate the condition series")
@@ -953,8 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truth", required=True)
     sp.add_argument("--emulated", required=True)
     sp.add_argument("--coords", required=True)
-    sp.add_argument("--ensemble", help="ensemble for twCRPS/QQ: the long CSV, or "
-                    "the --binary file beside its .json sidecar")
+    sp.add_argument("--ensemble", help="ensemble for twCRPS/QQ: the long "
+                    "ensemble.csv of one scenario")
     sp.set_defaults(func=cmd_metrics)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient audit")

@@ -38,9 +38,7 @@ class EmulationEnsemble:
     samples: np.ndarray            # (n_t, n_selected_sites, n_samples)
     theta: np.ndarray              # (n_t, n_knots, n_samples)
     scenario: str
-    seed: int
     site_indices: np.ndarray       # which columns of the data the sites are
-    checkpoint_id: str | None = None
 
     @property
     def n_samples(self) -> int:
@@ -141,7 +139,6 @@ def emulate(
     draw_latent_noise: bool = True,
     draw_data_noise: bool = True,
     sites: np.ndarray | None = None,
-    checkpoint_id: str | None = None,
 ) -> EmulationEnsemble:
     """Generate an ensemble conditioned on the observed fields.
 
@@ -193,8 +190,7 @@ def emulate(
         out[:, :, block.start:block.stop] = paths.transpose(2, 1, 0)
         theta[:, :, block.start:block.stop] = thetas.transpose(1, 2, 0)
     return EmulationEnsemble(samples=out, theta=theta, scenario=scenario,
-                             seed=int(seed), site_indices=site_idx,
-                             checkpoint_id=checkpoint_id)
+                             site_indices=site_idx)
 
 
 def check_sites(sites, n_sites: int) -> np.ndarray:

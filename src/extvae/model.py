@@ -79,7 +79,8 @@ def check_value(name: str, value, kind, *, ge=None, gt=None, lt=None):
     return value.item() if isinstance(value, np.generic) else value
 
 
-# each HyperParams field but alpha: its kind and bounds; seeds are numpy's, >= 0
+# each HyperParams field: its kind and bounds; seeds are numpy's, >= 0, and
+# alpha takes only 1/2
 _HYPER_KINDS = {
     **dict.fromkeys(("latent_dim", "n_theta_basis", "mc_draws", "conv_channels",
                      "kernel_len", "pool_len"), (int, {"ge": 1})),
@@ -88,6 +89,7 @@ _HYPER_KINDS = {
     **dict.fromkeys(("alpha0", "learning_rate"), (float, {"gt": 0})),
     "rho0": (float, {"ge": 0}),
     **dict.fromkeys(("penalty_abs", "fix_w"), (bool, {})),
+    "alpha": ((0.5,), {}),
 }
 
 
@@ -122,8 +124,6 @@ class HyperParams:
                                                        **bounds))
         if self.n_theta_basis > self.latent_dim:
             raise ConfigError("n_theta_basis must not exceed latent_dim")
-        if self.alpha != 0.5:
-            raise ConfigError("only alpha = 1/2 is supported")
         if (2 * self.latent_dim) % self.pool_len != 0:
             raise ConfigError("pool_len must divide 2*latent_dim")
 

@@ -213,20 +213,6 @@ class TestEmulate:
         rows = read_rows(out / "ensemble.csv")
         assert rows[1][4] == "white-noise"
 
-    def test_binary_dump_with_sidecar(self, tiny_run, tmp_path):
-        root, cfg_path, sim, train, _ = tiny_run
-        out = tmp_path / "bin"
-        assert run_cli("emulate", "--config", cfg_path,
-                       "--checkpoint", train / "checkpoint.json",
-                       "--fields", sim / "fields.csv",
-                       "--conditions", sim / "conditions.csv",
-                       "--n-samples", 4, "--binary", "--sites", "0,3",
-                       "--out", out) == 0
-        sidecar = json.loads((out / "ensemble.bin.json").read_text())
-        data = np.fromfile(out / "ensemble.bin", dtype="<f8")
-        assert data.size == int(np.prod(sidecar["shape"]))
-        assert sidecar["shape"] == [TINY_CONFIG["data"]["n_t"], 2, 4]
-
     def test_counterfactual_flip(self, tiny_run, tmp_path):
         root, cfg_path, sim, train, _ = tiny_run
         out = tmp_path / "cf"
@@ -288,11 +274,11 @@ class TestDeskSiteSelection:
         assert run_cli(command, *common, "--sites", "250,0,17",
                        "--out", tmp_path / "sub") == 0
         full, full_ids, _ = cli._read_ensemble_csv(str(tmp_path / "full" / "ensemble.csv"))
-        sub, sub_ids, (scenario,) = cli._read_ensemble_csv(str(tmp_path / "sub" / "ensemble.csv"))
+        sub, sub_ids, scenario = cli._read_ensemble_csv(str(tmp_path / "sub" / "ensemble.csv"))
+        assert scenario == ("factual" if command == "emulate" else "counterfactual")
         assert full_ids.tolist() == list(range(400))
         assert sub_ids.tolist() == [0, 17, 250]
-        assert sub[scenario].tobytes() == np.ascontiguousarray(
-            full[scenario][:, [0, 17, 250], :]).tobytes()
+        assert sub.tobytes() == np.ascontiguousarray(full[:, [0, 17, 250], :]).tobytes()
         assert ((tmp_path / "sub" / "theta_hat.csv").read_bytes()
                 == (tmp_path / "full" / "theta_hat.csv").read_bytes())
 
@@ -538,25 +524,25 @@ class TestFileLayer:
         samples = awkward_matrix(4 * 3, 5).reshape(4, 3, 5)
         samples[np.isnan(samples)] = 2.0
         ens = emu.EmulationEnsemble(samples=samples, theta=np.ones((4, 2, 5)),
-                                    scenario=scenario, seed=1,
+                                    scenario=scenario,
                                     site_indices=np.array([17, 0, 250]))
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        cli.write_ensemble(str(new), ens, binary=False)
+        cli.write_ensemble(str(new), ens)
         ref_write_ensemble(str(ref), ens)
         assert new.read_bytes() == ref.read_bytes()
-        back, site_ids, scenarios = cli._read_ensemble_csv(str(new))
-        assert scenarios == [scenario]
+        back, site_ids, label = cli._read_ensemble_csv(str(new))
+        assert label == scenario
         assert site_ids.tolist() == [0, 17, 250]
         # sites come back in id order
-        assert same_bits(back[scenario], samples[:, [1, 0, 2], :])
+        assert same_bits(back, samples[:, [1, 0, 2], :])
 
     @pytest.mark.parametrize("edit", ["drop", "repeat", "fraction"])
     def test_incomplete_long_ensemble_rejected(self, tmp_path, edit):
         ens = emu.EmulationEnsemble(samples=np.ones((2, 2, 2)), theta=np.ones((2, 1, 2)),
-                                    scenario="factual", seed=1,
+                                    scenario="factual",
                                     site_indices=np.array([0, 5]))
         path = tmp_path / "ens.csv"
-        cli.write_ensemble(str(path), ens, binary=False)
+        cli.write_ensemble(str(path), ens)
         lines = path.read_text().splitlines()
         if edit == "drop":
             del lines[3]
@@ -637,10 +623,10 @@ class TestRowBlocks:
     def test_split_long_ensemble_write_is_one_block_bytes(self, tmp_path, split):
         samples = awkward_matrix(5 * 3, 4).reshape(5, 3, 4)
         ens = emu.EmulationEnsemble(samples=samples, theta=np.ones((5, 2, 4)),
-                                    scenario='odd, "quoted" 100%', seed=1,
+                                    scenario='odd, "quoted" 100%',
                                     site_indices=np.array([17, 0, 250]))
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        cli.write_ensemble(str(new), ens, binary=False)
+        cli.write_ensemble(str(new), ens)
         assert len(split) == 3
         ref_write_ensemble(str(ref), ens)
         assert new.read_bytes() == ref.read_bytes()
@@ -766,51 +752,23 @@ def test_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, kind, row):
     assert not (tmp_path / "o" / "checkpoint.json").exists()
 
 
-class TestMetricsBinaryEnsemble:
-    def _emulate_pair(self, tiny_run, tmp_path):
-        _, cfg_path, sim, train, emu_dir = tiny_run
-        args = ["--config", cfg_path, "--checkpoint", train / "checkpoint.json",
-                "--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv",
-                "--n-samples", 4, "--sites", "0,3,17"]
-        assert run_cli("emulate", *args, "--binary", "--out", tmp_path / "bin") == 0
-        assert run_cli("emulate", *args, "--out", tmp_path / "csv") == 0
-
-    def _metrics(self, tiny_run, tmp_path, ensemble, out):
+class TestMetricsEnsemble:
+    def test_second_scenario_exits_2_before_chi(self, tiny_run, tmp_path, capsys):
         _, _, sim, _, emu_dir = tiny_run
+        lines = (emu_dir / "ensemble.csv").read_text().splitlines()
+        assert lines[-1].endswith(",factual")
+        lines[-1] = lines[-1][:-len("factual")] + "counterfactual"
+        (tmp_path / "two.csv").write_text("\r\n".join(lines) + "\r\n")
         cfg = tmp_path / "m.json"
         cfg.write_text(json.dumps({"schema_version": 1, "metrics": {"n_boot": 3}}))
-        return run_cli("metrics", "--config", cfg, "--truth", sim / "fields.csv",
-                       "--emulated", emu_dir / "emulated_fields.csv",
-                       "--coords", sim / "sites.csv", "--ensemble", ensemble,
-                       "--out", out)
-
-    def test_binary_ensemble_scores_equal_csv(self, tiny_run, tmp_path):
-        self._emulate_pair(tiny_run, tmp_path)
-        assert self._metrics(tiny_run, tmp_path, tmp_path / "bin" / "ensemble.bin",
-                             tmp_path / "mb") == 0
-        assert self._metrics(tiny_run, tmp_path, tmp_path / "csv" / "ensemble.csv",
-                             tmp_path / "mc") == 0
-        for name in ("twcrps.csv", "twcrps_summary.csv", "qq.csv", "chi_truth.csv"):
-            assert (tmp_path / "mb" / name).read_bytes() == \
-                (tmp_path / "mc" / name).read_bytes(), name
-
-    @pytest.mark.parametrize("damage", ["truncate", "sidecar", "no-sidecar"])
-    def test_unreadable_binary_exits_2_before_chi(self, tiny_run, tmp_path, capsys,
-                                                  damage):
-        self._emulate_pair(tiny_run, tmp_path)
-        path = tmp_path / "bin" / "ensemble.bin"
-        if damage == "truncate":
-            path.write_bytes(path.read_bytes()[:-8])
-        elif damage == "sidecar":
-            side = json.loads((tmp_path / "bin" / "ensemble.bin.json").read_text())
-            side["shape"][1] = 5
-            (tmp_path / "bin" / "ensemble.bin.json").write_text(json.dumps(side))
-        else:
-            (tmp_path / "bin" / "ensemble.bin.json").unlink()
         capsys.readouterr()
-        assert self._metrics(tiny_run, tmp_path, path, tmp_path / "m") == 2
+        assert run_cli("metrics", "--config", cfg, "--truth", sim / "fields.csv",
+                       "--emulated", emu_dir / "emulated_fields.csv",
+                       "--coords", sim / "sites.csv", "--ensemble", tmp_path / "two.csv",
+                       "--out", tmp_path / "m") == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "ensemble.bin" in err
+        assert err.count("\n") == 1 and "two.csv" in err and "'counterfactual'" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "m" / "chi_truth.csv").exists()
 
 
@@ -832,8 +790,8 @@ class TestInputValidation:
                        "--checkpoint", train / "checkpoint.json",
                        "--fields", sim / "fields.csv",
                        "--conditions", sim / "conditions.csv",
-                       "--n-samples", 2, "--flip" if command == "counterfactual"
-                       else "--binary", "--sites", sites, "--out", tmp_path / "o")
+                       "--n-samples", 2, *(["--flip"] if command == "counterfactual"
+                                           else []), "--sites", sites, "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, "--sites")
         assert not (tmp_path / "o").exists()
 
@@ -912,8 +870,8 @@ class TestInputValidation:
                      {"hyper": {"fix_w": "no"}}, "fix_w", id="train hyper.fix_w no"),
         pytest.param("train", ["--grid-epochs", 1], {}, "--grid-epochs",
                      id="train --grid-epochs without --grid"),
-        pytest.param("train", ["--grid", "{grid}", "--grid-epochs", -1], {}, "epochs",
-                     id="train --grid-epochs -1"),
+        pytest.param("train", ["--grid", "{grid}", "--grid-epochs", -1], {},
+                     "--grid-epochs", id="train --grid-epochs -1"),
         pytest.param("emulate", ["--n-samples", 0], {}, "n_samples",
                      id="emulate --n-samples 0"),
         pytest.param("emulate", [], {"emulate": {"n_samples": 0}}, "n_samples",
@@ -991,8 +949,12 @@ class TestInputValidation:
         ({"data": {"n_t": 2.0}}, "data n_t"),
         ({"emulate": {"mode": "pri"}}, "emulate mode"),
         ({"metrics": {"n_boot": 1.5}}, "metrics n_boot"),
-        ({"metrics": {"u": []}}, "metrics u")],
-        ids=["data.n_t 2.0", "emulate.mode pri", "metrics.n_boot 1.5", "metrics.u []"])
+        ({"metrics": {"u": []}}, "metrics u"),
+        ({"hyper": {"latent_dim": 4.0}}, "hyper latent_dim"),
+        ({"hyper": {"alpha": 0.4}}, "hyper alpha"),
+        ({"train": {"batch_size": 0}}, "train batch_size")],
+        ids=["data.n_t 2.0", "emulate.mode pri", "metrics.n_boot 1.5", "metrics.u []",
+             "hyper.latent_dim 4.0", "hyper.alpha 0.4", "train.batch_size 0"])
     @pytest.mark.parametrize("command", ["simulate", "train", "emulate",
                                          "counterfactual", "metrics"])
     def test_every_section_checked_by_every_command(self, tiny_run, tmp_path, capsys,
