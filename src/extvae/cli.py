@@ -9,15 +9,18 @@ exits 0 on success, 1 on numerical failure, 2 on I/O or configuration failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import dataclasses
 import datetime as dt
 import functools
 import hashlib
+import io
 import itertools
 import json
 import os
+import re
 import signal
 import sys
 import warnings
@@ -164,12 +167,15 @@ def _settings(section: str, cfg: dict, preset: dict | None = None,
 # Every table is CSV as csv.writer writes it (header row, CRLF, minimal
 # quoting) with floats as %.17g, so values read back bit for bit.  Rows are
 # filled from %-templates one time step at a time; reads go through loadtxt.
-# A table of at least 2 * BLOCK_CELLS values is formatted or parsed in row
-# blocks, one per usable CPU: forked workers take blocks 1.. while the parent
-# takes block 0.  The bytes and bits are those of one block.
+# A wide matrix also leaves its parsed values beside the CSV, as the .npy
+# sidecar .<csv name>.<sha256 of the CSV>.<sha256 of the .npy>.npy; a read
+# whose CSV hashes to that name, and whose sidecar hashes to its own, loads it
+# instead of parsing.
+# A table of at least 2 * BLOCK_CELLS values is formatted in row blocks, one
+# per usable CPU: forked workers take blocks 1.. while the parent takes block
+# 0.  The bytes are those of one block.
 
 BLOCK_CELLS = 1 << 18
-_SCAN_BYTES = 1 << 18
 _PIPE_BYTES = 1 << 16             # what a Linux pipe holds
 
 
@@ -197,7 +203,7 @@ class _Workers:
     a pipe and leaves by os._exit: 0 when done, 1 when the work raised.
     Leaving the ``with`` block kills and reaps every worker not yet reaped.
     Forked, so that a worker reads the table where it lies; a worker only
-    formats or parses text, which takes no lock a BLAS thread may hold."""
+    formats text, which takes no lock a BLAS thread may hold."""
 
     def __init__(self, path: str):
         self.path, self.pipes = path, {}          # pid -> the pipe's read end
@@ -286,91 +292,11 @@ def _loadtxt(lines, n_cols: int, start: int, stop: int, converters=None):
                           ndmin=2, converters=conv | (converters or {}))
 
 
-def _split_plan(fh, start: int, stop):
-    """How a table is read in row blocks: (stop, the header's width, the
-    blocks' row edges, the byte offset of each block's first line).  None for
-    one block: a small table, a quote in the data (a quoted cell may hold a
-    line break), a lone CR (a line break to loadtxt, not to this scan), or a
-    header that does not decode or is too narrow for start:stop."""
-    header = fh.readline()
-    data_bytes = os.fstat(fh.fileno()).st_size - len(header)
-    if _usable_cpus() < 2 or data_bytes < 2 * BLOCK_CELLS:   # a value takes a byte
-        return None
-    try:
-        n_cols = len(next(csv.reader([header.decode("utf-8")]), []))
-    except (ValueError, csv.Error):
-        return None
-    stop = n_cols if stop is None else stop
-    if header.count(b"\r") != header.endswith(b"\r\n") or n_cols < max(stop, start + 1):
-        return None
-    chunks, at, last = [], len(header), b""      # (offset, line breaks) per chunk
-    while chunk := fh.read(_SCAN_BYTES):
-        if chunk.endswith(b"\r"):
-            chunk += fh.read(1)
-        byte = np.frombuffer(chunk, np.uint8)
-        cr = np.flatnonzero(byte == ord("\r"))
-        if b'"' in chunk or chunk.endswith(b"\r") or np.any(byte[cr + 1] != ord("\n")):
-            return None
-        chunks.append((at, np.count_nonzero(byte == ord("\n"))))
-        at, last = at + len(chunk), chunk[-1:]
-    rows = sum(n for _, n in chunks) + (last not in (b"", b"\n"))
-    edges = _row_edges(rows, rows * n_cols)
-    if len(edges) < 3:
-        return None
-    offsets, seen = [len(header)], 0             # line e starts after break e
-    for at, n in chunks:
-        while len(offsets) < len(edges) - 1 and edges[len(offsets)] <= seen + n:
-            breaks = np.flatnonzero(np.frombuffer(
-                os.pread(fh.fileno(), _SCAN_BYTES + 1, at), np.uint8) == ord("\n"))
-            offsets.append(at + int(breaks[edges[len(offsets)] - seen - 1]) + 1)
-        seen += n
-    return stop, n_cols, edges, offsets
-
-
-def _parse_block(path: str, offset: int, n_rows: int, n_cols: int, start: int,
-                 stop: int) -> np.ndarray:
-    """Columns start:stop of the ``n_rows`` lines from byte ``offset``, each
-    as wide as the header; ValueError otherwise (a blank line is no row)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.buffer.seek(offset)
-        table = _loadtxt(itertools.islice(fh, n_rows), n_cols, start, stop)
-    if table.shape != (n_rows, n_cols):
-        raise ValueError(f"{table.shape} rows and columns, not {(n_rows, n_cols)}")
-    return table[:, start:stop]
-
-
-def _read_blocks(path: str, start: int, stop: int, n_cols: int, edges, offsets):
-    """The table parsed in row blocks into one array, which the workers'
-    blocks are read into from their pipes; None when a block does not parse
-    to its rows, so that one block gives the verdict."""
-    out = np.empty((edges[-1], stop - start))
-    with _Workers(path) as workers:
-        pids = [workers.start(lambda *a: [np.ascontiguousarray(_parse_block(*a))],
-                              path, offset, hi - lo, n_cols, start, stop)
-                for offset, lo, hi in zip(offsets[1:], edges[1:], edges[2:])]
-        try:
-            out[:edges[1]] = _parse_block(path, offsets[0], edges[1], n_cols, start, stop)
-        except ValueError:
-            return None
-        for pid, lo, hi in zip(pids, edges[1:], edges[2:]):
-            view, got = out[lo:hi].data.cast("B"), 0
-            while got < view.nbytes and (n := os.readv(workers.pipes[pid], [view[got:]])):
-                got += n
-            if not workers.reap(pid) or got < view.nbytes:
-                return None
-    return out
-
-
 def _read_csv(path: str, start: int, stop=None, converters=None) -> np.ndarray:
     """Columns start:stop of the data rows as float64; the others are not
-    parsed, but every row must be as wide as the header.  Read in row blocks
-    unless ``converters`` is given; a converter's ConfigError is raised as is."""
+    parsed, but every row must be as wide as the header.  A converter's
+    ConfigError is raised as is."""
     try:
-        if converters is None:
-            with open(path, "rb") as fh:              # a missing file is an OSError
-                plan = _split_plan(fh, start, stop)
-            if plan and (table := _read_blocks(path, start, *plan)) is not None:
-                return table
         with open(path, "r", encoding="utf-8") as fh:
             n_cols = len(next(csv.reader([fh.readline()]), []))
             stop = n_cols if stop is None else stop
@@ -386,19 +312,92 @@ def _read_csv(path: str, start: int, stop=None, converters=None) -> np.ndarray:
     return np.ascontiguousarray(table[:, start:stop])
 
 
+def _sidecars(path: str) -> tuple[str, list]:
+    """The CSV's directory, and the (name, CSV sha256, own sha256) of each of
+    its sidecars there."""
+    head, name = os.path.split(path)
+    pattern = re.compile(re.escape(f".{name}.") + r"([0-9a-f]{64})\.([0-9a-f]{64})\.npy")
+    return head, [m.group(0, 1, 2) for m in map(pattern.fullmatch,
+                                                os.listdir(head or ".")) if m]
+
+
+def _write_sidecar(path: str, digest: str, matrix: np.ndarray) -> None:
+    """Replace the CSV's sidecars by one for ``digest``: the values the CSV
+    parses to (every NaN as np.nan), streamed a row block at a time into a
+    temporary file that is then renamed after its own sha256.  A sidecar only
+    saves a parse, so one that cannot be written is left out."""
+    head, name = os.path.split(path)
+    tmp, h = os.path.join(head, f".{name}.{os.getpid()}.tmp"), hashlib.sha256()
+    step = max(1, BLOCK_CELLS // max(1, matrix.shape[1]))
+    try:
+        for other, _, _ in _sidecars(path)[1]:
+            os.remove(os.path.join(head, other))
+        with open(tmp, "wb") as fh:
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, {"descr": "<f8", "fortran_order": False, "shape": matrix.shape})
+            blocks = (np.asarray(matrix[lo:lo + step], "<f8")
+                      for lo in range(0, matrix.shape[0], step))
+            for data in itertools.chain([header.getvalue()],
+                                        (np.where(np.isnan(b), np.nan, b) for b in blocks)):
+                h.update(data)
+                fh.write(data)
+        os.replace(tmp, os.path.join(head, f".{name}.{digest}.{h.hexdigest()}.npy"))
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _load_sidecar(path: str, digest: str) -> np.ndarray | None:
+    """The values in the CSV's sidecar for ``digest`` when its bytes hash to
+    its name and it holds a C-order float64 array of at least one row and
+    one column; None when there is no such sidecar."""
+    fmt = np.lib.format
+    try:
+        head, found = _sidecars(path)
+        own = next((f for f in found if f[1] == digest), None)
+        if own is None:
+            return None
+        with open(os.path.join(head, own[0]), "rb") as fh:
+            if hashlib.file_digest(fh, "sha256").hexdigest() != own[2]:
+                return None
+            fh.seek(0)
+            if fmt.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran, dtype = fmt.read_array_header_1_0(fh)
+            if len(shape) != 2 or min(shape) < 1 or fortran or dtype != np.dtype("<f8"):
+                return None                      # an empty table is parsed, and refused
+            fh.seek(0)
+            return fmt.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+
+
 def write_matrix_csv(path: str, matrix: np.ndarray, prefix: str,
-                     index_name: str = "time_index", ids=None) -> None:
-    """Wide layout: one row per time step, one column per site/knot."""
+                     index_name: str = "time_index", ids=None,
+                     digests: dict | None = None) -> None:
+    """Wide layout: one row per time step, one column per site/knot, and the
+    CSV's sidecar.  ``digests`` records the CSV's sha256 by path."""
     matrix = np.asarray(matrix)
     if ids is None:
         ids = range(matrix.shape[1])
     _write_csv(path, [index_name] + [f"{prefix}{j}" for j in ids],
                ([",%.17g" * matrix.shape[1] + "\r\n"], matrix))
+    digest = _sha256(path)
+    _write_sidecar(path, digest, matrix)
+    if digests is not None:
+        digests[path] = digest
 
 
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Every column but the first (which may hold dates) as float64."""
-    return _read_csv(path, 1)
+def read_matrix_csv(path: str, digests: dict | None = None) -> np.ndarray:
+    """Every column but the first (which may hold dates) as float64, from the
+    CSV's sidecar when it has one, else parsed; writes no file.  ``digests``
+    records the CSV's sha256 by path."""
+    digest = _sha256(path)
+    if digests is not None:
+        digests[path] = digest
+    table = _load_sidecar(path, digest)
+    return _read_csv(path, 1) if table is None else table
 
 
 def write_series_csv(path: str, values: np.ndarray, name: str = "condition",
@@ -419,6 +418,8 @@ def read_coords_csv(path: str) -> np.ndarray:
 
 
 def write_ensemble(path: str, ens: emu.EmulationEnsemble) -> None:
+    if "\r" in ens.scenario or "\n" in ens.scenario:   # a text-mode read loses CR
+        raise ValueError(f"scenario label {ens.scenario!r} holds a line break")
     scenario = _quote(ens.scenario).replace("%", "%%")
     cells = [f",{sid},{s},%.17g,{scenario}\r\n" for sid in ens.site_indices.tolist()
              for s in range(ens.n_samples)]
@@ -436,6 +437,9 @@ def _read_ensemble_csv(path: str):
         except (ValueError, csv.Error) as err:
             raise ConfigError(f"malformed CSV {path}: {err}") from None
     scenario = row[4] if len(row) > 4 else ""
+    if "\n" in scenario:                          # CR reads as LF, too
+        raise ConfigError(f"ensemble {path}: scenario label {scenario!r} holds a "
+                          "line break")
 
     def same_scenario(text: str) -> float:
         if text != scenario:
@@ -465,17 +469,14 @@ def write_curve_csv(path: str, curve) -> None:
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def write_manifest(out_dir: str, command: str, seed, inputs: list[str],
                    outputs: list[str], config: dict | None = None,
                    digests: dict | None = None) -> None:
-    """``digests``: the sha256 of inputs already hashed, by path."""
+    """``digests``: the sha256 of files already hashed, by path."""
     known = digests or {}
     manifest = {
         "command": command,
@@ -483,7 +484,7 @@ def write_manifest(out_dir: str, command: str, seed, inputs: list[str],
         "seed": seed,
         "config": config or {},
         "inputs": {os.path.basename(p): known.get(p) or _sha256(p) for p in inputs},
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "outputs": {os.path.basename(p): known.get(p) or _sha256(p) for p in outputs},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -528,11 +529,12 @@ def cmd_simulate(args) -> int:
     write_coords_csv(paths["sites"], grid.sites, "site_id")
     write_coords_csv(paths["knots"], knots, "knot_id")
     write_series_csv(paths["conditions"], c)
-    write_matrix_csv(paths["fields"], x, "site_")
-    write_matrix_csv(paths["theta"], theta, "knot_")
-    write_matrix_csv(paths["latent"], z, "knot_")
+    digests = {}
+    write_matrix_csv(paths["fields"], x, "site_", digests=digests)
+    write_matrix_csv(paths["theta"], theta, "knot_", digests=digests)
+    write_matrix_csv(paths["latent"], z, "knot_", digests=digests)
     write_manifest(out, "simulate", seed, inputs, list(paths.values()),
-                   {"data": data_cfg})
+                   {"data": data_cfg}, digests)
     print(f"simulated {x.shape[0]} x {x.shape[1]} fields "
           f"(K={knots.shape[0]}) into {out}")
     return 0
@@ -549,7 +551,8 @@ def _hyper_from(cfg: dict, desk: bool, flags: dict) -> HyperParams:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
-    x = read_matrix_csv(args.fields)
+    digests = {}
+    x = read_matrix_csv(args.fields, digests)
     c = read_series_csv(args.conditions)
     knots = read_coords_csv(args.knots) if args.knots else None
     sites = read_coords_csv(args.sites) if args.sites else None
@@ -603,7 +606,8 @@ def cmd_train(args) -> int:
     inputs = [p for p in (args.fields, args.conditions, args.knots, args.sites,
                           args.grid, args.config) if p]
     outputs = [ckpt_path, report_path] + ([grid_scores_path] if grid_scores_path else [])
-    write_manifest(out, "train", train_cfg.hyper.seed, inputs, outputs)
+    write_manifest(out, "train", train_cfg.hyper.seed, inputs, outputs,
+                   digests=digests)
     print(f"trained {report.epochs_completed} epochs "
           f"({report.n_params} parameters, {report.seconds:.1f}s), "
           f"final loss {report.loss_history[-1] if report.loss_history else float('nan'):.6g}, "
@@ -626,9 +630,9 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
     emu_cfg = _settings("emulate", cfg, flags={"n_samples": args.n_samples})
     n_samples = emu_cfg["n_samples"]
     model = tr.checkpoint_load(args.checkpoint)
-    ckpt_sha = _sha256(args.checkpoint)
+    digests = {args.checkpoint: _sha256(args.checkpoint)}
     sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
-    x = read_matrix_csv(args.fields)
+    x = read_matrix_csv(args.fields, digests)
     c = read_series_csv(args.conditions)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -665,13 +669,13 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
 
     fields_path = os.path.join(out, "emulated_fields.csv")
     write_matrix_csv(fields_path, ens.samples[:, :, 0], "site_",
-                     ids=ens.site_indices)
+                     ids=ens.site_indices, digests=digests)
 
     inputs = [p for p in (args.checkpoint, args.fields, args.conditions,
                           getattr(args, "cf_conditions", None), args.config) if p]
     write_manifest(out, "counterfactual" if counterfactual_mode else "emulate",
                    seed, inputs, [ens_path, theta_path, fields_path],
-                   digests={args.checkpoint: ckpt_sha})
+                   digests=digests)
     print(f"wrote {scenario} ensemble of {ens.n_samples} samples to {out}")
     return 0
 
@@ -687,8 +691,9 @@ def cmd_counterfactual(args) -> int:
 def cmd_metrics(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
-    truth = read_matrix_csv(args.truth)
-    emulated = read_matrix_csv(args.emulated)
+    digests = {}
+    truth = read_matrix_csv(args.truth, digests)
+    emulated = read_matrix_csv(args.emulated, digests)
     coords = read_coords_csv(args.coords)
     if not (truth.shape[1] == emulated.shape[1] == coords.shape[0]):
         raise ConfigError(
@@ -751,7 +756,7 @@ def cmd_metrics(args) -> int:
     outputs.append(os.path.join(out, "metrics_meta.json"))
     inputs = [p for p in (args.truth, args.emulated, args.coords,
                           args.ensemble, args.config) if p]
-    write_manifest(out, "metrics", seed, inputs, outputs)
+    write_manifest(out, "metrics", seed, inputs, outputs, digests=digests)
     print(f"wrote dependence and score diagnostics to {out}")
     return 0
 
@@ -807,7 +812,8 @@ def cmd_tailcheck(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    daily = read_matrix_csv(args.daily)
+    digests = {}
+    daily = read_matrix_csv(args.daily, digests)
     coords = read_coords_csv(args.sites)
     try:
         calendar = pp.daily_calendar(dt.date.fromisoformat(args.start_date),
@@ -838,9 +844,11 @@ def cmd_preprocess(args) -> int:
     transformed = np.column_stack([r.transformed for r in results])
 
     maxima_path = os.path.join(out, "monthly_maxima.csv")
-    write_matrix_csv(maxima_path, maxima, "site_", index_name="month_index")
+    write_matrix_csv(maxima_path, maxima, "site_", index_name="month_index",
+                     digests=digests)
     fields_path = os.path.join(out, "fields.csv")
-    write_matrix_csv(fields_path, transformed, "site_", index_name="time_index")
+    write_matrix_csv(fields_path, transformed, "site_", index_name="time_index",
+                     digests=digests)
     gev_path = os.path.join(out, "gev_params.csv")
     _write_csv(gev_path, ["site_id", "mu", "sigma", "xi"],
                ([",%.17g,%.17g,%.17g\r\n"],
@@ -854,7 +862,8 @@ def cmd_preprocess(args) -> int:
                ([",%d,%d\r\n"], months))
 
     outputs = [maxima_path, fields_path, gev_path, gof_path, months_path]
-    write_manifest(out, "preprocess", None, [args.daily, args.sites], outputs)
+    write_manifest(out, "preprocess", None, [args.daily, args.sites], outputs,
+                   digests=digests)
     print(f"preprocessed {daily.shape[1]} sites, {len(months)} months -> {out}")
     return 0
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import signal
 
 import numpy as np
@@ -232,19 +233,39 @@ class TestEmulate:
                        "--conditions", sim / "conditions.csv",
                        "--out", tmp_path / "x") == 2
 
-    def test_checkpoint_hashed_once(self, tiny_run, tmp_path, monkeypatch):
-        _, cfg_path, sim, train, _ = tiny_run
-        ckpt = train / "checkpoint.json"
-        hashed, sha256 = [], cli._sha256
-        monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(p) or sha256(p))
-        assert run_cli("emulate", "--config", cfg_path, "--checkpoint", ckpt,
-                       "--fields", sim / "fields.csv",
-                       "--conditions", sim / "conditions.csv",
-                       "--n-samples", 2, "--out", tmp_path / "o") == 0
-        assert hashed.count(str(ckpt)) == 1
-        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["inputs"]["checkpoint.json"] == \
-            hashlib.sha256(ckpt.read_bytes()).hexdigest()
+
+@pytest.mark.parametrize("command", ["simulate", "train", "emulate", "metrics",
+                                     "preprocess"])
+def test_each_file_hashed_at_most_once(tiny_run, tmp_path, monkeypatch, command):
+    _, cfg, sim, train, emu_dir = tiny_run
+    m_cfg = tmp_path / "m.json"
+    m_cfg.write_text(json.dumps({"schema_version": 1, "metrics": {"n_boot": 3}}))
+    inputs = {"simulate": ["--config", cfg],
+              "train": ["--config", cfg, "--fields", sim / "fields.csv",
+                        "--conditions", sim / "conditions.csv",
+                        "--knots", sim / "knots.csv", "--sites", sim / "sites.csv"],
+              "emulate": ["--config", cfg, "--checkpoint", train / "checkpoint.json",
+                          "--fields", sim / "fields.csv",
+                          "--conditions", sim / "conditions.csv", "--n-samples", 2],
+              "metrics": ["--config", m_cfg, "--truth", sim / "fields.csv",
+                          "--emulated", emu_dir / "emulated_fields.csv",
+                          "--coords", sim / "sites.csv",
+                          "--ensemble", emu_dir / "ensemble.csv"],
+              "preprocess": [*TestPreprocess._write_inputs(tmp_path),
+                             "--start-date", "2015-01-01"]}[command]
+    hashed, sha256 = [], cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(p) or sha256(p))
+    assert run_cli(command, *inputs, "--out", tmp_path / "o") == 0
+    assert hashed and len(hashed) == len(set(hashed)), hashed
+    # every manifest digest is the sha256 of the file's bytes; sidecars are unlisted
+    files = {p.name: p for p in [*inputs[1::2], *(tmp_path / "o").iterdir()]
+             if isinstance(p, os.PathLike)}
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    listed = manifest["inputs"] | manifest["outputs"]
+    assert len(listed) == len(manifest["inputs"]) + len(manifest["outputs"])
+    assert not [name for name in listed if name.endswith(".npy")]
+    for name, digest in listed.items():
+        assert digest == hashlib.sha256(files[name].read_bytes()).hexdigest(), name
 
 
 class TestDeskSiteSelection:
@@ -484,6 +505,28 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def sidecars(directory) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.suffix == ".npy")
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def sidecar_of(path):
+    """The one sidecar of the CSV at ``path``, named by the CSV's sha256 and
+    then by its own."""
+    (side,) = [path.parent / n for n in sidecars(path.parent) if re.fullmatch(
+        re.escape(f".{path.name}.") + r"[0-9a-f]{64}\.[0-9a-f]{64}\.npy", n)]
+    assert side.name == f".{path.name}.{sha256(path)}.{sha256(side)}.npy"
+    return side
+
+
+def drop_sidecar(path) -> None:
+    """Delete the one sidecar of the CSV at ``path``, so that reads parse it."""
+    sidecar_of(path).unlink()
+
+
 class TestFileLayer:
     @pytest.mark.parametrize("index_name,ids", [
         ("time_index", None), ("month_index", np.array([3, 17, 250, 4, 0, 9, 1]))])
@@ -519,7 +562,7 @@ class TestFileLayer:
         ref_write_curve_csv(str(ref), curve)
         assert new.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize("scenario", ["factual", 'odd, "quoted" 100%', "line\nbreak"])
+    @pytest.mark.parametrize("scenario", ["factual", 'odd, "quoted" 100%', "a,b", 'a"b'])
     def test_long_ensemble_bytes_and_read_back(self, tmp_path, scenario):
         samples = awkward_matrix(4 * 3, 5).reshape(4, 3, 5)
         samples[np.isnan(samples)] = 2.0
@@ -535,6 +578,14 @@ class TestFileLayer:
         assert site_ids.tolist() == [0, 17, 250]
         # sites come back in id order
         assert same_bits(back, samples[:, [1, 0, 2], :])
+
+    @pytest.mark.parametrize("scenario", ["a\rb", "a\nb", "a\r\nb", "end\n"])
+    def test_line_break_label_rejected_before_writing(self, tmp_path, scenario):
+        ens = emu.EmulationEnsemble(samples=np.ones((2, 1, 1)), theta=np.ones((2, 1, 1)),
+                                    scenario=scenario, site_indices=np.array([0]))
+        with pytest.raises(ValueError, match="line break"):
+            cli.write_ensemble(str(tmp_path / "ens.csv"), ens)
+        assert not (tmp_path / "ens.csv").exists()
 
     @pytest.mark.parametrize("edit", ["drop", "repeat", "fraction"])
     def test_incomplete_long_ensemble_rejected(self, tmp_path, edit):
@@ -554,6 +605,25 @@ class TestFileLayer:
         with pytest.raises(cli.ConfigError, match="ens.csv"):
             cli._read_ensemble_csv(str(path))
 
+    @pytest.mark.parametrize("layout", ["lf", "no-final-newline", "padded", "blank-line",
+                                        "quoted-cell", "lone-cr"])
+    def test_read_line_layouts(self, tmp_path, layout):
+        m = awkward_matrix(11, 5, shift=2)
+        cells = [[f"{v:.17g}" for v in row] for row in m]
+        if layout == "padded":
+            cells = [[f"  {c} " for c in row] for row in cells]
+        if layout == "quoted-cell":
+            cells[6][2] = f'"{cells[6][2]}"'
+        lines = ["t,a,b,c,d,e"] + [f"{t}," + ",".join(row) for t, row in enumerate(cells)]
+        if layout == "blank-line":                   # no row to loadtxt
+            lines.insert(7, "")
+        eol = "\r\n" if layout == "lone-cr" else "\n"
+        text = eol.join(lines) + ("\r" if layout == "lone-cr" else
+                                  "" if layout == "no-final-newline" else "\n")
+        (tmp_path / "m.csv").write_bytes(text.encode())
+        back = cli.read_matrix_csv(str(tmp_path / "m.csv"))
+        assert same_bits(back, m) and back.flags.c_contiguous
+
     def test_read_accepts_quotes_spaces_and_dates(self, tmp_path):
         path = tmp_path / "daily.csv"
         path.write_text('date,"site_0", site_1\n'
@@ -561,6 +631,132 @@ class TestFileLayer:
                         '"Jan 2, 2015", -0 ,"1e-300"\n')
         back = cli.read_matrix_csv(str(path))
         assert same_bits(back, np.array([[1.5, 2.25], [-0.0, 1e-300]]))
+
+
+# ---------------------------------------------------------------------------
+# sidecars: the values of a wide matrix beside its CSV
+# ---------------------------------------------------------------------------
+
+# every NaN spelling %.17g writes as "nan", both zeros, both infinities and
+# subnormals
+SPECIAL = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                    0xFFF4000000000123, 0x8000000000000000, 0x0000000000000000,
+                    0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
+                    0x800FFFFFFFFFFFFF, 0x000FFFFFFFFFFFFF, 0x3FD5555555555555],
+                   dtype=np.uint64).view(np.float64)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths cli._read_csv parses, in order."""
+    calls, real = [], cli._read_csv
+    monkeypatch.setattr(cli, "_read_csv",
+                        lambda path, *args: calls.append(path) or real(path, *args))
+    return calls
+
+
+def snapshot(directory) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 12), (12, 1)],
+                             ids=["wide", "one-row", "one-column"])
+    def test_sidecar_bits_equal_the_parse(self, tmp_path, parses, shape):
+        path = tmp_path / "m.csv"
+        cli.write_matrix_csv(str(path), SPECIAL.reshape(shape), "site_")
+        assert sidecars(tmp_path) == [sidecar_of(path).name]
+        hit = cli.read_matrix_csv(str(path))
+        assert parses == []
+        drop_sidecar(path)
+        parsed = cli.read_matrix_csv(str(path))
+        assert parses == [str(path)]
+        assert same_bits(hit, parsed) and hit.flags.c_contiguous
+        expect = np.where(np.isnan(SPECIAL), np.nan, SPECIAL).reshape(shape)
+        assert same_bits(parsed, expect)
+
+    @pytest.mark.parametrize("damage", ["csv-edited", "other-values", "truncated",
+                                        "not-npy", "shape", "dtype", "object"])
+    def test_stale_or_damaged_sidecar_reads_the_csv(self, tmp_path, parses, damage):
+        path = tmp_path / "m.csv"
+        m = awkward_matrix(5, 4)
+        cli.write_matrix_csv(str(path), m, "site_")
+        side = sidecar_of(path)
+        expect = np.where(np.isnan(m), np.nan, m)
+        if damage == "csv-edited":
+            expect[2, 1] = 7.0
+            ref_write_matrix_csv(str(path), expect, "site_")
+        elif damage == "other-values":                      # same header and size
+            np.save(side, expect[::-1].copy())
+        elif damage == "truncated":
+            side.write_bytes(side.read_bytes()[:-8])
+        elif damage == "not-npy":
+            side.write_bytes(b"time_index,site_0\r\n")
+        elif damage == "shape":
+            np.save(side, np.ascontiguousarray(expect.T))     # same count of values
+        else:          # named after its own bytes, so that its header is what fails
+            np.save(side, expect.astype(np.float32) if damage == "dtype"
+                    else expect.astype(object), allow_pickle=True)
+            side.rename(tmp_path / f".m.csv.{sha256(path)}.{sha256(side)}.npy")
+        assert damage == "csv-edited" or len(sidecars(tmp_path)) == 1
+        before = snapshot(tmp_path)
+        assert same_bits(cli.read_matrix_csv(str(path)), expect)
+        assert parses == [str(path)]
+        assert snapshot(tmp_path) == before
+
+    def test_header_only_matrix_is_refused(self, tmp_path, parses):
+        path = tmp_path / "m.csv"
+        cli.write_matrix_csv(str(path), np.empty((0, 3)), "site_")
+        with pytest.raises(cli.ConfigError, match="0 rows"):
+            cli.read_matrix_csv(str(path))
+        assert parses == [str(path)]
+
+    def test_read_only_directory_reads(self, tmp_path, parses):
+        path = tmp_path / "ro" / "m.csv"
+        path.parent.mkdir()
+        m = awkward_matrix(3, 4)
+        cli.write_matrix_csv(str(path), m, "site_")
+        expect = np.where(np.isnan(m), np.nan, m)
+        before = snapshot(path.parent)
+        path.parent.chmod(0o555)
+        try:
+            assert same_bits(cli.read_matrix_csv(str(path)), expect)
+            assert parses == []
+            path.parent.chmod(0o755)
+            drop_sidecar(path)
+            path.parent.chmod(0o555)
+            assert same_bits(cli.read_matrix_csv(str(path)), expect)
+            assert parses == [str(path)]
+        finally:
+            path.parent.chmod(0o755)
+        assert snapshot(path.parent) == {k: v for k, v in before.items()
+                                         if not k.endswith(".npy")}
+
+    def test_rewrite_leaves_one_sidecar(self, tmp_path):
+        path, other = tmp_path / "m.csv", tmp_path / "m.csv.x.csv"
+        cli.write_matrix_csv(str(other), np.ones((2, 2)), "site_")
+        for shift in range(3):
+            cli.write_matrix_csv(str(path), awkward_matrix(3, 4, shift), "site_")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [path.name, other.name, sidecar_of(path).name, sidecar_of(other).name])
+        assert same_bits(cli.read_matrix_csv(str(path)), awkward_matrix(3, 4, 2))
+
+    def test_failed_sidecar_write_leaves_the_csv_alone(self, tmp_path, parses,
+                                                       monkeypatch):
+        path = tmp_path / "m.csv"
+        cli.write_matrix_csv(str(path), np.ones((2, 2)), "site_")
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device", dst)
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        m = awkward_matrix(3, 4)
+        digests = {}
+        cli.write_matrix_csv(str(path), m, "site_", digests=digests)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+        assert digests == {str(path): sha256(path)}
+        assert same_bits(cli.read_matrix_csv(str(path)), np.where(np.isnan(m), np.nan, m))
+        assert parses == [str(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +815,8 @@ class TestRowBlocks:
         assert new.read_bytes() == ref.read_bytes()
         back = cli.read_matrix_csv(str(new))
         assert same_bits(back, m) and back.flags.c_contiguous
+        drop_sidecar(new)
+        assert same_bits(cli.read_matrix_csv(str(new)), back)
 
     def test_split_long_ensemble_write_is_one_block_bytes(self, tmp_path, split):
         samples = awkward_matrix(5 * 3, 4).reshape(5, 3, 4)
@@ -630,48 +828,6 @@ class TestRowBlocks:
         assert len(split) == 3
         ref_write_ensemble(str(ref), ens)
         assert new.read_bytes() == ref.read_bytes()
-
-    @pytest.mark.parametrize("layout", ["lf", "no-final-newline", "padded", "blank-line"])
-    def test_split_read_is_one_block_bits(self, tmp_path, split, layout):
-        m = awkward_matrix(11, 5, shift=2)
-        cells = [[f"{v:.17g}" for v in row] for row in m]
-        if layout == "padded":
-            cells = [[f"  {c} " for c in row] for row in cells]
-        lines = ["t,a,b,c,d,e"] + [f"{t}," + ",".join(row) for t, row in enumerate(cells)]
-        if layout == "blank-line":           # no row to loadtxt: one block decides
-            lines.insert(7, "")
-        text = "\n".join(lines) + ("" if layout == "no-final-newline" else "\n")
-        (tmp_path / "m.csv").write_bytes(text.encode())
-        back = cli.read_matrix_csv(str(tmp_path / "m.csv"))
-        assert len(split) == 3
-        assert same_bits(back, m) and back.flags.c_contiguous
-
-    @pytest.mark.parametrize("text", ['t,a,b\n' + '0,1,2\n' * 6 + '6,"7",8\n',
-                                      't,a,b\r\n' + '0,1,2\r\n' * 6 + '6,7,8\r'],
-                             ids=["quoted-cell", "lone-cr"])
-    def test_quote_or_lone_cr_takes_one_block(self, tmp_path, split, text):
-        (tmp_path / "m.csv").write_bytes(text.encode())
-        back = cli.read_matrix_csv(str(tmp_path / "m.csv"))
-        assert split == []
-        assert same_bits(back, np.array([[1.0, 2.0]] * 6 + [[7.0, 8.0]]))
-
-    def test_bad_cell_in_a_later_block_reads_as_one_block(self, tmp_path, capsys,
-                                                          monkeypatch, split):
-        _write_tiny_inputs(tmp_path)
-        lines = (tmp_path / "fields.csv").read_text().splitlines()
-        lines[-1] = "5,1.0,abc,1.0"
-        (tmp_path / "fields.csv").write_text("\r\n".join(lines) + "\r\n")
-        args = ("train", "--fields", tmp_path / "fields.csv",
-                "--conditions", tmp_path / "conditions.csv", "--epochs", 1,
-                "--out", tmp_path / "o")
-        assert run_cli(*args) == 2
-        assert split
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "fields.csv" in err and "Traceback" not in err
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        assert run_cli(*args) == 2
-        assert capsys.readouterr().err == err
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("act", [_die, _raise], ids=["dies", "raises"])
     def test_failed_write_worker_is_one_line_exit_2(self, tmp_path, capsys,
@@ -685,32 +841,17 @@ class TestRowBlocks:
         assert err.count("\n") == 1 and "row-block worker" in err and ".csv" in err
         assert "Traceback" not in err
 
-    def test_dead_read_worker_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch,
-                                                split):
-        _write_tiny_inputs(tmp_path)
-        _in_workers(monkeypatch, "_parse_block", _die)
-        assert run_cli("train", "--fields", tmp_path / "fields.csv",
-                       "--conditions", tmp_path / "conditions.csv", "--epochs", 1,
-                       "--out", tmp_path / "o") == 2
-        assert split
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "fields.csv" in err and "died" in err
-        assert not (tmp_path / "o").exists()
-
     def test_parent_failure_kills_and_reaps_workers(self, tmp_path, monkeypatch, split):
-        m = awkward_matrix(9, 7)
-        cli.write_matrix_csv(str(tmp_path / "m.csv"), m, "site_")
-        split.clear()
-        real, parent = cli._parse_block, os.getpid()
+        real, parent = cli._lines, os.getpid()
 
         def parent_fails(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return real(*args)
 
-        monkeypatch.setattr(cli, "_parse_block", parent_fails)
+        monkeypatch.setattr(cli, "_lines", parent_fails)
         with pytest.raises(KeyboardInterrupt):
-            cli.read_matrix_csv(str(tmp_path / "m.csv"))
+            cli.write_matrix_csv(str(tmp_path / "m.csv"), awkward_matrix(9, 7), "site_")
         assert len(split) == 3
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
@@ -722,6 +863,8 @@ class TestRowBlocks:
         assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "four") == 0
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert "fields.csv" in names and "manifest.json" in names
+        assert names == sorted(p.name for p in (tmp_path / "four").iterdir())
+        assert len(sidecars(tmp_path / "one")) == 3           # one per wide matrix
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == \
                 (tmp_path / "four" / name).read_bytes(), name
@@ -770,6 +913,22 @@ class TestMetricsEnsemble:
         assert err.count("\n") == 1 and "two.csv" in err and "'counterfactual'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "m" / "chi_truth.csv").exists()
+
+    @pytest.mark.parametrize("label", [b'"a\rb"', b'"a\nb"', b'"a\r\nb"'],
+                             ids=["cr", "lf", "crlf"])
+    def test_line_break_label_exits_2_naming_the_file(self, tiny_run, tmp_path,
+                                                      capsys, label):
+        _, _, sim, _, emu_dir = tiny_run
+        text = (emu_dir / "ensemble.csv").read_bytes()
+        (tmp_path / "ens.csv").write_bytes(text.replace(b",factual\r\n", b"," + label + b"\r\n"))
+        capsys.readouterr()
+        assert run_cli("metrics", "--truth", sim / "fields.csv",
+                       "--emulated", emu_dir / "emulated_fields.csv",
+                       "--coords", sim / "sites.csv", "--ensemble", tmp_path / "ens.csv",
+                       "--out", tmp_path / "m") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ens.csv" in err and "line break" in err
+        assert not (tmp_path / "m").exists()
 
 
 class TestInputValidation:
