@@ -12,7 +12,7 @@ checks) or at raw numpy speed (emulation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -458,9 +458,6 @@ class ParamVector:
         n = int(np.prod(shape)) if shape else 1
         return self.data[offset : offset + n].reshape(shape)
 
-    def to_dict(self) -> dict[str, np.ndarray]:
-        return {name: self.view(name).copy() for name in self.layout}
-
     def copy(self) -> "ParamVector":
         return ParamVector(data=self.data.copy(), layout=self.layout)
 
@@ -533,18 +530,16 @@ def gradient(loss, pv: ParamVector) -> np.ndarray:
 
 @dataclass
 class GradientReport:
-    """Side-by-side analytic and central-difference gradients."""
+    """The worst disagreement of the analytic and central-difference
+    gradients, and the coordinates left out at kinks."""
 
-    analytic: np.ndarray
-    fd: np.ndarray
     max_rel_err: float
     argmax: tuple[str, tuple[int, ...]]
-    skipped: np.ndarray = field(default=None)
-    step: float = 0.0
+    skipped: np.ndarray
 
     @property
     def n_skipped(self) -> int:
-        return int(np.sum(self.skipped)) if self.skipped is not None else 0
+        return int(np.sum(self.skipped))
 
 
 def _kink_arguments(out) -> np.ndarray:
@@ -608,10 +603,7 @@ def fd_check(loss, pv: ParamVector, step: float = 1e-5) -> GradientReport:
     rel[live] = np.abs(analytic[live] - fd[live]) / denom[live]
     worst = int(np.argmax(rel)) if n else 0
     return GradientReport(
-        analytic=analytic,
-        fd=fd,
         max_rel_err=float(rel[worst]) if n else 0.0,
         argmax=pv.locate(worst) if n else ("", ()),
         skipped=skipped,
-        step=step,
     )

@@ -566,7 +566,7 @@ def cmd_train(args) -> int:
     radius = _settings("data", cfg, DESK_DATA if args.desk else None)["wendland_radius"]
 
     grid_scores_path = None
-    candidates = [train_cfg]
+    candidates = []
     if args.grid_epochs is not None:
         if not args.grid:
             raise ConfigError("--grid-epochs needs --grid")
@@ -577,11 +577,11 @@ def cmd_train(args) -> int:
                 grid = json.load(fh)
             if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
                 raise TypeError("expected a JSON list of objects")
-            candidates += [tr.apply_overrides(train_cfg, g) for g in grid]
+            candidates = [tr.apply_overrides(train_cfg, g) for g in grid]
         except (KeyError, TypeError, ValueError) as err:     # JSONDecodeError too
             raise ConfigError(f"grid {args.grid}: {err}") from None
     try:                                       # geometry, e.g. --fixed-W's W
-        for cand in candidates:
+        for cand in [train_cfg] + candidates:
             ModelConfig(n_sites=x.shape[1], hyper=cand.hyper, knots=knots,
                         sites=sites, wendland_radius=radius)
     except ValueError as err:
@@ -590,7 +590,7 @@ def cmd_train(args) -> int:
     os.makedirs(out, exist_ok=True)
     if args.grid:
         train_cfg, scores = tr.grid_search(
-            x, c, train_cfg, grid, search_epochs=args.grid_epochs,
+            x, c, candidates, search_epochs=args.grid_epochs,
             knots=knots, sites=sites, wendland_radius=radius)
         grid_scores_path = os.path.join(out, "grid_scores.csv")
         write_series_csv(grid_scores_path, scores, "score", index_name="candidate")

@@ -290,7 +290,7 @@ def _gev_negloglik(params: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray
     return nll, grad
 
 
-def gev_fit(data, min_obs: int = GEV_MIN_OBS) -> GevParams:
+def gev_fit(data) -> GevParams:
     """Maximum-likelihood GEV fit by quasi-Newton search.
 
     Started from Gumbel moment estimates, run once on each side of the excluded
@@ -299,8 +299,8 @@ def gev_fit(data, min_obs: int = GEV_MIN_OBS) -> GevParams:
     constraint on every observation.
     """
     x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 1 or x.size < min_obs:
-        raise ValueError(f"gev_fit needs a 1-D sample of at least {min_obs} points")
+    if x.ndim != 1 or x.size < GEV_MIN_OBS:
+        raise ValueError(f"gev_fit needs a 1-D sample of at least {GEV_MIN_OBS} points")
     if not np.all(np.isfinite(x)):
         raise ValueError("gev_fit requires finite data")
 
@@ -343,9 +343,15 @@ class TailCheckResult:
     joint_ratio: float
     expected_marginal: float
     expected_joint: float
-    x_level: float
     n_marginal_hits: tuple[int, int]
     n_joint_hits: tuple[int, int]
+
+
+def _joint_pairs(exceeds: np.ndarray) -> int:
+    """Site pairs (i < j) exceeding together, summed over rows: a row where k
+    sites exceed holds k(k-1)/2 of them."""
+    k = np.count_nonzero(exceeds, axis=1)
+    return int(np.sum(k * (k - 1) // 2))
 
 
 def tail_equivalence_check(
@@ -354,7 +360,6 @@ def tail_equivalence_check(
     alpha0: float,
     seed,
     level: float = 0.999,
-    pair: tuple[int, int] | str = "all",
 ) -> TailCheckResult:
     """Ratio of marginal and joint survival between the two noise models.
 
@@ -365,9 +370,9 @@ def tail_equivalence_check(
 
     Both noise samples are driven by common uniforms (comonotone coupling),
     which leaves each exceedance probability estimate unbiased while shrinking
-    the variance of their ratio.  ``pair="all"`` pools the joint exceedance
-    counts over every site pair; joint events are rare at high levels, and
-    every pair's ratio has the same limit.
+    the variance of their ratio.  The joint exceedance counts are pooled over
+    every site pair; joint events are rare at high levels, and every pair's
+    ratio has the same limit.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
@@ -387,12 +392,7 @@ def tail_equivalence_check(
         raise ValueError("no log-Laplace exceedances at the requested level")
     marginal_ratio = hits_f / hits_l
 
-    if pair == "all":
-        pairs = [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
-    else:
-        pairs = [tuple(pair)]
-    joint_f = sum(int(np.sum(ex_f[:, i] & ex_f[:, j])) for i, j in pairs)
-    joint_l = sum(int(np.sum(ex_l[:, i] & ex_l[:, j])) for i, j in pairs)
+    joint_f, joint_l = _joint_pairs(ex_f), _joint_pairs(ex_l)
     if joint_l == 0:
         raise ValueError("no joint log-Laplace exceedances at the requested level")
     expected = 2.0 * tau**alpha0
@@ -401,7 +401,6 @@ def tail_equivalence_check(
         joint_ratio=float(joint_f / joint_l),
         expected_marginal=expected,
         expected_joint=expected**2,
-        x_level=x_level,
         n_marginal_hits=(hits_f, hits_l),
         n_joint_hits=(joint_f, joint_l),
     )

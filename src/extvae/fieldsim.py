@@ -167,11 +167,10 @@ def simulate_dataset(
     return x
 
 
-def smooth_condition(raw: np.ndarray, window: int = 5, drop_edges: bool = False) -> np.ndarray:
+def smooth_condition(raw: np.ndarray, window: int = 5) -> np.ndarray:
     """Centered moving average, then min-max normalization to [0, 1].
 
-    Edges use the shrunken available window by default; ``drop_edges`` trims
-    the half-window instead.
+    Edges average over the shrunken window that fits in the series.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 1 or raw.size < window:
@@ -185,8 +184,6 @@ def smooth_condition(raw: np.ndarray, window: int = 5, drop_edges: bool = False)
         lo = max(0, t - half)
         hi = min(n, t + half + 1)
         smoothed[t] = raw[lo:hi].mean()
-    if drop_edges:
-        smoothed = smoothed[half : n - half]
     lo, hi = smoothed.min(), smoothed.max()
     if hi == lo:
         raise ValueError("cannot normalize a constant series")

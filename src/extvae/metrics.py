@@ -46,11 +46,7 @@ class ChiCurve:
     lo95: np.ndarray
     hi95: np.ndarray
     defined: np.ndarray
-    distance: float
-    tol: float
     n_pairs: int
-    seed: int | None = None
-    n_boot: int = 0
 
 
 @dataclass
@@ -60,10 +56,6 @@ class AreCurve:
     lo95: np.ndarray
     hi95: np.ndarray
     defined: np.ndarray
-    psi: float
-    ref_index: int
-    seed: int | None = None
-    n_boot: int = 0
 
 
 @dataclass
@@ -197,9 +189,7 @@ def chi_curve(
     point, lo, hi = _bootstrap(lambda f: _chi_estimate(f, pairs_local, u),
                                sub, n_boot, seed)
     return ChiCurve(u=u, estimate=point, lo95=lo, hi95=hi,
-                    defined=~np.isnan(point), distance=float(distance),
-                    tol=float(tol), n_pairs=pairs.shape[0], seed=seed,
-                    n_boot=n_boot)
+                    defined=~np.isnan(point), n_pairs=pairs.shape[0])
 
 
 def _are_estimate(fields: np.ndarray, ref: int, psi: float,
@@ -239,8 +229,7 @@ def are_curve(
     point, lo, hi = _bootstrap(lambda f: _are_estimate(f, ref_index, psi, u),
                                fields, n_boot, seed)
     return AreCurve(u=u, estimate=point, lo95=lo, hi95=hi,
-                    defined=~np.isnan(point), psi=float(psi),
-                    ref_index=int(ref_index), seed=seed, n_boot=n_boot)
+                    defined=~np.isnan(point))
 
 
 # ---------------------------------------------------------------------------

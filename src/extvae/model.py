@@ -137,6 +137,8 @@ def build_phi(knots: np.ndarray | None, latent_dim: int, n_basis: int) -> np.nda
     a line otherwise).
     """
     k = latent_dim
+    if n_basis > k:
+        raise ValueError("n_basis must not exceed latent_dim")
     if knots is None:
         side = int(round(math.sqrt(k)))
         if side * side == k:
@@ -165,10 +167,8 @@ def build_phi(knots: np.ndarray | None, latent_dim: int, n_basis: int) -> np.nda
         gx, gy = np.meshgrid(xs, ys)
         centers = np.column_stack([gx.ravel(), gy.ravel()])
     else:
-        idx = np.unique(np.round(np.linspace(0, k - 1, n_basis)).astype(int))
-        while idx.size < n_basis:  # top up if rounding collided
-            missing = np.setdiff1d(np.arange(k), idx)
-            idx = np.sort(np.append(idx, missing[: n_basis - idx.size]))
+        # n_basis <= k spaces the indices at least one apart: no two collide
+        idx = np.round(np.linspace(0, k - 1, n_basis)).astype(int)
         centers = knots[idx]
 
     dd = np.sum((knots[:, None, :] - centers[None, :, :]) ** 2, axis=2)

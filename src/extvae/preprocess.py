@@ -49,20 +49,19 @@ def _cardinal_cubic(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def cyclic_spline_basis(day: np.ndarray, n_basis: int = N_SPLINES,
-                        period: float = SPLINE_PERIOD) -> np.ndarray:
-    """Periodic cubic B-spline columns over the day of year.
+def cyclic_spline_basis(day: np.ndarray) -> np.ndarray:
+    """``N_SPLINES`` periodic cubic B-spline columns over the day of year.
 
     Evenly spaced knots; each column is a wrapped cardinal B-spline, so the
     value and the first two derivatives match across the year boundary and the
     columns sum to one (partition of unity).
     """
     day = np.asarray(day, dtype=np.float64)
-    h = period / n_basis
-    pos = np.mod(day - 1.0, period)
+    h = SPLINE_PERIOD / N_SPLINES
+    pos = np.mod(day - 1.0, SPLINE_PERIOD)
     cols = []
-    for k in range(n_basis):
-        v = np.mod(pos - k * h, period) / h
+    for k in range(N_SPLINES):
+        v = np.mod(pos - k * h, SPLINE_PERIOD) / h
         cols.append(_cardinal_cubic(v))
     return np.column_stack(cols)
 
@@ -108,46 +107,30 @@ def daily_calendar(start: dt.date, n_days: int) -> DailyCalendar:
 
 @dataclass
 class SeasonalDesign:
-    """Intercept, linear time, and periodic spline columns.
+    """Intercept, linear time, and all periodic spline columns but the last.
 
-    The spline columns sum to one, which is collinear with the intercept; one
-    spline column is dropped for regression (recorded in ``dropped_column``)
-    leaving a full-rank matrix.
+    The spline columns sum to one, which is collinear with the intercept, so
+    the last one is left out and the matrix has full column rank.
     """
 
-    matrix: np.ndarray              # (N, 2 + n_splines), all columns
+    matrix: np.ndarray              # (N, 1 + N_SPLINES), column-major
     day: np.ndarray
     time_index: np.ndarray
-    dropped_column: int | None
-    n_splines: int = N_SPLINES
-
-    @property
-    def regression_matrix(self) -> np.ndarray:
-        if self.dropped_column is None:
-            return self.matrix
-        keep = [j for j in range(self.matrix.shape[1]) if j != self.dropped_column]
-        return self.matrix[:, keep]
-
-    @property
-    def variance_columns(self) -> np.ndarray:
-        """Intercept and linear-time columns, used by the variance model."""
-        return self.matrix[:, :2]
 
 
 def build_design(n_days: int, start: dt.date) -> SeasonalDesign:
-    """Design matrix for the seasonal regression over a daily calendar."""
+    """Design matrix for the seasonal regression over a daily calendar.
+
+    Column-major: ``fit_seasonal``'s ``matrix @ beta`` rounds differently on
+    a row-major copy of the same values."""
     if n_days < 366:
         raise ValueError("need at least a full year of days")
     dates = daterange(start, n_days)
     day = day_of_year(dates)
     t = np.arange(1, n_days + 1, dtype=np.float64)
     b = cyclic_spline_basis(day)
-    matrix = np.column_stack([np.ones(n_days), t, b])
-    dropped = None
-    if np.linalg.matrix_rank(matrix) < matrix.shape[1]:
-        dropped = matrix.shape[1] - 1    # partition of unity: drop one spline
-    return SeasonalDesign(matrix=matrix, day=day, time_index=t,
-                          dropped_column=dropped)
+    matrix = np.asfortranarray(np.column_stack([np.ones(n_days), t, b[:, :-1]]))
+    return SeasonalDesign(matrix=matrix, day=day, time_index=t)
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +172,12 @@ def fit_seasonal(responses: np.ndarray, design: SeasonalDesign):
     per-series residuals).
     """
     responses = np.atleast_2d(np.asarray(responses, dtype=np.float64))
-    m = design.regression_matrix
+    m = design.matrix
     if m.shape[0] != responses.shape[1]:
         raise ValueError("design length does not match the series")
     beta, _, rank, _ = np.linalg.lstsq(m, responses.mean(axis=0), rcond=None)
     if rank < m.shape[1]:
-        raise ValueError("design matrix is rank deficient after the drop rule")
+        raise ValueError("design matrix is rank deficient")
     fitted = m @ beta
     residuals = responses - fitted
     return beta, fitted, residuals
@@ -276,17 +259,14 @@ class GofResult:
     p_value: float
     observed: np.ndarray
     expected: np.ndarray
-    edges: np.ndarray
-    merged: bool
-    doubled: bool
 
 
 def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
-             doubled: bool = False, min_expected: float = 1.0) -> GofResult:
+             doubled: bool = False) -> GofResult:
     """Multinomial likelihood-ratio statistic sum O_i log(O_i / E_i).
 
     Bins are equal-width over the sample range; adjacent bins are merged until
-    every expected count reaches ``min_expected``.  Degrees of freedom are
+    every expected count reaches one.  Degrees of freedom are
     (bins - 1 - n_params); the p-value comes from the chi-square survival
     function.  ``doubled`` applies the classical factor 2.
     """
@@ -298,18 +278,15 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
     probs = np.diff(np.asarray(cdf(edges), dtype=np.float64))
     expected = m.size * probs
 
-    merged = False
-    edges = list(edges)
     observed = list(observed.astype(float))
     expected = list(expected)
-    while len(expected) > n_params + 2 and min(expected) < min_expected:
+    while len(expected) > n_params + 2 and min(expected) < 1.0:
         i = int(np.argmin(expected))
         j = i - 1 if i > 0 else i + 1
         lo, hi = min(i, j), max(i, j)
         observed[lo] += observed[hi]
         expected[lo] += expected[hi]
-        del observed[hi], expected[hi], edges[hi]
-        merged = True
+        del observed[hi], expected[hi]
     observed = np.asarray(observed)
     expected = np.asarray(expected)
     if np.any(expected <= 0):
@@ -324,8 +301,7 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
         raise ValueError("not enough bins left for the test; use fewer parameters")
     return GofResult(statistic=statistic, df=df,
                      p_value=float(chi2_dist.sf(statistic, df)),
-                     observed=observed, expected=expected,
-                     edges=np.asarray(edges), merged=merged, doubled=doubled)
+                     observed=observed, expected=expected)
 
 
 def gev_bound(g: GevParams) -> float:
@@ -363,7 +339,6 @@ def marginal_transform(m: np.ndarray, g: GevParams) -> np.ndarray:
 
 @dataclass
 class SitePreprocessResult:
-    detrended: np.ndarray
     months: list[tuple[int, int]]
     maxima: np.ndarray
     gev: GevParams
@@ -393,8 +368,7 @@ def preprocess_site(
     gof = chi2_gof(maxima, lambda e: gev_cdf(e, gev, warn_on_clamp=False),
                    n_bins=n_bins, n_params=GEV_PARAMS, doubled=doubled)
     transformed = marginal_transform(maxima, gev)
-    return SitePreprocessResult(detrended=detrended, months=months,
-                                maxima=maxima, gev=gev, gof=gof,
+    return SitePreprocessResult(months=months, maxima=maxima, gev=gev, gof=gof,
                                 transformed=transformed)
 
 

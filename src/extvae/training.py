@@ -218,8 +218,7 @@ def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
 def grid_search(
     data,
     c,
-    base_cfg: TrainConfig,
-    grid: list[dict],
+    configs: list[TrainConfig],
     *,
     search_epochs: int | None = None,
     knots=None,
@@ -227,11 +226,10 @@ def grid_search(
     wendland_radius=None,
 ) -> tuple[TrainConfig, list[float]]:
     """Train every candidate, score by final mean negative objective, return
-    the argmin's config (ties keep the earliest grid entry).  ``search_epochs``
+    the argmin's config (ties keep the earliest candidate).  ``search_epochs``
     shortens the scoring runs only; the returned config keeps its epochs."""
-    if not grid:
+    if not configs:
         raise ValueError("grid must be nonempty")
-    configs = [apply_overrides(base_cfg, overrides) for overrides in grid]
     scores: list[float] = []
     for cand in configs:
         if search_epochs is not None:

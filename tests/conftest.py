@@ -11,34 +11,36 @@ import time
 import numpy as np
 import pytest
 
+from extvae import cli
 from extvae import fieldsim as fs
 from extvae import model as mdl
 from extvae import training as tr
-from extvae.cli import _hold_heap
 
 DESK_SEED = 2026
 DESK_EPOCHS = 3000
-DESK_RHO0 = 0.1
+# the desk preset's data values over their defaults, as `extvae simulate --desk`
+DESK = cli._settings("data", {}, cli.DESK_DATA)
 
 
 def pytest_sessionstart(session):
     # the allocator policy of the CLI: training without re-faulting the heap
-    _hold_heap()
+    cli._hold_heap()
 
 
 @pytest.fixture(scope="session")
 def desk_instance():
-    """The 20x20 / 16-knot / 200-step synthetic instance."""
-    grid = fs.regular_grid(20, 20, 20.0)
-    knots = fs.knot_lattice(4, 20.0)
-    w_true = fs.wendland_basis(grid.sites, knots, 6.0)
-    c = fs.smooth_condition(fs.synthetic_condition(200, DESK_SEED))
-    theta_true = fs.simulate_theta(c, knots)
-    x = fs.simulate_dataset(theta_true, w_true, 30.0, DESK_SEED)
+    """The 20x20 / 16-knot / 200-step synthetic instance of the desk preset."""
+    grid = fs.regular_grid(DESK["rows"], DESK["cols"], DESK["extent"])
+    knots = fs.knot_lattice(DESK["knot_side"], DESK["extent"])
+    w_true = fs.wendland_basis(grid.sites, knots, DESK["wendland_radius"])
+    c = fs.smooth_condition(fs.synthetic_condition(DESK["n_t"], DESK_SEED))
+    theta_true = fs.simulate_theta(c, knots, gamma=DESK["gamma"], b=DESK["b"],
+                                   tau=DESK["tau"])
+    x = fs.simulate_dataset(theta_true, w_true, DESK["alpha0"], DESK_SEED)
     return {
         "grid": grid, "knots": knots, "w_true": w_true,
         "c": c, "theta_true": theta_true, "x": x, "seed": DESK_SEED,
-        "spacing": 20.0 / 3.0,
+        "spacing": DESK["extent"] / (DESK["knot_side"] - 1),
     }
 
 
@@ -46,13 +48,11 @@ def desk_instance():
 def desk_models(desk_instance):
     """Learnable-W and fixed-W fits of the desk instance, with timings."""
     inst = desk_instance
-    hyper = mdl.HyperParams(latent_dim=16, n_theta_basis=9, seed=DESK_SEED,
-                            rho0=DESK_RHO0, penalty_abs=True,
-                            epochs=DESK_EPOCHS)
+    hyper = mdl.HyperParams(**cli.DESK_HYPER, seed=DESK_SEED, epochs=DESK_EPOCHS)
     t0 = time.perf_counter()
     model, report = tr.train(inst["x"], inst["c"], tr.TrainConfig(hyper=hyper),
                              knots=inst["knots"], sites=inst["grid"].sites,
-                             wendland_radius=6.0)
+                             wendland_radius=DESK["wendland_radius"])
     t_learn = time.perf_counter() - t0
     t0 = time.perf_counter()
     fixed_hyper = dataclasses.replace(hyper, fix_w=True)
@@ -60,7 +60,7 @@ def desk_models(desk_instance):
                                    tr.TrainConfig(hyper=fixed_hyper),
                                    knots=inst["knots"],
                                    sites=inst["grid"].sites,
-                                   wendland_radius=6.0)
+                                   wendland_radius=DESK["wendland_radius"])
     t_fixed = time.perf_counter() - t0
     return {
         "model": model, "report": report, "seconds": t_learn,

@@ -27,7 +27,7 @@ class TestParamVector:
         pv = ParamVector.build(parts)
         for name, arr in parts.items():
             np.testing.assert_array_equal(pv.view(name), arr)
-        rebuilt = ParamVector.build(pv.to_dict())
+        rebuilt = ParamVector.build({name: pv.view(name) for name in pv.layout})
         np.testing.assert_array_equal(rebuilt.data, pv.data)
 
     def test_locate(self):

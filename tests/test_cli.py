@@ -557,7 +557,7 @@ class TestFileLayer:
 
         m = awkward_matrix(4, 4, shift=5)
         curve = ChiCurve(u=m[0], estimate=m[1], lo95=m[2], hi95=m[3],
-                         defined=np.ones(4, bool), distance=1.0, tol=0.5, n_pairs=1)
+                         defined=np.ones(4, bool), n_pairs=1)
         cli.write_curve_csv(str(new), curve)
         ref_write_curve_csv(str(ref), curve)
         assert new.read_bytes() == ref.read_bytes()

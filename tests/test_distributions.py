@@ -26,6 +26,7 @@ from extvae.distributions import (
     gev_sample,
     loglaplace_cdf,
     loglaplace_logpdf,
+    loglaplace_quantile,
     loglaplace_sample,
     lognormal_logpdf,
     tail_equivalence_check,
@@ -377,11 +378,26 @@ class TestTailEquivalence:
     def test_ratio_converges_in_small_instance(self):
         rng = substream(99, "y")
         y = np.exp(0.3 * rng.standard_normal((200000, 2)))
-        res = tail_equivalence_check(y, tau=1.0, alpha0=2.0, seed=1,
-                                     level=0.995, pair=(0, 1))
+        res = tail_equivalence_check(y, tau=1.0, alpha0=2.0, seed=1, level=0.995)
         assert res.expected_marginal == pytest.approx(2.0)
         assert res.expected_joint == pytest.approx(4.0)
         assert abs(res.marginal_ratio - 2.0) < 0.5
+
+    def test_joint_hits_count_every_site_pair(self):
+        # the pooled joint count equals a loop over every pair i < j
+        rng = substream(98, "y")
+        y = np.exp(rng.standard_normal((20000, 1)) + 0.3 * rng.standard_normal((20000, 5)))
+        res = tail_equivalence_check(y, tau=1.0, alpha0=2.0, seed=3, level=0.95)
+        u = np.clip(substream(3, "noise-u").random(y.shape), 1e-15, 1.0 - 1e-15)
+        x_f = frechet_quantile(u, FrechetParams(1.0, 2.0)) * y
+        x_l = loglaplace_quantile(u, LogLaplaceParams(2.0)) * y
+        level = np.quantile(np.concatenate([x_f.ravel(), x_l.ravel()]), 0.95)
+        masks = (x_f > level, x_l > level)
+        assert res.n_marginal_hits == tuple(int(np.sum(ex)) for ex in masks)
+        loops = tuple(sum(int(np.sum(ex[:, i] & ex[:, j]))
+                          for i in range(5) for j in range(i + 1, 5)) for ex in masks)
+        assert res.n_joint_hits == loops
+        assert min(loops) > 1000
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

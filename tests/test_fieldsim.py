@@ -172,11 +172,6 @@ class TestSmoothCondition:
         with pytest.raises(ValueError, match="constant"):
             fs.smooth_condition(np.full(20, 2.5), window=5)
 
-    def test_drop_edges_variant(self):
-        out = fs.smooth_condition(np.linspace(0, 1, 20), window=5,
-                                  drop_edges=True)
-        assert out.size == 16
-
     def test_too_short_series(self):
         with pytest.raises(ValueError):
             fs.smooth_condition(np.arange(3.0), window=5)

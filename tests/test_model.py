@@ -272,6 +272,25 @@ class TestThetaAndY:
         np.testing.assert_allclose(y[0], 50.0 * z[0], rtol=1e-6)
 
 
+class TestBuildPhi:
+    def test_more_basis_functions_than_knots_rejected(self):
+        with pytest.raises(ValueError, match="n_basis"):
+            mdl.build_phi(None, 4, 5)
+
+    def test_line_layout_centers_are_distinct_knots(self):
+        # 5 of 7 knots on a line: each column peaks (value 1) at its own knot
+        phi = mdl.build_phi(None, 7, 5)
+        assert phi.shape == (7, 5)
+        peaks = np.argmax(phi, axis=0)
+        np.testing.assert_array_equal(phi[peaks, np.arange(5)], 1.0)
+        assert np.all(np.diff(peaks) > 0)
+        # the rounded indices never collide while n_basis <= latent_dim
+        for k in range(1, 80):
+            for n in range(1, k + 1):
+                idx = np.round(np.linspace(0, k - 1, n)).astype(int)
+                assert np.all(np.diff(idx) > 0), (k, n)
+
+
 class TestObjectiveTerms:
     def test_loglik_hand_values(self):
         assert mdl.loglik(np.array([1.0]), np.array([1.0]), 30.0) == pytest.approx(

@@ -16,7 +16,7 @@ from extvae.seeds import substream
 
 def seasonal_tiled(responses, design):
     responses = np.atleast_2d(np.asarray(responses, dtype=np.float64))
-    m = design.regression_matrix
+    m = design.matrix
     stacked = np.tile(m, (responses.shape[0], 1))
     beta = np.linalg.lstsq(stacked, responses.ravel(), rcond=None)[0]
     return beta, m @ beta
@@ -74,14 +74,16 @@ class TestCyclicSplines:
 
 
 class TestBuildDesign:
-    def test_shape_and_drop_rule(self):
+    def test_shape_and_full_rank(self):
         design = pp.build_design(3 * 365, dt.date(2014, 5, 1))
-        assert design.matrix.shape == (1095, 14)
-        # partition of unity makes the full matrix rank 13; one spline dropped
-        assert design.dropped_column == 13
-        m = design.regression_matrix
+        # partition of unity: with every spline the matrix would have rank 13
+        # in 14 columns, so the last spline is left out
+        m = design.matrix
         assert m.shape == (1095, 13)
         assert np.linalg.matrix_rank(m) == 13
+        splines = pp.cyclic_spline_basis(design.day)
+        np.testing.assert_array_equal(m[:, 2:], splines[:, :-1])
+        assert m.flags.f_contiguous
 
     def test_requires_a_year(self):
         with pytest.raises(ValueError):
@@ -153,7 +155,7 @@ class TestSeasonalFit:
 
     def test_exact_recovery(self, design):
         rng = substream(2)
-        m = design.regression_matrix
+        m = design.matrix
         beta_true = rng.standard_normal(m.shape[1])
         y = (m @ beta_true)[None, :]
         beta, fitted, _ = pp.fit_seasonal(y, design)
@@ -170,7 +172,7 @@ class TestSeasonalFit:
     @pytest.mark.parametrize("rows", [[0], [0, 1], list(range(8)) + [3]])
     def test_neighbor_mean_matches_tiled_design(self, design, rows):
         rng = substream(15)
-        m = design.regression_matrix
+        m = design.matrix
         series = (m @ rng.standard_normal(m.shape[1]))[None, :] \
             + rng.standard_normal((8, 730))
         y = series[rows]

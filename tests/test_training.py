@@ -89,11 +89,16 @@ class TestTrain:
             tr.train(x, c[:-1], cfg)
 
 
+def candidates(base, *grid):
+    """The grid's configs as ``extvae train --grid`` builds them."""
+    return [tr.apply_overrides(base, overrides) for overrides in grid]
+
+
 class TestGridSearch:
     def test_single_candidate(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
         base = tr.TrainConfig(hyper=replace(hyper, epochs=3))
-        best, scores = tr.grid_search(x, c, base, [{"learning_rate": 5e-4}],
+        best, scores = tr.grid_search(x, c, candidates(base, {"learning_rate": 5e-4}),
                                       knots=knots, sites=grid.sites,
                                       wendland_radius=25.0)
         assert best.hyper.learning_rate == 5e-4
@@ -102,8 +107,8 @@ class TestGridSearch:
     def test_tie_keeps_first(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
         base = tr.TrainConfig(hyper=replace(hyper, epochs=3))
-        grid_spec = [{"learning_rate": 1e-3}, {"learning_rate": 1e-3}]
-        best, scores = tr.grid_search(x, c, base, grid_spec, knots=knots,
+        grid_spec = candidates(base, {"learning_rate": 1e-3}, {"learning_rate": 1e-3})
+        best, scores = tr.grid_search(x, c, grid_spec, knots=knots,
                                       sites=grid.sites, wendland_radius=25.0)
         assert scores[0] == scores[1]
         assert best.hyper.learning_rate == 1e-3
@@ -112,7 +117,7 @@ class TestGridSearch:
         grid, knots, x, c, hyper = tiny_problem
         base = tr.TrainConfig(hyper=replace(hyper, epochs=25))
         best, scores = tr.grid_search(
-            x, c, base, [{"learning_rate": 1e-3}, {"learning_rate": 1e3}],
+            x, c, candidates(base, {"learning_rate": 1e-3}, {"learning_rate": 1e3}),
             knots=knots, sites=grid.sites, wendland_radius=25.0)
         assert best.hyper.learning_rate == 1e-3
         assert scores[1] > scores[0] or not np.isfinite(scores[1])
@@ -120,8 +125,8 @@ class TestGridSearch:
     def test_search_epochs_shorten_only_the_search(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
         base = tr.TrainConfig(hyper=replace(hyper, epochs=5))
-        best, scores = tr.grid_search(x, c, base, [{"rho0": 0.2}], search_epochs=2,
-                                      knots=knots, sites=grid.sites,
+        best, scores = tr.grid_search(x, c, candidates(base, {"rho0": 0.2}),
+                                      search_epochs=2, knots=knots, sites=grid.sites,
                                       wendland_radius=25.0)
         assert best.hyper == replace(hyper, epochs=5, rho0=0.2)
         _, short = tr.train(x, c, tr.TrainConfig(hyper=replace(best.hyper, epochs=2)),
@@ -129,10 +134,9 @@ class TestGridSearch:
         assert scores == [short.loss_history[-1]]
 
     def test_empty_grid_rejected(self, tiny_problem):
-        *_, x, c, hyper = tiny_problem[2], tiny_problem[3], tiny_problem[4]
+        _, _, x, c, _ = tiny_problem
         with pytest.raises(ValueError):
-            tr.grid_search(tiny_problem[2], tiny_problem[3],
-                           tr.TrainConfig(hyper=tiny_problem[4]), [])
+            tr.grid_search(x, c, [])
 
     def test_unknown_override_rejected(self):
         with pytest.raises(KeyError):
