@@ -3,12 +3,7 @@
 __version__ = "0.1.0"
 
 from .autodiff import ParamVector, fd_check, gradient, value_and_gradient
-from .distributions import (
-    ExpPSParams,
-    FrechetParams,
-    GevParams,
-    LogLaplaceParams,
-)
+from .distributions import FrechetParams, GevParams, LogLaplaceParams
 from .emulation import EmulationEnsemble, ablate_condition, counterfactual, emulate
 from .model import HyperParams, ModelConfig, ModelParameters
 from .training import TrainConfig, TrainReport, checkpoint_load, checkpoint_save, train
@@ -16,7 +11,7 @@ from .training import TrainConfig, TrainReport, checkpoint_load, checkpoint_save
 __all__ = [
     "__version__",
     "ParamVector", "fd_check", "gradient", "value_and_gradient",
-    "LogLaplaceParams", "ExpPSParams", "FrechetParams", "GevParams",
+    "LogLaplaceParams", "FrechetParams", "GevParams",
     "HyperParams", "ModelConfig", "ModelParameters",
     "TrainConfig", "TrainReport", "train", "checkpoint_save", "checkpoint_load",
     "EmulationEnsemble", "emulate", "counterfactual", "ablate_condition",

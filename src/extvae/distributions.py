@@ -2,8 +2,8 @@
 
 Closed-form CDFs, log-densities, and samplers for the log-Laplace multiplicative
 noise, the Frechet noise it replaces, exponentially-tilted positive-stable
-latent factors (stability index fixed at 1/2, drawn exactly as inverse
-Gaussians), log-normal variational posteriors, and the GEV marginal model.
+latent factors (stability index STABILITY_INDEX = 1/2, drawn exactly as
+inverse Gaussians), log-normal variational posteriors, and the GEV marginal model.
 
 All samplers are deterministic given a seed; see :mod:`extvae.seeds`.
 """
@@ -27,6 +27,9 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 XI_MIN = 1e-3
 # fewest maxima gev_fit accepts
 GEV_MIN_OBS = 30
+# the latent factors' stability index: the one index whose tilted law has a
+# closed-form density and an exact sampler, so it is fixed, not a setting
+STABILITY_INDEX = 0.5
 
 
 class GevFitError(RuntimeError):
@@ -50,26 +53,6 @@ class LogLaplaceParams:
 
     def __post_init__(self):
         _validate_positive("alpha0", self.alpha0)
-
-
-@dataclass(frozen=True)
-class ExpPSParams:
-    """Exponentially-tilted positive-stable parameters.
-
-    The density and the sampler exist for ``alpha == 0.5`` only, where the
-    closed form exists (:func:`expps_logdensity_half`,
-    :func:`expps_sample_field`); the tilting parameter ``theta >= 0`` controls
-    how light the right tail is.
-    """
-
-    alpha: float
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not np.isfinite(self.theta) or self.theta < 0:
-            raise ValueError(f"theta must be >= 0 and finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)

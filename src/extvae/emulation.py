@@ -26,9 +26,6 @@ MODES = ("reconstruction", "prior")
 # keeps each of a chunk's arrays under glibc's 32 MiB mmap threshold (see
 # cli._hold_heap), so they are not page-faulted in anew for every chunk
 CHUNK_BYTES = 50_000_000
-# noise runs closer than this many words are read as one span: a counter seek
-# (~9 us) costs about as much as drawing this many words (~9 ns each)
-BRIDGE_WORDS = 1024
 
 
 @dataclass
@@ -60,22 +57,12 @@ def ablate_condition(c: np.ndarray, mode: str, seed) -> np.ndarray:
 def _run_words(stream: CounterStream, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The words of each run [starts[i], starts[i] + lens[i]), concatenated.
 
-    Runs are disjoint.  A run that starts less than BRIDGE_WORDS after the
-    previous one ends is read in one span with it, and the words are picked out
-    of the span: they are the same words, read with fewer seeks.
+    Runs are disjoint.  A run that starts where the previous one ends is read
+    in one span with it; every other run is read at its own counter.
     """
-    ends = starts + lens
-    gaps = starts[1:] - ends[:-1]
-    cuts = np.flatnonzero((gaps < 0) | (gaps > BRIDGE_WORDS)) + 1
-    pieces = []
-    for g0, g1 in zip(np.r_[0, cuts], np.r_[cuts, starts.size]):
-        span = stream.words(int(starts[g0]), int(ends[g1 - 1] - starts[g0]))
-        lg = lens[g0:g1]
-        if span.size != lg.sum():
-            # word i of the group: its rank plus the gaps before its run
-            skip = starts[g0:g1] - starts[g0] - (np.cumsum(lg) - lg)
-            span = span[np.arange(lg.sum()) + np.repeat(skip, lg)]
-        pieces.append(span)
+    cuts = np.flatnonzero(starts[1:] != starts[:-1] + lens[:-1]) + 1
+    pieces = [stream.words(int(starts[g0]), int(lens[g0:g1].sum()))
+              for g0, g1 in zip(np.r_[0, cuts], np.r_[cuts, starts.size])]
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 

@@ -154,34 +154,21 @@ def _chi_estimate(sub: np.ndarray, pairs_local: np.ndarray,
     return out
 
 
-def chi_curve(
-    fields: np.ndarray,
-    coords: np.ndarray,
-    distance: float,
-    u: np.ndarray,
-    tol: float | None = None,
-    n_boot: int = N_BOOT_DEFAULT,
-    seed: int = 0,
-    max_pairs: int = MAX_PAIRS_PER_BIN,
-    pairs: np.ndarray | None = None,
-) -> ChiCurve:
-    """Empirical co-exceedance probability at a spatial lag.
+def chi_curve(fields: np.ndarray, pairs: np.ndarray, u: np.ndarray,
+              n_boot: int = N_BOOT_DEFAULT, seed: int = 0) -> ChiCurve:
+    """Empirical co-exceedance probability over site pairs, e.g. the
+    :func:`select_pairs` result for one spatial lag.
 
     ``fields`` is (replicates, sites); time plays the replicate role.  Each
-    margin is rank-transformed, and for every pair in the distance bin the
-    conditional exceedance ratio is averaged.  Bootstrap resamples replicates
-    (200 by default) and re-ranks within each resample; the percentile band is
-    widened, if needed, to contain the point estimate.  ``pairs`` may pass
-    in the :func:`select_pairs` result for these arguments.
+    margin is rank-transformed, and the conditional exceedance ratio of every
+    pair is averaged.  Bootstrap resamples replicates (200 by default) and
+    re-ranks within each resample; the percentile band is widened, if needed,
+    to contain the point estimate.
     """
     fields = np.asarray(fields, dtype=np.float64)
     if fields.ndim != 2 or fields.shape[0] < 2:
         raise ValueError("fields must be (replicates >= 2, sites)")
     u = np.asarray(u, dtype=np.float64)
-    if tol is None:
-        tol = distance / 2.0
-    if pairs is None:
-        pairs = select_pairs(coords, distance, tol, max_pairs, seed)
     sel = np.unique(pairs)
     pairs_local = np.searchsorted(sel, pairs)
     sub = fields[:, sel]

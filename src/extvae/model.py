@@ -79,8 +79,7 @@ def check_value(name: str, value, kind, *, ge=None, gt=None, lt=None):
     return value.item() if isinstance(value, np.generic) else value
 
 
-# each HyperParams field: its kind and bounds; seeds are numpy's, >= 0, and
-# alpha takes only 1/2
+# each HyperParams field: its kind and bounds; seeds are numpy's, >= 0
 _HYPER_KINDS = {
     **dict.fromkeys(("latent_dim", "n_theta_basis", "mc_draws", "conv_channels",
                      "kernel_len", "pool_len"), (int, {"ge": 1})),
@@ -89,7 +88,6 @@ _HYPER_KINDS = {
     **dict.fromkeys(("alpha0", "learning_rate"), (float, {"gt": 0})),
     "rho0": (float, {"ge": 0}),
     **dict.fromkeys(("penalty_abs", "fix_w"), (bool, {})),
-    "alpha": ((0.5,), {}),
 }
 
 
@@ -97,15 +95,17 @@ _HYPER_KINDS = {
 class HyperParams:
     """Model and training hyperparameters.
 
-    ``alpha`` is fixed at 1/2 (the only stability index with a closed-form
-    latent density); ``alpha0`` is a tuning constant selected by grid search,
-    not a gradient-trained parameter.
+    The latent stability index is not among them: it is
+    :data:`~extvae.distributions.STABILITY_INDEX`.  ``alpha0`` is a tuning
+    constant selected by grid search, not a gradient-trained parameter.
+    ``penalty_abs`` selects the absolute-value temporal penalty, which blocks
+    the slow scale drift described in the README; ``False`` gives the signed
+    form as printed.
     """
 
     latent_dim: int = 16              # K
     n_theta_basis: int = 9            # M
     alpha0: float = 30.0
-    alpha: float = 0.5
     rho0: float = 0.1
     mc_draws: int = 1                 # L
     enc_widths: tuple = (64,)
@@ -115,7 +115,7 @@ class HyperParams:
     learning_rate: float = 1e-3
     epochs: int = 1000
     seed: int = 0
-    penalty_abs: bool = False
+    penalty_abs: bool = True
     fix_w: bool = False
 
     def __post_init__(self):
@@ -378,7 +378,8 @@ def loglik(x, y, alpha0: float):
 
 
 def log_prior(z, theta, log_z=None):
-    """Tilted-stable prior log-density summed over knots (alpha = 1/2)."""
+    """Tilted-stable prior log-density summed over knots, at the stability
+    index 1/2 (:data:`~extvae.distributions.STABILITY_INDEX`)."""
     lz = ad.log(z) if log_z is None else log_z
     term = (
         -math.log(2.0)

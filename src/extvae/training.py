@@ -2,8 +2,9 @@
 
 Adam on minibatches of time steps (full batch below 512 steps), deterministic
 given the seed: fixed shuffle streams, fixed per-epoch noise streams, fixed
-reduction order.  Checkpoints capture parameters, Adam state, and the stream
-position so a resumed run is bit-identical to an uninterrupted one.
+reduction order.  Checkpoints capture parameters, Adam state, and the loss
+history, whose length is the epoch a resumed run starts from, so a resumed run
+is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .autodiff import NonFiniteError, ParamVector, value_and_gradient
 from .model import HyperParams, ModelConfig, ModelParameters, check_value
 from .seeds import substream
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 FULL_BATCH_LIMIT = 512
 # Adam's moment decay rates and denominator guard, at their usual values
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -63,8 +64,6 @@ class TrainReport:
     loss_history: list[float]
     seconds: float
     converged: bool
-    n_params: int
-    epochs_completed: int
 
 
 @dataclass
@@ -185,8 +184,7 @@ def train(
                 and (epoch + 1) % cfg.checkpoint_every == 0):
             checkpoint_save(cfg.checkpoint_path,
                             ModelParameters(model_cfg, params),
-                            adam=adam, epochs_completed=epoch + 1,
-                            loss_history=history, seed=seed)
+                            adam=adam, loss_history=history)
 
     seconds = time.perf_counter() - t0
     model = ModelParameters(config=model_cfg, params=params)
@@ -194,12 +192,9 @@ def train(
         loss_history=list(history),
         seconds=seconds,
         converged=_is_converged(history),
-        n_params=params.size,
-        epochs_completed=epochs,
     )
     if cfg.checkpoint_path:
-        checkpoint_save(cfg.checkpoint_path, model, adam=adam,
-                        epochs_completed=epochs, loss_history=history, seed=seed)
+        checkpoint_save(cfg.checkpoint_path, model, adam=adam, loss_history=history)
     return model, report
 
 
@@ -272,8 +267,9 @@ def _decode_array(blob) -> np.ndarray | None:
 
 
 def checkpoint_state(model: ModelParameters, *, adam: AdamState | None = None,
-                     epochs_completed: int = 0, loss_history=None,
-                     seed: int | None = None) -> dict:
+                     loss_history=None) -> dict:
+    """Each value once: the seed is ``hyper.seed`` and the epochs completed
+    are ``len(meta.loss_history)``."""
     cfg = model.config
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -295,17 +291,13 @@ def checkpoint_state(model: ModelParameters, *, adam: AdamState | None = None,
             "v": _encode_array(adam.v),
             "step": adam.step,
         },
-        "rng": {"seed": seed, "epochs_completed": epochs_completed},
-        "meta": {"loss_history": list(map(float, loss_history or [])),
-                 "n_params": model.params.size},
+        "meta": {"loss_history": list(map(float, loss_history or []))},
     }
 
 
 def checkpoint_save(path, model: ModelParameters, *, adam: AdamState | None = None,
-                    epochs_completed: int = 0, loss_history=None,
-                    seed: int | None = None) -> None:
-    state = checkpoint_state(model, adam=adam, epochs_completed=epochs_completed,
-                             loss_history=loss_history, seed=seed)
+                    loss_history=None) -> None:
+    state = checkpoint_state(model, adam=adam, loss_history=loss_history)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(state, fh)
 
@@ -320,9 +312,8 @@ def checkpoint_read(path) -> dict:
         raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
     version = state.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format {version!r} does not match "
-            f"{CHECKPOINT_FORMAT_VERSION}")
+        raise CheckpointError(f"checkpoint {path} has format {version!r}; this "
+                              f"version reads format {CHECKPOINT_FORMAT_VERSION}")
     return state
 
 
@@ -389,6 +380,5 @@ def _restore_training_state(state: dict):
     else:
         adam = AdamState(m=_decode_array(blob["m"]), v=_decode_array(blob["v"]),
                          step=blob["step"])
-    epochs_completed = state["rng"]["epochs_completed"]
-    history = list(state["meta"].get("loss_history", []))
-    return model, adam, epochs_completed, history
+    history = list(_section(state, "meta", ["loss_history"])["loss_history"])
+    return model, adam, len(history), history

@@ -48,7 +48,7 @@ def desk_instance():
 def desk_models(desk_instance):
     """Learnable-W and fixed-W fits of the desk instance, with timings."""
     inst = desk_instance
-    hyper = mdl.HyperParams(**cli.DESK_HYPER, seed=DESK_SEED, epochs=DESK_EPOCHS)
+    hyper = mdl.HyperParams(seed=DESK_SEED, epochs=DESK_EPOCHS)   # the desk preset
     t0 = time.perf_counter()
     model, report = tr.train(inst["x"], inst["c"], tr.TrainConfig(hyper=hyper),
                              knots=inst["knots"], sites=inst["grid"].sites,

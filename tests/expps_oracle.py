@@ -9,7 +9,6 @@ for the moderate theta the tests draw at, hopeless for large theta.
 
 import numpy as np
 
-from extvae.distributions import ExpPSParams
 from extvae.seeds import as_generator
 
 
@@ -25,11 +24,11 @@ def positive_stable_half_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 / z**2
 
 
-def expps_sample(p: ExpPSParams, n: int, seed, return_stats: bool = False):
-    """n draws of expPS(1/2, p.theta) by rejection from stable(1/2) proposals;
+def expps_sample(theta: float, n: int, seed, return_stats: bool = False):
+    """n draws of expPS(1/2, theta) by rejection from stable(1/2) proposals;
     with ``return_stats`` also the proposal and acceptance counts."""
-    if p.alpha != 0.5:
-        raise ValueError("sampler implemented for alpha = 1/2 only")
+    if not np.isfinite(theta) or theta < 0:
+        raise ValueError(f"theta must be >= 0 and finite, got {theta!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
@@ -38,10 +37,10 @@ def expps_sample(p: ExpPSParams, n: int, seed, return_stats: bool = False):
     while filled < n:
         need = n - filled
         x = positive_stable_half_sample(need, rng)
-        if p.theta == 0.0:
+        if theta == 0.0:
             keep = np.ones(need, dtype=bool)
         else:
-            keep = rng.random(need) < np.exp(-p.theta * x)
+            keep = rng.random(need) < np.exp(-theta * x)
         proposals += need
         k = int(np.sum(keep))
         out[filled : filled + k] = x[keep]

@@ -20,7 +20,6 @@ from extvae import preprocess as pp
 from extvae import training as tr
 from extvae.autodiff import fd_check
 from extvae.distributions import (
-    ExpPSParams,
     GevParams,
     expps_sample_field,
     gev_cdf,
@@ -44,7 +43,7 @@ def test_criterion_1_gradient_exactness():
     t0 = time.perf_counter()
     hyper = mdl.HyperParams(latent_dim=4, n_theta_basis=4, conv_channels=8,
                             enc_widths=(16,), alpha0=30.0, rho0=0.5,
-                            mc_draws=1, seed=0)
+                            penalty_abs=False, mc_draws=1, seed=0)
     cfg = mdl.ModelConfig(n_sites=25, hyper=hyper)
     params = mdl.init_params(cfg, 0)
     rng = substream(0, "gradcheck-data")
@@ -74,8 +73,7 @@ def test_criterion_2_expps_sampler_oracle():
     details = []
     for theta in (0.0, 1.0, 2.0):
         seed = 20 + int(theta * 10)
-        _, stats = expps_sample(ExpPSParams(0.5, theta), 10**5, seed=seed,
-                                return_stats=True)
+        _, stats = expps_sample(theta, 10**5, seed=seed, return_stats=True)
         rate = stats["accepted"] / stats["proposals"]
         rate_target = math.exp(-math.sqrt(theta))
         rate_se = math.sqrt(rate_target * (1 - rate_target)
@@ -151,8 +149,9 @@ def test_criterion_4a_chi_fidelity(desk_instance, desk_emulated_path):
     inst = desk_instance
     u = np.array([0.90, 0.95, 0.99])
     psi = inst["grid"].cell
-    truth = mx.chi_curve(inst["x"], inst["grid"].sites, psi, u, seed=1)
-    emul = mx.chi_curve(desk_emulated_path, inst["grid"].sites, psi, u, seed=1)
+    pairs = mx.select_pairs(inst["grid"].sites, psi, psi / 2.0, seed=1)
+    truth = mx.chi_curve(inst["x"], pairs, u, seed=1)
+    emul = mx.chi_curve(desk_emulated_path, pairs, u, seed=1)
     inside = (emul.estimate >= truth.lo95) & (emul.estimate <= truth.hi95)
     ok = bool(np.all(inside))
     report("criterion 4a (chi fidelity)", ok,
@@ -394,7 +393,8 @@ def test_criterion_8_metric_unit_oracles():
     rng = substream(3)
     fields = rng.random((10**4, 2))
     coords = np.array([[0.0, 0.0], [1.0, 0.0]])
-    chi = mx.chi_curve(fields, coords, 1.0, np.array([0.9]), n_boot=0, seed=0)
+    chi = mx.chi_curve(fields, mx.select_pairs(coords, 1.0, 0.5), np.array([0.9]),
+                       n_boot=0, seed=0)
     den = math.floor(0.1 * 10**4)
     se = math.sqrt(0.1 * 0.9 / den)
     chi_ok = abs(chi.estimate[0] - 0.1) <= 3 * se

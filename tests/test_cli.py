@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from extvae import cli
 from extvae import emulation as emu
+from extvae.model import HyperParams
 
 
 def run_cli(*args) -> int:
@@ -178,7 +180,7 @@ class TestTrain:
                            "--knots", sim / "knots.csv", "--sites", sim / "sites.csv",
                            "--epochs", 10, "--out", tmp_path / name) == 0
         ckpt = (tmp_path / "every7" / "checkpoint.json").read_bytes()
-        assert json.loads(ckpt)["rng"]["epochs_completed"] == 10
+        assert len(json.loads(ckpt)["meta"]["loss_history"]) == 10
         assert ckpt == (tmp_path / "plain" / "checkpoint.json").read_bytes()
         assert len(read_rows(tmp_path / "every7" / "train_report.csv")) == 11
 
@@ -985,7 +987,9 @@ class TestInputValidation:
                                       '[{"checkpoint_path": "TMP/stray.json"}]',
                                       '[{"batch_size": 8}]', '[{"hyper.rho0": 0.2}]',
                                       # kinds as well as ranges
-                                      '[{"pool_len": 0}]', '[{"fix_w": "no"}]'])
+                                      '[{"pool_len": 0}]', '[{"fix_w": "no"}]',
+                                      # the stability index is not a setting
+                                      '[{"alpha": 0.5}]'])
     def test_malformed_grid_rejected(self, tiny_run, tmp_path, capsys, grid):
         root, cfg_path, sim, *_ = tiny_run
         (tmp_path / "grid.json").write_text(grid.replace("TMP", tmp_path.as_posix()))
@@ -1110,10 +1114,10 @@ class TestInputValidation:
         ({"metrics": {"n_boot": 1.5}}, "metrics n_boot"),
         ({"metrics": {"u": []}}, "metrics u"),
         ({"hyper": {"latent_dim": 4.0}}, "hyper latent_dim"),
-        ({"hyper": {"alpha": 0.4}}, "hyper alpha"),
+        ({"hyper": {"alpha": 0.5}}, "'hyper': ['alpha']"),
         ({"train": {"batch_size": 0}}, "train batch_size")],
         ids=["data.n_t 2.0", "emulate.mode pri", "metrics.n_boot 1.5", "metrics.u []",
-             "hyper.latent_dim 4.0", "hyper.alpha 0.4", "train.batch_size 0"])
+             "hyper.latent_dim 4.0", "hyper.alpha 0.5", "train.batch_size 0"])
     @pytest.mark.parametrize("command", ["simulate", "train", "emulate",
                                          "counterfactual", "metrics"])
     def test_every_section_checked_by_every_command(self, tiny_run, tmp_path, capsys,
@@ -1137,6 +1141,32 @@ class TestInputValidation:
         code = run_cli(command, "--config", tmp_path / "cfg.json", *extra,
                        "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, needle)
+        assert not (tmp_path / "o").exists()
+
+    def test_alpha_is_not_a_hyperparameter(self):
+        # the stability index is distributions.STABILITY_INDEX; as a config
+        # key or a grid entry it is unknown (see the two tests above)
+        with pytest.raises(TypeError, match="alpha"):
+            HyperParams(alpha=0.5)
+
+    @pytest.mark.parametrize("command", ["emulate", "counterfactual"])
+    def test_format_1_checkpoint_rejected(self, tiny_run, tmp_path, capsys, command):
+        # format 1 also stored the seed and epoch count in an rng section, a
+        # parameter count in meta and the stability index in hyper
+        root, cfg_path, sim, train, _ = tiny_run
+        state = json.loads((train / "checkpoint.json").read_text())
+        state["format_version"] = 1
+        state["hyper"]["alpha"] = 0.5
+        state["rng"] = {"seed": state["hyper"]["seed"],
+                        "epochs_completed": len(state["meta"]["loss_history"])}
+        state["meta"]["n_params"] = sum(math.prod(shape)
+                                        for *_, shape in state["param_layout"])
+        (tmp_path / "old.json").write_text(json.dumps(state))
+        code = run_cli(command, "--config", cfg_path, "--checkpoint", tmp_path / "old.json",
+                       "--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv",
+                       *(["--flip"] if command == "counterfactual" else []),
+                       "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, "format 1")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [("rows", 0), ("n_t", -5), ("alpha0", -1),

@@ -10,7 +10,6 @@ from scipy.stats import kstest, kstwobign, laplace, levy
 
 from extvae.distributions import (
     XI_MIN,
-    ExpPSParams,
     FrechetParams,
     GevFitError,
     GevParams,
@@ -132,14 +131,12 @@ class TestExpPS:
     # the rejection oracle: acceptance rate exp(-sqrt(theta)), exact proposals
 
     def test_untilted_proposals_all_accepted(self):
-        _, stats = expps_sample(ExpPSParams(0.5, 0.0), 5000, seed=1,
-                                return_stats=True)
+        _, stats = expps_sample(0.0, 5000, seed=1, return_stats=True)
         assert stats["proposals"] == stats["accepted"] == 5000
 
     def test_acceptance_rate(self):
         theta = 2.0
-        _, stats = expps_sample(ExpPSParams(0.5, theta), 30000, seed=9,
-                                return_stats=True)
+        _, stats = expps_sample(theta, 30000, seed=9, return_stats=True)
         rate = stats["accepted"] / stats["proposals"]
         target = math.exp(-math.sqrt(theta))
         se = math.sqrt(target * (1 - target) / stats["proposals"])
@@ -150,11 +147,10 @@ class TestExpPS:
         stat = kstest(draws, levy(scale=0.5).cdf).statistic
         assert stat < KS_CRIT_1PCT / math.sqrt(draws.size)
 
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            expps_sample(ExpPSParams(0.3, 1.0), 10, seed=0)
-        with pytest.raises(ValueError):
-            ExpPSParams(1.5, 1.0)
+    def test_oracle_theta_validation(self):
+        for theta in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="theta"):
+                expps_sample(theta, 10, seed=0)
 
     # the production sampler: exact inverse-Gaussian draws
 
@@ -175,7 +171,7 @@ class TestExpPS:
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.0])
     def test_matches_rejection_oracle(self, theta):
         exact = expps_sample_field(np.full(20000, theta), seed=31)
-        oracle = expps_sample(ExpPSParams(0.5, theta), 20000, seed=37)
+        oracle = expps_sample(theta, 20000, seed=37)
         assert kstest(exact, oracle).pvalue > 0.01
 
     @pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e4, 1e300,

@@ -178,16 +178,20 @@ class TestSiteAddressing:
         assert split.samples.tobytes() == whole.samples.tobytes()
         assert split.theta.tobytes() == whole.theta.tobytes()
 
-    def test_bridged_runs_read_the_same_words(self):
+    def test_runs_read_one_read_per_run(self, monkeypatch):
         stream = CounterStream(4, "runs")
-        # gaps of 2, more than BRIDGE_WORDS, 0, then a run that starts
-        # before the previous one ends (sites kept out of order)
-        starts = np.array([3, 10, 11 + emu.BRIDGE_WORDS, 5000, 5007, 100])
+        # a run touching the one before, one 2 words after it (near), far runs,
+        # then a run that starts before the previous one (sites out of order)
+        starts = np.array([3, 8, 11, 2000, 5007, 100])
         lens = np.array([5, 1, 4, 7, 2, 3])
-        got = emu._run_words(stream, starts, lens)
         want = np.concatenate([stream.words(int(s), int(n))
                                for s, n in zip(starts, lens)])
+        reads, words = [], stream.words
+        monkeypatch.setattr(stream, "words",
+                            lambda s, n: reads.append((s, n)) or words(s, n))
+        got = emu._run_words(stream, starts, lens)
         assert got.tobytes() == want.tobytes()
+        assert reads == [(3, 6), (11, 4), (2000, 7), (5007, 2), (100, 3)]
 
     @pytest.mark.parametrize("sites", [[-1, 3, 3], [25], [3, 3], [1.5], [],
                                        [[0, 1], [2, 3]], [[0, 1], [2]],

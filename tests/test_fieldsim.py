@@ -147,8 +147,10 @@ class TestSimulateDataset:
         x = fs.simulate_dataset(theta, w, 30.0, seed=9)
         psi = grid.cell
         u = np.array([0.95])
-        near = mx.chi_curve(x, grid.sites, psi, u, n_boot=0, seed=3)
-        far = mx.chi_curve(x, grid.sites, 7.0, u, tol=psi / 2, n_boot=0, seed=3)
+        near = mx.chi_curve(x, mx.select_pairs(grid.sites, psi, psi / 2, seed=3), u,
+                            n_boot=0, seed=3)
+        far = mx.chi_curve(x, mx.select_pairs(grid.sites, 7.0, psi / 2, seed=3), u,
+                           n_boot=0, seed=3)
         assert near.estimate[0] > far.estimate[0]
 
 

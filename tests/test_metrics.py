@@ -14,27 +14,29 @@ def two_site_coords():
     return np.array([[0.0, 0.0], [1.0, 0.0]])
 
 
+def two_site_pairs():
+    return mx.select_pairs(two_site_coords(), 1.0, 0.5)
+
+
 class TestChiCurve:
     def test_comonotone_pair_is_one(self):
         rng = substream(1)
         series = rng.standard_normal(500)
         fields = np.column_stack([series, series])
-        chi = mx.chi_curve(fields, two_site_coords(), 1.0,
-                           np.array([0.5, 0.9, 0.95]), n_boot=10, seed=0)
+        chi = mx.chi_curve(fields, two_site_pairs(), np.array([0.5, 0.9, 0.95]),
+                           n_boot=10, seed=0)
         np.testing.assert_allclose(chi.estimate, 1.0)
 
     def test_u_zero_is_one(self):
         rng = substream(2)
         fields = rng.standard_normal((300, 2))
-        chi = mx.chi_curve(fields, two_site_coords(), 1.0, np.array([0.0]),
-                           n_boot=5, seed=0)
+        chi = mx.chi_curve(fields, two_site_pairs(), np.array([0.0]), n_boot=5, seed=0)
         assert chi.estimate[0] == 1.0
 
     def test_independent_pairs_slope(self):
         rng = substream(3)
         fields = rng.random((10**4, 2))
-        chi = mx.chi_curve(fields, two_site_coords(), 1.0, np.array([0.9]),
-                           n_boot=0, seed=0)
+        chi = mx.chi_curve(fields, two_site_pairs(), np.array([0.9]), n_boot=0, seed=0)
         den = math.floor(0.1 * 10**4)
         se = math.sqrt(0.1 * 0.9 / den)
         assert abs(chi.estimate[0] - 0.1) < 3 * se
@@ -44,15 +46,16 @@ class TestChiCurve:
         fields = rng.standard_normal((400, 4))
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         u = np.array([0.8, 0.9])
-        a = mx.chi_curve(fields, coords, 1.0, u, n_boot=0, seed=5)
-        b = mx.chi_curve(np.exp(fields), coords, 1.0, u, n_boot=0, seed=5)
+        pairs = mx.select_pairs(coords, 1.0, 0.5, seed=5)
+        a = mx.chi_curve(fields, pairs, u, n_boot=0, seed=5)
+        b = mx.chi_curve(np.exp(fields), pairs, u, n_boot=0, seed=5)
         np.testing.assert_array_equal(a.estimate, b.estimate)
 
     def test_band_contains_point(self):
         rng = substream(5)
         fields = rng.standard_normal((200, 2)) + 0.8 * rng.standard_normal((200, 1))
-        chi = mx.chi_curve(fields, two_site_coords(), 1.0,
-                           np.array([0.5, 0.8, 0.9]), n_boot=50, seed=2)
+        chi = mx.chi_curve(fields, two_site_pairs(), np.array([0.5, 0.8, 0.9]),
+                           n_boot=50, seed=2)
         ok = chi.defined
         assert np.all(chi.lo95[ok] <= chi.estimate[ok])
         assert np.all(chi.estimate[ok] <= chi.hi95[ok])
@@ -62,24 +65,20 @@ class TestChiCurve:
         common = rng.standard_normal((600, 1))
         fields = 0.7 * common + 0.3 * rng.standard_normal((600, 2))
         u = np.array([0.8])
-        small = mx.chi_curve(fields[:50], two_site_coords(), 1.0, u,
-                             n_boot=100, seed=3)
-        big = mx.chi_curve(fields[:500], two_site_coords(), 1.0, u,
-                           n_boot=100, seed=3)
+        small = mx.chi_curve(fields[:50], two_site_pairs(), u, n_boot=100, seed=3)
+        big = mx.chi_curve(fields[:500], two_site_pairs(), u, n_boot=100, seed=3)
         assert (big.hi95 - big.lo95)[0] < (small.hi95 - small.lo95)[0]
 
     def test_empty_distance_bin_errors(self):
-        rng = substream(7)
         with pytest.raises(ValueError, match="no site pairs"):
-            mx.chi_curve(rng.random((50, 2)), two_site_coords(), 10.0,
-                         np.array([0.5]), tol=0.1, n_boot=0, seed=0)
+            mx.select_pairs(two_site_coords(), 10.0, 0.1)
 
     def test_infeasible_u_flagged(self):
         # U = ranks/n can equal 1, so exceedance fails only at u >= 1
         rng = substream(8)
         fields = rng.random((20, 2))
-        chi = mx.chi_curve(fields, two_site_coords(), 1.0,
-                           np.array([0.5, 1.0]), n_boot=0, seed=0)
+        chi = mx.chi_curve(fields, two_site_pairs(), np.array([0.5, 1.0]),
+                           n_boot=0, seed=0)
         assert chi.defined[0]
         assert not chi.defined[1]
         assert np.isnan(chi.estimate[1])
@@ -88,8 +87,8 @@ class TestChiCurve:
         rng = substream(9)
         coords = np.column_stack([np.arange(30.0), np.zeros(30)])
         fields = rng.random((40, 30))
-        chi = mx.chi_curve(fields, coords, 1.0, np.array([0.5]), tol=0.01,
-                           n_boot=0, seed=1, max_pairs=10)
+        pairs = mx.select_pairs(coords, 1.0, 0.01, max_pairs=10, seed=1)
+        chi = mx.chi_curve(fields, pairs, np.array([0.5]), n_boot=0, seed=1)
         assert chi.n_pairs == 10
 
 
@@ -223,8 +222,8 @@ class TestOrderStatisticThresholds:
         fields = _oracle_fields(tied)
         coords = np.column_stack([np.arange(9.0) % 3, np.arange(9.0) // 3])
         u = _oracle_u(fields.shape[0])
-        chi = mx.chi_curve(fields, coords, 1.0, u, n_boot=20, seed=4)
         pairs = mx.select_pairs(coords, 1.0, 0.5, mx.MAX_PAIRS_PER_BIN, 4)
+        chi = mx.chi_curve(fields, pairs, u, n_boot=20, seed=4)
         sel = np.unique(pairs)
         pairs_local = np.searchsorted(sel, pairs)
         ref = _rank_curve(fields[:, sel],

@@ -17,7 +17,8 @@ LN2 = math.log(2.0)
 @pytest.fixture()
 def tiny_cfg():
     hyper = mdl.HyperParams(latent_dim=4, n_theta_basis=4, conv_channels=8,
-                            enc_widths=(16,), alpha0=30.0, rho0=0.5, seed=0)
+                            enc_widths=(16,), alpha0=30.0, rho0=0.5,
+                            penalty_abs=False, seed=0)
     return mdl.ModelConfig(n_sites=25, hyper=hyper)
 
 
@@ -35,10 +36,6 @@ class TestHyperParams:
     def test_basis_count_bounded_by_latent(self):
         with pytest.raises(ValueError):
             mdl.HyperParams(latent_dim=4, n_theta_basis=5)
-
-    def test_alpha_fixed(self):
-        with pytest.raises(ValueError):
-            mdl.HyperParams(alpha=0.4)
 
     def test_pool_divides(self):
         with pytest.raises(ValueError):

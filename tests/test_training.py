@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -35,7 +35,6 @@ class TestTrain:
         init = mdl.init_params(model.config, cfg.hyper.seed)
         assert np.array_equal(model.params.data, init.data)
         assert report.loss_history == []
-        assert report.epochs_completed == 0
 
     def test_deterministic_histories(self, tiny_problem):
         grid, knots, x, c, hyper = tiny_problem
@@ -68,7 +67,7 @@ class TestTrain:
                           wendland_radius=25.0)
         m2, r2 = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                           wendland_radius=25.0)
-        assert r1.n_params == r2.n_params == mdl.count_params(m1.config)
+        assert m1.params.size == m2.params.size == mdl.count_params(m1.config)
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("batch_size", 2.5), ("beta1", 1.0), ("beta1", "x"),
@@ -154,8 +153,7 @@ class TestCheckpoint:
         model, report = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                                  wendland_radius=25.0)
         path = tmp_path / "ckpt.json"
-        tr.checkpoint_save(path, model, epochs_completed=10,
-                           loss_history=report.loss_history, seed=cfg.hyper.seed)
+        tr.checkpoint_save(path, model, loss_history=report.loss_history)
         loaded = tr.checkpoint_load(path)
         assert np.array_equal(loaded.params.data, model.params.data)
         assert loaded.config.hyper == model.config.hyper
@@ -181,8 +179,7 @@ class TestCheckpoint:
         model, report = tr.train(x, c, cfg, knots=knots, sites=grid.sites,
                                  wendland_radius=25.0)
         path = tmp_path / "ckpt.json"
-        tr.checkpoint_save(path, model, epochs_completed=12,
-                           loss_history=report.loss_history, seed=cfg.hyper.seed)
+        tr.checkpoint_save(path, model, loss_history=report.loss_history)
         loaded = tr.checkpoint_load(path)
         # the last epoch's loss was evaluated at the pre-update parameters;
         # re-run the final step from the stored state instead
@@ -206,6 +203,23 @@ class TestCheckpoint:
         resumed, rr = tr.train(x, c, cfg20, resume_from=str(path))
         assert np.array_equal(resumed.params.data, m20.params.data)
         assert rr.loss_history == r20.loss_history
+
+    def test_each_value_stored_once(self, tiny_problem, tmp_path):
+        # the seed is hyper.seed and the epochs completed are the history's
+        # length; no stream section, parameter count or stability index
+        grid, knots, x, c, hyper = tiny_problem
+        path = tmp_path / "ckpt.json"
+        tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=3),
+                                      checkpoint_path=str(path)),
+                 knots=knots, sites=grid.sites, wendland_radius=25.0)
+        state = json.loads(path.read_text())
+        assert state["format_version"] == tr.CHECKPOINT_FORMAT_VERSION == 2
+        assert sorted(state) == ["adam", "format_version", "hyper", "meta", "model",
+                                 "param_layout", "params"]
+        assert list(state["meta"]) == ["loss_history"]
+        assert len(state["meta"]["loss_history"]) == 3
+        assert state["hyper"] == json.loads(json.dumps(asdict(replace(hyper, epochs=3))))
+        assert "alpha" not in state["hyper"]
 
     def test_resume_keeps_the_checkpoint_hyperparameters(self, tiny_problem, tmp_path):
         grid, knots, x, c, hyper = tiny_problem
