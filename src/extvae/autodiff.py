@@ -26,7 +26,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _finite_or_raise(value: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
     return value
 
@@ -148,7 +148,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    return np.asarray(g)        # a fresh sum, which backward need not copy
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,8 @@ def reshape(a, shape):
     out = av.reshape(shape)
     if not isinstance(a, Var):
         return out
+    if out.shape == av.shape:       # no new node for an unchanged shape
+        return a
     return Var(out, ((a, lambda g: g.reshape(av.shape)),), "reshape")
 
 
@@ -332,7 +334,10 @@ def take_rows(a, indices):
 
     def vjp(g):
         acc = np.zeros_like(av)
-        np.add.at(acc, idx, g)
+        if np.all(idx[1:] > idx[:-1]):
+            acc[idx] += g           # no index repeats: the same sums as add.at
+        else:
+            np.add.at(acc, idx, g)
         return acc
 
     return Var(out, ((a, vjp),), "take_rows")
@@ -360,37 +365,45 @@ def conv1d_same(x, kernel, bias):
     """Batched 1-D convolution with zero same-padding.
 
     x: (batch, in_channels, length); kernel: (out_channels, in_channels, width);
-    bias: (out_channels,).  Output: (batch, out_channels, length).
+    bias: (out_channels,).  Output: (batch, out_channels, length) in C order:
+    the (out, in * width) kernel times each batch row's (in * width, length) windows.
     """
     xv, kv, bv = value_of(x), value_of(kernel), value_of(bias)
     if xv.ndim != 3 or kv.ndim != 3 or xv.shape[1] != kv.shape[1]:
         raise ValueError("conv1d_same shape mismatch")
-    width = kv.shape[2]
+    b, cin, length = xv.shape
+    c, _, width = kv.shape
     pad_l = (width - 1) // 2
-    pad_r = width - 1 - pad_l
-    xp = np.pad(xv, ((0, 0), (0, 0), (pad_l, pad_r)))
-    win = sliding_window_view(xp, width, axis=2)  # (B, Cin, L, width)
-    out = np.einsum("bilq,ciq->bcl", win, kv, optimize=True) + bv[:, None]
-    out = _finite_or_raise(out, "conv1d_same")
+    xp = np.pad(xv, ((0, 0), (0, 0), (pad_l, width - 1 - pad_l)))
+    # win[b, i * width + q, l] = xp[b, i, q + l]
+    win = sliding_window_view(xp, length, axis=2).reshape(b, cin * width, length)
+    k2 = kv.reshape(c, cin * width)
+    out = np.matmul(k2, win)
+    out += np.repeat(bv, length).reshape(c, length)   # one add per batch row
+    _finite_or_raise(out, "conv1d_same")
     if not _is_var(x, kernel, bias):
         return out
 
-    length = xv.shape[2]
     parents = []
     if isinstance(x, Var):
 
         def vjp_x(g):
-            dwin = np.einsum("bcl,ciq->bilq", g, kv, optimize=True)
-            dxp = np.zeros_like(xp)
-            for q in range(width):
-                dxp[:, :, q : q + length] += dwin[:, :, :, q]
-            return dxp[:, :, pad_l : pad_l + length]
+            dwin = np.matmul(k2.T, g).reshape(b, cin, width, length)
+            dx = np.zeros_like(xv)
+            for q in range(width):      # window q of output l reads x[l + q - pad_l]
+                s = q - pad_l
+                lo, hi = max(0, s), min(length, length + s)
+                if lo < hi:
+                    dx[:, :, lo:hi] += dwin[:, :, q, lo - s : hi - s]
+            return dx
 
         parents.append((x, vjp_x))
     if isinstance(kernel, Var):
-        parents.append(
-            (kernel, lambda g: np.einsum("bilq,bcl->ciq", win, g, optimize=True))
-        )
+        # one product over the (batch, length) pairs, in that order
+        parents.append((kernel, lambda g: (
+            g.transpose(1, 0, 2).reshape(c, b * length)
+            @ win.transpose(0, 2, 1).reshape(b * length, cin * width)
+        ).reshape(kv.shape)))
     if isinstance(bias, Var):
         parents.append((bias, lambda g: g.sum(axis=(0, 2))))
     return Var(out, tuple(parents), "conv1d_same")
@@ -399,8 +412,8 @@ def conv1d_same(x, kernel, bias):
 def maxpool1d(x, width):
     """Non-overlapping max pooling along the last axis; ties go to the first max.
 
-    Slot q replaces the running max only where strictly greater (``took[q-1]``),
-    so ties and -0.0/+0.0 keep the first slot, as argmax does on finite input."""
+    On finite input: the slots' ``np.maximum``, or where that is 0 the first zero
+    slot, as argmax.  The vjp sends g's bits to the slot that beat those before it."""
     xv = value_of(x)
     b, c, length = xv.shape
     if length % width != 0:
@@ -409,18 +422,27 @@ def maxpool1d(x, width):
     out = xr[..., 0]
     took = []
     for q in range(1, width):
-        took.append(xr[..., q] > out)
-        out = np.where(took[-1], xr[..., q], out)
+        if isinstance(x, Var):
+            took.append(xr[..., q] > out)
+        out = np.maximum(out, xr[..., q])
+    if width > 1:
+        zero = out == 0
+        if zero.any():
+            tied = xr[zero]
+            out[zero] = tied[np.arange(len(tied)), np.argmax(tied == 0, axis=1)]
     if not isinstance(x, Var):
         return out
 
     def vjp(g):
-        acc = np.empty_like(xr)
+        acc = np.empty_like(xv)
+        slots = acc.reshape(xr.shape).view(np.uint64)
+        rest = g.view(np.uint64)
         for q in range(width - 1, 0, -1):
-            acc[..., q] = np.where(took[q - 1], g, 0.0)
-            g = np.where(took[q - 1], 0.0, g)
-        acc[..., 0] = g
-        return acc.reshape(b, c, length)
+            np.bitwise_and(rest, -took[q - 1].astype(np.uint64), out=slots[..., q])
+            rest = np.bitwise_xor(rest, slots[..., q], out=slots[..., 0])
+        if width == 1:
+            slots[..., 0] = rest
+        return acc
 
     return Var(out, ((x, vjp),), "maxpool1d")
 

@@ -91,13 +91,11 @@ def _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, samples, streams, mode,
     _, _, z = mdl.latent(p, mu, sigma, cond, eps)
     z = z.reshape(n_c * n_t, k)
 
-    # three-step windows within each sample's time block
+    # three-step windows within each sample's time block, one block a sample
     prev, nxt = mdl._window_indices(np.arange(n_t), n_t)
     offs = (np.arange(n_c) * n_t)[:, None]
-    _, theta = mdl.decode_theta(cfg, p, z, np.tile(cond, n_c),
-                                (offs + prev).ravel(), np.arange(n_c * n_t),
-                                (offs + nxt).ravel())
-    theta = theta.reshape(n_c, n_t, k)
+    _, theta = mdl.decode_theta(cfg, p, z, np.tile(cond, n_c), offs + prev,
+                                offs + np.arange(n_t), offs + nxt)
 
     if mode == "prior":
         z = np.stack([expps_sample_field(theta[i], streams["prior-z"].generator(s))

@@ -332,22 +332,27 @@ def fuse(z, c):
 
 
 def _xi_from_stacked(cfg: ModelConfig, p, stacked):
-    """(T, 3, 2K) windows -> (T, M) nonnegative coefficients."""
+    """(..., T, 3, 2K) windows -> (..., T, M) nonnegative coefficients.
+
+    The dense layer keeps the leading axes, so each T-row block is its own
+    product and its bits do not depend on how many blocks ride along."""
     h = cfg.hyper
-    conv = ad.conv1d_same(stacked, p["conv_k"], p["conv_b"])
+    lead = ad.value_of(stacked).shape[:-2]
+    conv = ad.conv1d_same(ad.reshape(stacked, (-1, 3, 2 * h.latent_dim)),
+                          p["conv_k"], p["conv_b"])
     pooled = ad.maxpool1d(conv, h.pool_len)
-    t = ad.value_of(pooled).shape[0]
-    flat = ad.reshape(pooled, (t, h.conv_channels * cfg.pooled_len))
+    flat = ad.reshape(pooled, (*lead, h.conv_channels * cfg.pooled_len))
     return ad.softplus(ad.add(ad.matmul(flat, p["xi_w"]), p["xi_b"]))
 
 
 def decode_theta(cfg: ModelConfig, p, z, cond, prev, cur, nxt):
     """Latents (N, K) -> (xi, theta) at the windows whose previous, current
     and next rows of the fused latents are ``prev``, ``cur`` and ``nxt``:
-    xi (n, M) from the CNN, theta = xi phi^T (n, K)."""
+    xi (..., M) from the CNN, theta = xi phi^T (..., K), with the indices'
+    shape in front."""
     fused = fuse(z, cond)
     stacked = ad.stack([ad.take_rows(fused, prev), ad.take_rows(fused, cur),
-                        ad.take_rows(fused, nxt)], axis=1)
+                        ad.take_rows(fused, nxt)], axis=-2)
     xi = _xi_from_stacked(cfg, p, stacked)
     return xi, ad.matmul(xi, cfg.phi.T)
 

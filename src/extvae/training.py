@@ -133,6 +133,9 @@ def train(
     if resume_from is not None:
         state = resume_from if isinstance(resume_from, dict) else checkpoint_read(resume_from)
         model, adam, start_epoch, history = _restore_training_state(state)
+        if start_epoch > hyper.epochs:
+            raise ValueError(f"checkpoint holds {start_epoch} epochs, more than "
+                             f"the {hyper.epochs} asked for")
         if replace(model.config.hyper, epochs=hyper.epochs) != hyper:
             raise ValueError("hyperparameters differ from the checkpoint's "
                              "in more than epochs")

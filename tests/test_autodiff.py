@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from extvae import autodiff as ad
 from extvae import model as mdl
@@ -168,6 +169,17 @@ class TestOpGradients:
         w = rng.standard_normal((6, 3))
         self._check(lambda v: ad.vsum(ad.take_rows(v["m"], idx) * w), pv)
 
+    @pytest.mark.parametrize("idx", [[0, 2, 3], [0, 0, 2, 3], [3, 1, 2], [4, 0]])
+    def test_take_rows_vjp_bits(self, idx):
+        # the scatter-add of np.add.at, signed zeros included: 0.0 + -0.0 is 0.0
+        idx = np.array(idx)
+        g = substream(14).standard_normal((idx.size, 3))
+        g[0] = -0.0
+        ((_, vjp),) = ad.take_rows(ad.Var(np.ones((5, 3))), idx).parents
+        want = np.zeros((5, 3))
+        np.add.at(want, idx, g)
+        assert vjp(g).tobytes() == want.tobytes()
+
     def test_getitem_slice(self):
         rng = substream(13)
         pv = make_pv(m=rng.standard_normal((4, 6)))
@@ -278,6 +290,98 @@ class TestMaxPoolOracle:
         ad.vsum(out * np.array([1.0, 2.0, 3.0, 4.0])).backward()
         np.testing.assert_array_equal(leaf.grad[0, 0],
                                       [1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0, 4.0])
+
+
+def _conv_reference(xv, kv, bv):
+    """The einsum convolution and its three einsum vjps (x, kernel, bias)."""
+    width, length = kv.shape[2], xv.shape[2]
+    pad_l = (width - 1) // 2
+    xp = np.pad(xv, ((0, 0), (0, 0), (pad_l, width - 1 - pad_l)))
+    win = sliding_window_view(xp, width, axis=2)  # (B, Cin, L, width)
+    out = np.einsum("bilq,ciq->bcl", win, kv, optimize=True) + bv[:, None]
+
+    def vjp_x(g):
+        dwin = np.einsum("bcl,ciq->bilq", g, kv, optimize=True)
+        dxp = np.zeros_like(xp)
+        for q in range(width):
+            dxp[:, :, q : q + length] += dwin[:, :, :, q]
+        return dxp[:, :, pad_l : pad_l + length]
+
+    return out, (vjp_x, lambda g: np.einsum("bilq,bcl->ciq", win, g, optimize=True),
+                 lambda g: g.sum(axis=(0, 2)))
+
+
+def _reference_conv_op(x, kernel, bias):
+    out, vjps = _conv_reference(*(ad.value_of(a) for a in (x, kernel, bias)))
+    parents = tuple((a, vjp) for a, vjp in zip((x, kernel, bias), vjps)
+                    if isinstance(a, ad.Var))
+    return ad.Var(out, parents, "conv1d_same") if parents else out
+
+
+def _reference_pool_op(x, width):
+    out, vjp = _maxpool_reference(ad.value_of(x), width)
+    return ad.Var(out, ((x, vjp),), "maxpool1d") if isinstance(x, ad.Var) else out
+
+
+class TestConvOracle:
+    """conv1d_same against the einsum kernel it replaced, bit for bit.  The
+    upstream gradient is in C order in both, as in training: backward copied
+    the old max-pool vjp's view into C order."""
+
+    @pytest.mark.parametrize("batch, cin, length, cout, width", [
+        (200, 3, 32, 40, 3),        # a desk training step
+        (1400, 3, 32, 40, 3),       # a desk emulate chunk
+        (7, 3, 12, 5, 1), (7, 3, 12, 5, 2), (7, 3, 12, 5, 4), (7, 3, 12, 5, 5),
+        (1, 3, 12, 5, 3), (6, 1, 12, 5, 3), (2, 2, 3, 4, 5), (3, 2, 2, 4, 7),
+    ])
+    def test_forward_and_vjp_bits(self, batch, cin, length, cout, width):
+        rng = substream(batch + width, "conv")
+        xv = rng.standard_normal((batch, cin, length))
+        kv = rng.standard_normal((cout, cin, width))
+        bv = rng.standard_normal(cout)
+        g = rng.standard_normal((batch, cout, length))
+        ref, ref_vjps = _conv_reference(xv, kv, bv)
+        assert ad.conv1d_same(xv, kv, bv).tobytes() == ref.tobytes()
+        leaves = [ad.Var(a) for a in (xv, kv, bv)]
+        node = ad.conv1d_same(*leaves)
+        assert node.value.tobytes() == ref.tobytes()
+        assert node.value.flags.c_contiguous
+        assert [p for p, _ in node.parents] == leaves
+        for (_, vjp), ref_vjp in zip(node.parents, ref_vjps):
+            assert vjp(g).tobytes() == ref_vjp(g).tobytes()
+
+    def test_decode_layout(self):
+        # conv and pool outputs are C order, so the flatten is a view
+        cfg = mdl.ModelConfig(n_sites=9, hyper=mdl.HyperParams())
+        pv = mdl.init_params(cfg, 0)
+        stacked = ad.Var(substream(0, "stacked").standard_normal((50, 3, 32)))
+        nodes = ad._toposort(mdl._xi_from_stacked(cfg, ad.VarView(pv), stacked))
+        (conv,) = [n for n in nodes if n.op == "conv1d_same"]
+        (pool,) = [n for n in nodes if n.op == "maxpool1d"]
+        (flat,) = [n for n in nodes if n.op == "reshape"]
+        assert conv.value.flags.c_contiguous and pool.value.flags.c_contiguous
+        assert flat.parents[0][0] is pool
+        assert np.shares_memory(flat.value, pool.value)
+
+    def test_objective_gradient_bits(self, monkeypatch):
+        """The desk-shape objective and its gradient, with the reference
+        conv and max-pool swapped in, are the same bits."""
+        cfg = mdl.ModelConfig(n_sites=400, hyper=mdl.HyperParams())
+        rng = substream(3, "desk")
+        x = np.exp(rng.standard_normal((200, 400)))
+        c = rng.uniform(size=200)
+        eps = mdl.draw_eps(cfg, 200, 3)
+        pv = mdl.init_params(cfg, 3)
+
+        def loss(p):
+            return mdl.penalized_elbo(cfg, p, x, c, eps)
+
+        value, grad = value_and_gradient(loss, pv)
+        monkeypatch.setattr(ad, "conv1d_same", _reference_conv_op)
+        monkeypatch.setattr(ad, "maxpool1d", _reference_pool_op)
+        ref_value, ref_grad = value_and_gradient(loss, pv)
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestViews:

@@ -178,6 +178,21 @@ class TestSiteAddressing:
         assert split.samples.tobytes() == whole.samples.tobytes()
         assert split.theta.tobytes() == whole.theta.tobytes()
 
+    @pytest.mark.parametrize("mode", emu.MODES)
+    def test_short_series_at_desk_width(self, mode):
+        # 132 steps (11 years of months) at the desk preset's 40 conv channels
+        # and K = 16: a one-member run is the first member of a two-member one,
+        # though the two chunks hold 132 and 264 windows
+        cfg = mdl.ModelConfig(n_sites=9, hyper=mdl.HyperParams(seed=0))
+        model = mdl.ModelParameters(cfg, mdl.init_params(cfg, 3))
+        rng = substream(2, "short")
+        x = np.exp(rng.standard_normal((132, 9)))
+        c = fs.smooth_condition(rng.standard_normal(132), window=5)
+        one = emu.emulate(model, x, c, n_samples=1, seed=4, mode=mode)
+        two = emu.emulate(model, x, c, n_samples=2, seed=4, mode=mode)
+        assert one.samples.tobytes() == two.samples[:, :, :1].tobytes()
+        assert one.theta.tobytes() == two.theta[:, :, :1].tobytes()
+
     def test_runs_read_one_read_per_run(self, monkeypatch):
         stream = CounterStream(4, "runs")
         # a run touching the one before, one 2 words after it (near), far runs,

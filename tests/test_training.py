@@ -232,6 +232,22 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match="checkpoint"):
                 tr.train(x, c, tr.TrainConfig(hyper=other), resume_from=str(path))
 
+    def test_resume_past_the_epoch_count_rejected(self, tiny_problem, tmp_path):
+        grid, knots, x, c, hyper = tiny_problem
+        path = tmp_path / "ckpt.json"
+        tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=6),
+                                      checkpoint_path=str(path)),
+                 knots=knots, sites=grid.sites, wendland_radius=25.0)
+        before = path.read_bytes()
+        short = tr.TrainConfig(hyper=replace(hyper, epochs=3), checkpoint_path=str(path))
+        with pytest.raises(ValueError, match="6 epochs, more than the 3"):
+            tr.train(x, c, short, resume_from=str(path))
+        assert path.read_bytes() == before
+        # a checkpoint that holds exactly the epochs asked for trains nothing more
+        _, report = tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=6)),
+                             resume_from=str(path))
+        assert len(report.loss_history) == 6
+
     def test_truncated_file_rejected(self, tiny_problem, tmp_path):
         grid, knots, x, c, hyper = tiny_problem
         model, _ = tr.train(x, c, tr.TrainConfig(hyper=replace(hyper, epochs=1)),
