@@ -21,7 +21,6 @@ import itertools
 import json
 import os
 import re
-import signal
 import sys
 import warnings
 
@@ -38,6 +37,7 @@ from .autodiff import NonFiniteError, fd_check
 from .distributions import GEV_MIN_OBS, expps_sample_field, tail_equivalence_check
 from .model import ConfigError, HyperParams, ModelConfig, check_value
 from .seeds import substream
+from .workers import Workers, block_edges
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -168,12 +168,10 @@ def _settings(section: str, cfg: dict, preset: dict | None = None,
 # sidecar .<csv name>.<sha256 of the CSV>.<sha256 of the .npy>.npy; a read
 # whose CSV hashes to that name, and whose sidecar hashes to its own, loads it
 # instead of parsing.
-# A table of at least 2 * BLOCK_CELLS values is formatted in row blocks, one
-# per usable CPU: forked workers take blocks 1.. while the parent takes block
-# 0.  The bytes are those of one block.
+# A table of at least 2 * BLOCK_CELLS values is formatted in row blocks by
+# ``workers``; the bytes are those of one block.
 
 BLOCK_CELLS = 1 << 18
-_PIPE_BYTES = 1 << 16             # what a Linux pipe holds
 
 
 def _quote(text) -> str:
@@ -182,67 +180,6 @@ def _quote(text) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _row_edges(rows: int, cells: int) -> list[int]:
-    """Row edges of the blocks for a table of ``rows`` rows and ``cells``
-    values: one block per usable CPU, each of at least BLOCK_CELLS values."""
-    n = max(1, min(_usable_cpus(), cells // BLOCK_CELLS, rows))
-    return [k * rows // n for k in range(n + 1)]
-
-
-class _Workers:
-    """Forked row-block workers.  Each writes the buffers its work returns to
-    a pipe and leaves by os._exit: 0 when done, 1 when the work raised.
-    Leaving the ``with`` block kills and reaps every worker not yet reaped.
-    Forked, so that a worker reads the table where it lies; a worker only
-    formats text, which takes no lock a BLAS thread may hold."""
-
-    def __init__(self, path: str):
-        self.path, self.pipes = path, {}          # pid -> the pipe's read end
-
-    def __enter__(self):
-        return self
-
-    def start(self, work, *args) -> int:
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r), os.close(w)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(r)
-                with open(w, "wb") as pipe:
-                    pipe.writelines(work(*args))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(w)
-        self.pipes[pid] = r
-        return pid
-
-    def reap(self, pid: int) -> bool:
-        """Whether the worker did its work; OSError naming the file if it died."""
-        os.close(self.pipes.pop(pid))
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code not in (0, 1):
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise OSError(f"{self.path}: a row-block worker died ({how})")
-        return code == 0
-
-    def __exit__(self, *exc) -> None:
-        for pid, r in self.pipes.items():
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self.pipes.clear()
 
 
 def _lines(rows, cells: list[str], block, prefix: str = "", index: bool = True):
@@ -265,16 +202,16 @@ def _write_csv(path: str, header, table) -> None:
     ``_lines`` call but ``rows``, and is formatted in row blocks."""
     cells, block, *rest = table
     block = np.asarray(block)
-    edges = _row_edges(block.shape[0], block.size)
-    with open(path, "w", newline="", encoding="utf-8") as fh, _Workers(path) as workers:
+    edges = block_edges(block.shape[0], block.size, BLOCK_CELLS)
+    with (open(path, "w", newline="", encoding="utf-8") as fh,
+          Workers(f"{path}: a row-block worker") as workers):
         fh.write(",".join(map(_quote, header)) + "\r\n")
         pids = [workers.start(_encoded, range(lo, hi), cells, block, *rest)
                 for lo, hi in zip(edges[1:], edges[2:])]
         fh.writelines(_lines(range(edges[1]), cells, block, *rest))
         for pid in pids:                           # each block's text, in order
             fh.flush()
-            while text := os.read(workers.pipes[pid], _PIPE_BYTES):
-                fh.buffer.write(text)
+            fh.buffer.writelines(workers.chunks(pid))
             if not workers.reap(pid):
                 raise OSError(f"{path}: a row-block worker failed")
 
@@ -395,6 +332,17 @@ def read_matrix_csv(path: str, digests: dict | None = None) -> np.ndarray:
         digests[path] = digest
     table = _load_sidecar(path, digest)
     return _read_csv(path, 1) if table is None else table
+
+
+def _check_cells(path: str, table: np.ndarray, positive: bool = False) -> np.ndarray:
+    """The table read from ``path``; a ConfigError naming its first cell not
+    finite (or not > 0, where ``positive``) by data row and column, from 0."""
+    bad = np.argwhere(~(np.isfinite(table) & ((table > 0) if positive else True)))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(f"{path}: value {table[row, col]:.17g} at row {row}, column "
+                          f"{col}; values must be {'finite and > 0' if positive else 'finite'}")
+    return table
 
 
 def write_series_csv(path: str, values: np.ndarray, name: str = "condition",
@@ -548,7 +496,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
     digests = {}
-    x = read_matrix_csv(args.fields, digests)
+    x = _check_cells(args.fields, read_matrix_csv(args.fields, digests), positive=True)
     c = read_series_csv(args.conditions)
     knots = read_coords_csv(args.knots) if args.knots else None
     sites = read_coords_csv(args.sites) if args.sites else None
@@ -628,7 +576,7 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
     model = tr.checkpoint_load(args.checkpoint)
     digests = {args.checkpoint: _sha256(args.checkpoint)}
     sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
-    x = read_matrix_csv(args.fields, digests)
+    x = _check_cells(args.fields, read_matrix_csv(args.fields, digests), positive=True)
     c = read_series_csv(args.conditions)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -688,8 +636,8 @@ def cmd_metrics(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
     digests = {}
-    truth = read_matrix_csv(args.truth, digests)
-    emulated = read_matrix_csv(args.emulated, digests)
+    truth = _check_cells(args.truth, read_matrix_csv(args.truth, digests))
+    emulated = _check_cells(args.emulated, read_matrix_csv(args.emulated, digests))
     coords = read_coords_csv(args.coords)
     if not (truth.shape[1] == emulated.shape[1] == coords.shape[0]):
         raise ConfigError(
@@ -806,7 +754,7 @@ def cmd_tailcheck(args) -> int:
 
 def cmd_preprocess(args) -> int:
     digests = {}
-    daily = read_matrix_csv(args.daily, digests)
+    daily = _check_cells(args.daily, read_matrix_csv(args.daily, digests))
     coords = read_coords_csv(args.sites)
     try:
         calendar = pp.daily_calendar(dt.date.fromisoformat(args.start_date),
@@ -817,10 +765,6 @@ def cmd_preprocess(args) -> int:
     if n_months < GEV_MIN_OBS:
         raise ConfigError(f"{args.daily}: {n_months} months of days, the GEV fit "
                           f"needs at least {GEV_MIN_OBS} monthly maxima")
-    bad = np.argwhere(~np.isfinite(daily))
-    if bad.size:
-        raise ConfigError(f"{args.daily}: non-finite value on day {bad[0, 0]} "
-                          f"at site {bad[0, 1]}")
     if coords.shape[0] != daily.shape[1]:
         raise ConfigError(f"{args.sites} has {coords.shape[0]} sites, "
                           f"{args.daily} has {daily.shape[1]}")

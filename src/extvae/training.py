@@ -77,12 +77,21 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
 
     def update(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        """New parameters in a fresh array; ``m`` and ``v`` change in place by
+        the formula's operations in its order (lr * m_hat, then the division)."""
         self.step += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad**2
-        m_hat = self.m / (1.0 - ADAM_BETA1**self.step)
-        v_hat = self.v / (1.0 - ADAM_BETA2**self.step)
-        return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        scratch = np.multiply(grad, 1.0 - ADAM_BETA1)
+        self.m *= ADAM_BETA1
+        self.m += scratch
+        np.multiply(np.square(grad, out=scratch), 1.0 - ADAM_BETA2, out=scratch)
+        self.v *= ADAM_BETA2
+        self.v += scratch
+        np.sqrt(np.divide(self.v, 1.0 - ADAM_BETA2**self.step, out=scratch), out=scratch)
+        scratch += ADAM_EPS
+        out = np.divide(self.m, 1.0 - ADAM_BETA1**self.step)
+        out *= lr
+        out /= scratch
+        return np.subtract(params, out, out=out)
 
 
 def _batches(n_t: int, batch_size: int | None, rng: np.random.Generator):

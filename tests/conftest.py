@@ -6,6 +6,7 @@ criteria and the training-progress check all read from it.
 """
 
 import dataclasses
+import os
 import time
 
 import numpy as np
@@ -25,6 +26,23 @@ DESK = cli._settings("data", {}, cli.DESK_DATA)
 def pytest_sessionstart(session):
     # the allocator policy of the CLI: training without re-faulting the heap
     cli._hold_heap()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked in the test; no worker may outlive it."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

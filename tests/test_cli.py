@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from extvae import cli
 from extvae import emulation as emu
+from extvae import workers
 from extvae.model import HyperParams
 
 
@@ -375,7 +376,7 @@ class TestPreprocess:
         ({}, ["--start-date", "9999-06-01"], "--start-date"),
         ({"n_days": 300}, [], "10 months"),
         ({"n_days": 850}, [], "28 months"),
-        ({"nan_at": (400, 1)}, [], "day 400 at site 1"),
+        ({"nan_at": (400, 1)}, [], "value nan at row 400, column 1"),
         ({}, ["--bins", "3"], "--bins"),
         ({"n_coords": 1}, [], "sites.csv"),
         ({"n_coords": 3}, [], "sites.csv"),
@@ -766,23 +767,12 @@ class TestSidecar:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def split(monkeypatch):
+def split(monkeypatch, forks):
     """Tables of 16 values and more split into row blocks on 4 usable CPUs.
     Yields the pids of the forked workers; no worker may outlive the test."""
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
     monkeypatch.setattr(cli, "BLOCK_CELLS", 8)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
     yield forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _in_workers(monkeypatch, name, act):
@@ -806,13 +796,14 @@ def _raise():
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("shape,workers", [((9, 7), 3), ((3, 40), 2), ((1, 40), 0)],
+    @pytest.mark.parametrize("shape,n_workers", [((9, 7), 3), ((3, 40), 2), ((1, 40), 0)],
                              ids=["wide", "rows-below-cpus", "one-row"])
-    def test_split_matrix_write_is_one_block_bytes(self, tmp_path, split, shape, workers):
+    def test_split_matrix_write_is_one_block_bytes(self, tmp_path, split, shape,
+                                                     n_workers):
         m = awkward_matrix(*shape)
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         cli.write_matrix_csv(str(new), m, "site_")
-        assert len(split) == workers
+        assert len(split) == n_workers
         ref_write_matrix_csv(str(ref), m, "site_")
         assert new.read_bytes() == ref.read_bytes()
         back = cli.read_matrix_csv(str(new))
@@ -861,7 +852,7 @@ class TestRowBlocks:
         cfg.write_text(json.dumps(TINY_CONFIG))
         assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "one") == 0
         monkeypatch.setattr(cli, "BLOCK_CELLS", 8)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
         assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "four") == 0
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert "fields.csv" in names and "manifest.json" in names
@@ -954,6 +945,34 @@ class TestInputValidation:
                        "--n-samples", 2, *(["--flip"] if command == "counterfactual"
                                            else []), "--sites", sites, "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, "--sites")
+        assert not (tmp_path / "o").exists()
+
+    # fields the model reads are finite and > 0; metrics' ranks need finite only
+    @pytest.mark.parametrize("command, flag, value", [
+        *((command, "--fields", value)
+          for command in ("train", "emulate", "counterfactual")
+          for value in (0.0, -1.0, np.nan, np.inf)),
+        *(("metrics", flag, value) for flag in ("--truth", "--emulated")
+          for value in (np.nan, np.inf))])
+    def test_bad_field_cell_rejected_before_compute(self, tiny_run, tmp_path, capsys,
+                                                    command, flag, value):
+        root, cfg_path, sim, train, emu_dir = tiny_run
+        files = {"--fields": sim / "fields.csv", "--truth": sim / "fields.csv",
+                 "--emulated": emu_dir / "emulated_fields.csv"}
+        bad = cli.read_matrix_csv(str(files[flag]))
+        bad[3, 2] = value
+        files[flag] = tmp_path / "bad.csv"
+        cli.write_matrix_csv(str(files[flag]), bad, "site_")
+        data = ["--fields", files["--fields"], "--conditions", sim / "conditions.csv"]
+        extra = {
+            "train": data,
+            "emulate": ["--checkpoint", train / "checkpoint.json", *data],
+            "counterfactual": ["--checkpoint", train / "checkpoint.json", *data, "--flip"],
+            "metrics": ["--truth", files["--truth"], "--emulated", files["--emulated"],
+                        "--coords", sim / "sites.csv"],
+        }[command]
+        code = run_cli(command, "--config", cfg_path, *extra, "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, f"bad.csv: value {value:.17g} at row 3, column 2")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "train", "emulate",

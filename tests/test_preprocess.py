@@ -1,12 +1,17 @@
 import datetime as dt
 import math
+import os
+import signal
+import time
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+from extvae import cli, workers
 from extvae import preprocess as pp
-from extvae.distributions import GevParams, gev_cdf, gev_sample
+from extvae.distributions import GevFitError, GevParams, gev_cdf, gev_sample
 from extvae.seeds import substream
 
 
@@ -429,3 +434,141 @@ class TestPipeline:
             assert np.all(r.transformed > 0)
             assert r.maxima.size == len(r.months)
             assert 0.0 <= r.gof.p_value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# site blocks on forked workers
+# ---------------------------------------------------------------------------
+
+SITE_START = dt.date(2015, 1, 1)
+SITE_DAYS = 3 * 365
+
+
+def site_inputs(n_sites, constant=()):
+    """Daily series at sites 1 degree apart (each its own neighborhood); the
+    sites in ``constant`` hold one value, whose GEV fit warns."""
+    doy = pp.day_of_year(pp.daterange(SITE_START, SITE_DAYS))
+    rng = substream(31)
+    daily = (5.0 + 2.0 * np.sin(2 * math.pi * doy / 365.0)[:, None]
+             + rng.gumbel(0.0, 1.0, (SITE_DAYS, n_sites)))
+    daily[:, list(constant)] = 5.0
+    coords = np.column_stack([150.0 + np.arange(n_sites), np.full(n_sites, -30.0)])
+    return daily, pp.daily_calendar(SITE_START, SITE_DAYS), coords
+
+
+def result_bits(results):
+    return [(r.months, r.gof.df, np.array([r.gev.mu, r.gev.sigma, r.gev.xi,
+                                            r.gof.statistic, r.gof.p_value]).tobytes(),
+             r.maxima.tobytes(), r.transformed.tobytes(), r.gof.observed.tobytes(),
+             r.gof.expected.tobytes()) for r in results]
+
+
+@pytest.fixture
+def cpus(monkeypatch, forks):
+    """A setter of the usable CPU count, with blocks of one site at the least;
+    it returns the pids of the workers forked so far, none of which may
+    outlive the test."""
+    monkeypatch.setattr(pp, "BLOCK_SITES", 1)
+
+    def set_cpus(n):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: n)
+        return forks
+
+    return set_cpus
+
+
+def failing_sites(monkeypatch, sites):
+    """Make the GEV fit of each site in ``sites`` fail, naming the site."""
+    real = pp.preprocess_site
+
+    def fails(site_index, *args):
+        if site_index in sites:
+            raise GevFitError(f"site {site_index}: GEV fit did not converge")
+        return real(site_index, *args)
+
+    monkeypatch.setattr(pp, "preprocess_site", fails)
+
+
+class TestSiteBlocks:
+    @pytest.mark.parametrize("n_cpus,n_sites,n_workers",
+                             [(1, 5, 0), (2, 5, 1), (3, 5, 2), (4, 5, 3), (8, 5, 4)],
+                             ids=["1cpu", "2cpus", "3cpus", "4cpus", "cpus-over-sites"])
+    def test_blocks_are_the_one_cpu_loop(self, cpus, n_cpus, n_sites, n_workers):
+        daily, calendar, coords = site_inputs(n_sites)
+        cpus(1)
+        ref = pp.run_pipeline(daily, calendar, coords)
+        forks = cpus(n_cpus)
+        got = pp.run_pipeline(daily, calendar, coords)
+        assert len(forks) == n_workers
+        assert result_bits(got) == result_bits(ref)
+
+    def test_few_sites_stay_one_block(self, monkeypatch, forks):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
+        daily, calendar, coords = site_inputs(2 * pp.BLOCK_SITES - 1)
+        pp.run_pipeline(daily, calendar, coords)
+        assert forks == []
+
+    @pytest.mark.parametrize("bad", [[4], [3, 5]], ids=["one", "two-blocks"])
+    def test_failing_worker_block_raises_the_serial_error(self, cpus, monkeypatch, bad):
+        failing_sites(monkeypatch, bad)
+        inputs = site_inputs(6)
+        cpus(1)
+        with pytest.raises(GevFitError, match=f"^site {bad[0]}: ") as serial:
+            pp.run_pipeline(*inputs)
+        forks = cpus(3)                       # blocks 0-1, 2-3 and 4-5
+        with pytest.raises(GevFitError) as split:
+            pp.run_pipeline(*inputs)
+        assert len(forks) == 2
+        assert str(split.value) == str(serial.value)
+
+    def test_warning_worker_block_warns_as_the_serial_loop(self, cpus):
+        inputs = site_inputs(6, constant=[4])        # warns in the GEV fit
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results = pp.run_pipeline(*inputs)
+            return result_bits(results), [(w.category, str(w.message), w.filename,
+                                           w.lineno) for w in caught]
+
+        cpus(1)
+        serial = run()
+        forks = cpus(3)
+        assert serial[1] and run() == serial
+        assert len(forks) == 2
+
+    def test_parent_failure_kills_and_reaps_workers(self, cpus, monkeypatch):
+        parent = os.getpid()
+
+        def parent_fails(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)                    # a worker still busy is killed
+
+        monkeypatch.setattr(pp, "preprocess_site", parent_fails)
+        forks = cpus(3)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            pp.run_pipeline(*site_inputs(6))
+        assert len(forks) == 2 and time.perf_counter() - t0 < 30
+
+    def test_killed_worker_is_one_line_exit_2(self, cpus, monkeypatch, tmp_path, capsys):
+        daily, _, coords = site_inputs(4)
+        cli.write_matrix_csv(str(tmp_path / "daily.csv"), daily, "site_")
+        cli.write_coords_csv(str(tmp_path / "sites.csv"), coords, "site_id")
+        real, parent = pp.preprocess_site, os.getpid()
+
+        def worker_dies(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(pp, "preprocess_site", worker_dies)
+        forks = cpus(2)
+        code = cli.main(["preprocess", "--daily", str(tmp_path / "daily.csv"),
+                         "--sites", str(tmp_path / "sites.csv"),
+                         "--start-date", SITE_START.isoformat(),
+                         "--out", str(tmp_path / "prep")])
+        err = capsys.readouterr().err
+        assert code == 2 and len(forks) == 1
+        assert err == "error: a site-block worker died (signal 9)\n"

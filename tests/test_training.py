@@ -303,6 +303,36 @@ class TestAdam:
         # after bias correction the first step is -lr * sign(grad)
         np.testing.assert_allclose(out, [-0.1, 0.1], atol=1e-7)
 
+    def test_in_place_steps_keep_the_formula_bits(self):
+        rng = np.random.default_rng(299)
+        n, lr = 1000, 1e-3
+        grads = [np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-8, 3, n)
+                 for _ in range(9)]
+        for g in grads[:3]:
+            g[:4] = [-0.0, 0.0, -1e-8, 1e3]
+        params = rng.standard_normal(n)
+        m, v, ref = np.zeros(n), np.zeros(n), params
+        for step, g in enumerate(grads, start=1):        # the out-of-place formula
+            m = tr.ADAM_BETA1 * m + (1.0 - tr.ADAM_BETA1) * g
+            v = tr.ADAM_BETA2 * v + (1.0 - tr.ADAM_BETA2) * g**2
+            m_hat = m / (1.0 - tr.ADAM_BETA1**step)
+            v_hat = v / (1.0 - tr.ADAM_BETA2**step)
+            ref = ref - lr * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
+        adam, out = tr.AdamState.zeros(n), params
+        for g in grads[:5]:
+            new = adam.update(out, g, lr)
+            assert not np.shares_memory(new, out)
+            assert not np.shares_memory(new, adam.m) and not np.shares_memory(new, adam.v)
+            out = new
+        # a resume starts from the checkpoint's copies of m and v
+        adam = tr.AdamState(m=tr._decode_array(tr._encode_array(adam.m)),
+                            v=tr._decode_array(tr._encode_array(adam.v)), step=adam.step)
+        for g in grads[5:]:
+            out = adam.update(out, g, lr)
+        assert adam.step == len(grads)
+        assert out.tobytes() == ref.tobytes()
+        assert (adam.m.tobytes(), adam.v.tobytes()) == (m.tobytes(), v.tobytes())
+
     def test_convergence_flag_logic(self):
         flat = [1.0] * 60
         assert tr._is_converged(flat)
