@@ -9,6 +9,7 @@ exits 0 on success, 1 on numerical failure, 2 on I/O or configuration failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import ctypes
@@ -421,18 +422,77 @@ def _sha256(path: str) -> str:
 def write_manifest(out_dir: str, command: str, seed, inputs: list[str],
                    outputs: list[str], config: dict | None = None,
                    digests: dict | None = None) -> None:
-    """``digests``: the sha256 of files already hashed, by path."""
+    """Each input is listed by its file name, or by its path where another
+    input has the same name; so is each output.  ``digests``: the sha256 of
+    files already hashed, by path."""
     known = digests or {}
+
+    def listed(paths):
+        names = collections.Counter(map(os.path.basename, set(paths)))
+        return {p if names[os.path.basename(p)] > 1 else os.path.basename(p):
+                known.get(p) or _sha256(p) for p in dict.fromkeys(paths)}
+
     manifest = {
         "command": command,
         "version": __version__,
         "seed": seed,
         "config": config or {},
-        "inputs": {os.path.basename(p): known.get(p) or _sha256(p) for p in inputs},
-        "outputs": {os.path.basename(p): known.get(p) or _sha256(p) for p in outputs},
+        "inputs": listed(inputs),
+        "outputs": listed(outputs),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
+
+
+class _Files:
+    """One command's files.  It reads and checks the inputs; hands out the
+    output paths, making ``out`` with the first, so that a command that stops
+    before its first output leaves no ``out``; and writes the manifest of the
+    inputs it was given and the outputs it handed out, hashing each file
+    once."""
+
+    def __init__(self, out: str, *inputs: str | None):
+        self.out, self.inputs = out, [p for p in inputs if p]
+        self.outputs, self.digests, self.shapes = [], {}, {}
+
+    def table(self, path: str, positive: bool = False) -> np.ndarray:
+        """A wide table whose cells are finite (and > 0, where ``positive``)."""
+        table = _check_cells(path, read_matrix_csv(path, self.digests), positive)
+        self.shapes[path] = table.shape
+        return table
+
+    def one_per(self, path: str, n: int, what: str, table: str, axis: int) -> None:
+        """A ConfigError unless ``path``'s ``n`` ``what`` are one per row
+        (``axis`` 0) or column (1) of the wide table read from ``table``."""
+        if n != self.shapes[table][axis]:
+            raise ConfigError(f"{path} has {n} {what} for the {self.shapes[table][axis]} "
+                              f"{('rows', 'columns')[axis]} of {table}")
+
+    def series(self, path: str, table: str | None = None) -> np.ndarray:
+        """A finite condition series, with one value per row of ``table`` where
+        one is named."""
+        values = _check_cells(path, read_series_csv(path)[:, None])[:, 0]
+        if table is not None:
+            self.one_per(path, values.size, "values", table, 0)
+        return values
+
+    def coords(self, path: str, table: str) -> np.ndarray:
+        """Coordinates with one row per column of ``table``."""
+        coords = read_coords_csv(path)
+        self.one_per(path, coords.shape[0], "rows", table, 1)
+        return coords
+
+    def output(self, name: str) -> str:
+        os.makedirs(self.out, exist_ok=True)
+        self.outputs.append(os.path.join(self.out, name))
+        return self.outputs[-1]
+
+    def write_matrix(self, name: str, matrix: np.ndarray, prefix: str, **kwargs) -> None:
+        write_matrix_csv(self.output(name), matrix, prefix, digests=self.digests, **kwargs)
+
+    def manifest(self, command: str, seed, config: dict | None = None) -> None:
+        write_manifest(self.out, command, seed, self.inputs, self.outputs, config,
+                       self.digests)
 
 
 # ---------------------------------------------------------------------------
@@ -443,45 +503,28 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     data_cfg = _settings("data", cfg, DESK_DATA if args.desk else None)
     seed = _seed(args, cfg)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    files = _Files(args.out, args.conditions, args.config)
+    raw = (files.series(args.conditions) if args.conditions
+           else fs.synthetic_condition(data_cfg["n_t"], seed))
 
     grid = fs.regular_grid(data_cfg["rows"], data_cfg["cols"], data_cfg["extent"])
     knots = fs.knot_lattice(data_cfg["knot_side"], data_cfg["extent"])
     w = fs.wendland_basis(grid.sites, knots, data_cfg["wendland_radius"])
-
-    inputs = []
-    if args.conditions:
-        raw = read_series_csv(args.conditions)
-        inputs.append(args.conditions)
-    else:
-        raw = fs.synthetic_condition(data_cfg["n_t"], seed)
     c = fs.smooth_condition(raw, window=5)
-
     theta = fs.simulate_theta(c, knots, gamma=data_cfg["gamma"],
                               b=data_cfg["b"], tau=data_cfg["tau"])
     x, z = fs.simulate_dataset(theta, w, data_cfg["alpha0"], seed,
                                return_latent=True)
 
-    paths = {
-        "sites": os.path.join(out, "sites.csv"),
-        "knots": os.path.join(out, "knots.csv"),
-        "conditions": os.path.join(out, "conditions.csv"),
-        "fields": os.path.join(out, "fields.csv"),
-        "theta": os.path.join(out, "theta_truth.csv"),
-        "latent": os.path.join(out, "latent_truth.csv"),
-    }
-    write_coords_csv(paths["sites"], grid.sites, "site_id")
-    write_coords_csv(paths["knots"], knots, "knot_id")
-    write_series_csv(paths["conditions"], c)
-    digests = {}
-    write_matrix_csv(paths["fields"], x, "site_", digests=digests)
-    write_matrix_csv(paths["theta"], theta, "knot_", digests=digests)
-    write_matrix_csv(paths["latent"], z, "knot_", digests=digests)
-    write_manifest(out, "simulate", seed, inputs, list(paths.values()),
-                   {"data": data_cfg}, digests)
+    write_coords_csv(files.output("sites.csv"), grid.sites, "site_id")
+    write_coords_csv(files.output("knots.csv"), knots, "knot_id")
+    write_series_csv(files.output("conditions.csv"), c)
+    files.write_matrix("fields.csv", x, "site_")
+    files.write_matrix("theta_truth.csv", theta, "knot_")
+    files.write_matrix("latent_truth.csv", z, "knot_")
+    files.manifest("simulate", seed, {"data": data_cfg})
     print(f"simulated {x.shape[0]} x {x.shape[1]} fields "
-          f"(K={knots.shape[0]}) into {out}")
+          f"(K={knots.shape[0]}) into {args.out}")
     return 0
 
 
@@ -495,12 +538,12 @@ def _hyper_from(cfg: dict, desk: bool, flags: dict) -> HyperParams:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
-    digests = {}
-    x = _check_cells(args.fields, read_matrix_csv(args.fields, digests), positive=True)
-    c = read_series_csv(args.conditions)
+    files = _Files(args.out, args.fields, args.conditions, args.knots, args.sites,
+                   args.grid, args.config)
+    x = files.table(args.fields, positive=True)
+    c = files.series(args.conditions, args.fields)
     knots = read_coords_csv(args.knots) if args.knots else None
-    sites = read_coords_csv(args.sites) if args.sites else None
-    out = args.out
+    sites = files.coords(args.sites, args.fields) if args.sites else None
 
     hyper = _hyper_from(cfg, args.desk, {
         "epochs": args.epochs, "learning_rate": args.lr, "seed": seed,
@@ -509,7 +552,6 @@ def cmd_train(args) -> int:
     train_cfg = tr.TrainConfig(hyper=hyper, **cfg.get("train", {}))
     radius = _settings("data", cfg, DESK_DATA if args.desk else None)["wendland_radius"]
 
-    grid_scores_path = None
     candidates = []
     if args.grid_epochs is not None:
         if not args.grid:
@@ -531,27 +573,19 @@ def cmd_train(args) -> int:
     except ValueError as err:
         where = "" if cand is train_cfg else f"grid {args.grid}: "
         raise ConfigError(f"{where}model: {err}") from None
-    os.makedirs(out, exist_ok=True)
     if args.grid:
         train_cfg, scores = tr.grid_search(
             x, c, candidates, search_epochs=args.grid_epochs,
             knots=knots, sites=sites, wendland_radius=radius)
-        grid_scores_path = os.path.join(out, "grid_scores.csv")
-        write_series_csv(grid_scores_path, scores, "score", index_name="candidate")
+        write_series_csv(files.output("grid_scores.csv"), scores, "score",
+                         index_name="candidate")
 
-    ckpt_path = os.path.join(out, "checkpoint.json")
     model, report = tr.train(x, c, dataclasses.replace(
-        train_cfg, checkpoint_path=ckpt_path),
+        train_cfg, checkpoint_path=files.output("checkpoint.json")),
         knots=knots, sites=sites, wendland_radius=radius)
-
-    report_path = os.path.join(out, "train_report.csv")
-    write_series_csv(report_path, report.loss_history, "loss", index_name="epoch")
-
-    inputs = [p for p in (args.fields, args.conditions, args.knots, args.sites,
-                          args.grid, args.config) if p]
-    outputs = [ckpt_path, report_path] + ([grid_scores_path] if grid_scores_path else [])
-    write_manifest(out, "train", train_cfg.hyper.seed, inputs, outputs,
-                   digests=digests)
+    write_series_csv(files.output("train_report.csv"), report.loss_history, "loss",
+                     index_name="epoch")
+    files.manifest("train", train_cfg.hyper.seed)
     print(f"trained {model.config.hyper.epochs} epochs "
           f"({model.params.size} parameters, {report.seconds:.1f}s), "
           f"final loss {report.loss_history[-1] if report.loss_history else float('nan'):.6g}, "
@@ -573,20 +607,21 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
     seed = _seed(args, cfg)
     emu_cfg = _settings("emulate", cfg, flags={"n_samples": args.n_samples})
     n_samples = emu_cfg["n_samples"]
+    cf_path = getattr(args, "cf_conditions", None)
+    files = _Files(args.out, args.checkpoint, args.fields, args.conditions, cf_path,
+                   args.config)
     model = tr.checkpoint_load(args.checkpoint)
-    digests = {args.checkpoint: _sha256(args.checkpoint)}
     sites_sel = _parse_sites(args.sites, model.config.n_sites) if args.sites else None
-    x = _check_cells(args.fields, read_matrix_csv(args.fields, digests), positive=True)
-    c = read_series_csv(args.conditions)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    x = files.table(args.fields, positive=True)
+    files.one_per(args.checkpoint, model.config.n_sites, "sites", args.fields, 1)
+    c = files.series(args.conditions, args.fields)
 
     scenario = "factual"
     c_used = c
     if counterfactual_mode:
         scenario = "counterfactual"
-        if args.cf_conditions:
-            c_used = read_series_csv(args.cf_conditions)
+        if cf_path:
+            c_used = files.series(cf_path, args.fields)
         elif args.flip:
             c_used = emu.flip_condition(c)
         else:
@@ -603,24 +638,14 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
         ens = emu.emulate(model, x, c_used, n_samples, seed, scenario=scenario,
                           sites=sites_sel, **opts)
 
-    ens_path = os.path.join(out, "ensemble.csv")
-    write_ensemble(ens_path, ens)
-
-    theta_path = os.path.join(out, "theta_hat.csv")
-    _write_csv(theta_path, ["time_index", "knot_id", "mean", "std"],
+    write_ensemble(files.output("ensemble.csv"), ens)
+    _write_csv(files.output("theta_hat.csv"), ["time_index", "knot_id", "mean", "std"],
                ([f",{k},%.17g,%.17g\r\n" for k in range(ens.theta.shape[1])],
                 np.stack([ens.theta.mean(axis=2), ens.theta.std(axis=2)], axis=2)))
-
-    fields_path = os.path.join(out, "emulated_fields.csv")
-    write_matrix_csv(fields_path, ens.samples[:, :, 0], "site_",
-                     ids=ens.site_indices, digests=digests)
-
-    inputs = [p for p in (args.checkpoint, args.fields, args.conditions,
-                          getattr(args, "cf_conditions", None), args.config) if p]
-    write_manifest(out, "counterfactual" if counterfactual_mode else "emulate",
-                   seed, inputs, [ens_path, theta_path, fields_path],
-                   digests=digests)
-    print(f"wrote {scenario} ensemble of {ens.n_samples} samples to {out}")
+    files.write_matrix("emulated_fields.csv", ens.samples[:, :, 0], "site_",
+                       ids=ens.site_indices)
+    files.manifest("counterfactual" if counterfactual_mode else "emulate", seed)
+    print(f"wrote {scenario} ensemble of {ens.n_samples} samples to {args.out}")
     return 0
 
 
@@ -635,15 +660,13 @@ def cmd_counterfactual(args) -> int:
 def cmd_metrics(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
-    digests = {}
-    truth = _check_cells(args.truth, read_matrix_csv(args.truth, digests))
-    emulated = _check_cells(args.emulated, read_matrix_csv(args.emulated, digests))
-    coords = read_coords_csv(args.coords)
-    if not (truth.shape[1] == emulated.shape[1] == coords.shape[0]):
-        raise ConfigError(
-            f"site counts disagree: truth has {truth.shape[1]} columns, "
-            f"emulated has {emulated.shape[1]}, coords has {coords.shape[0]} "
-            "rows (emulate without --sites to produce full-grid fields)")
+    files = _Files(args.out, args.truth, args.emulated, args.coords, args.ensemble,
+                   args.config)
+    truth = files.table(args.truth)
+    emulated = files.table(args.emulated)
+    # emulate --sites writes the kept sites only
+    files.one_per(args.emulated, emulated.shape[1], "columns", args.truth, 1)
+    coords = files.coords(args.coords, args.truth)
     if args.ensemble:
         ens, site_ids, scenario = _read_ensemble_csv(args.ensemble)
         if ens.shape[0] != truth.shape[0] \
@@ -651,8 +674,6 @@ def cmd_metrics(args) -> int:
             raise ConfigError(f"ensemble {args.ensemble} does not fit the truth's "
                               f"{truth.shape[0]} time steps and {truth.shape[1]} sites")
     m_cfg = _settings("metrics", cfg, ref_index={"lt": truth.shape[1]})
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     u = np.asarray(m_cfg["u"], dtype=np.float64)
 
     psi = mx.grid_spacing(coords)
@@ -662,44 +683,32 @@ def cmd_metrics(args) -> int:
            else int(np.argmin(np.sum((coords - coords.mean(axis=0)) ** 2, axis=1))))
     pairs = mx.select_pairs(coords, distance, tol, m_cfg["max_pairs"], seed)
 
-    outputs = []
     sidecar = {"distance": distance, "tol": tol, "psi": psi, "seed": seed,
                "n_boot": m_cfg["n_boot"], "ref_index": ref}
     for name, fields in (("truth", truth), ("emulated", emulated)):
         chi = mx.chi_curve(fields, pairs, u, m_cfg["n_boot"], seed)
-        path = os.path.join(out, f"chi_{name}.csv")
-        write_curve_csv(path, chi)
-        outputs.append(path)
+        write_curve_csv(files.output(f"chi_{name}.csv"), chi)
         are = mx.are_curve(fields, psi, ref, u, n_boot=m_cfg["n_boot"], seed=seed)
-        path = os.path.join(out, f"are_{name}.csv")
-        write_curve_csv(path, are)
-        outputs.append(path)
+        write_curve_csv(files.output(f"are_{name}.csv"), are)
 
     if args.ensemble:
         obs = truth[:, site_ids]
         scores = mx.twcrps_field(ens, obs).scores
         label = _quote(scenario).replace("%", "%%")
-        scores_path = os.path.join(out, "twcrps.csv")
-        _write_csv(scores_path, ["scenario", "time_index", "site_id", "twcrps"],
+        _write_csv(files.output("twcrps.csv"), ["scenario", "time_index", "site_id", "twcrps"],
                    ([f",{sid},%.17g\r\n" for sid in site_ids.tolist()], scores,
                     label + ","))
-        summary_path = os.path.join(out, "twcrps_summary.csv")
-        _write_csv(summary_path, ["scenario", "median_twcrps"],
+        _write_csv(files.output("twcrps_summary.csv"), ["scenario", "median_twcrps"],
                    ([f"{label},%.17g\r\n"], [[np.median(scores)]], "", False))
         q = np.linspace(0.01, 0.99, 99)
         qo, qe = mx.qq_data(obs.ravel(), ens.ravel(), q)
-        qq_path = os.path.join(out, "qq.csv")
-        _write_csv(qq_path, ["q", "obs_quantile", "ensemble_quantile"],
+        _write_csv(files.output("qq.csv"), ["q", "obs_quantile", "ensemble_quantile"],
                    (["%.17g,%.17g,%.17g\r\n"], np.column_stack([q, qo, qe]), "", False))
-        outputs += [scores_path, summary_path, qq_path]
 
-    with open(os.path.join(out, "metrics_meta.json"), "w", encoding="utf-8") as fh:
+    with open(files.output("metrics_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
-    outputs.append(os.path.join(out, "metrics_meta.json"))
-    inputs = [p for p in (args.truth, args.emulated, args.coords,
-                          args.ensemble, args.config) if p]
-    write_manifest(out, "metrics", seed, inputs, outputs, digests=digests)
-    print(f"wrote dependence and score diagnostics to {out}")
+    files.manifest("metrics", seed)
+    print(f"wrote dependence and score diagnostics to {args.out}")
     return 0
 
 
@@ -753,9 +762,9 @@ def cmd_tailcheck(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    digests = {}
-    daily = _check_cells(args.daily, read_matrix_csv(args.daily, digests))
-    coords = read_coords_csv(args.sites)
+    files = _Files(args.out, args.daily, args.sites)
+    daily = files.table(args.daily)
+    coords = files.coords(args.sites, args.daily)
     try:
         calendar = pp.daily_calendar(dt.date.fromisoformat(args.start_date),
                                      daily.shape[0])
@@ -765,43 +774,27 @@ def cmd_preprocess(args) -> int:
     if n_months < GEV_MIN_OBS:
         raise ConfigError(f"{args.daily}: {n_months} months of days, the GEV fit "
                           f"needs at least {GEV_MIN_OBS} monthly maxima")
-    if coords.shape[0] != daily.shape[1]:
-        raise ConfigError(f"{args.sites} has {coords.shape[0]} sites, "
-                          f"{args.daily} has {daily.shape[1]}")
     # a chi-square test needs more bins than fitted parameters plus one
     check_value("--bins", args.bins, int, gt=pp.GEV_PARAMS + 1)
     check_value("--radius-km", args.radius_km, float, gt=0)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
 
     results = pp.run_pipeline(daily, calendar, coords, radius_km=args.radius_km,
                               n_bins=args.bins, doubled=args.doubled)
     months = results[0].months
-    maxima = np.column_stack([r.maxima for r in results])
-    transformed = np.column_stack([r.transformed for r in results])
-
-    maxima_path = os.path.join(out, "monthly_maxima.csv")
-    write_matrix_csv(maxima_path, maxima, "site_", index_name="month_index",
-                     digests=digests)
-    fields_path = os.path.join(out, "fields.csv")
-    write_matrix_csv(fields_path, transformed, "site_", index_name="time_index",
-                     digests=digests)
-    gev_path = os.path.join(out, "gev_params.csv")
-    _write_csv(gev_path, ["site_id", "mu", "sigma", "xi"],
+    files.write_matrix("monthly_maxima.csv", np.column_stack([r.maxima for r in results]),
+                       "site_", index_name="month_index")
+    files.write_matrix("fields.csv", np.column_stack([r.transformed for r in results]),
+                       "site_")
+    _write_csv(files.output("gev_params.csv"), ["site_id", "mu", "sigma", "xi"],
                ([",%.17g,%.17g,%.17g\r\n"],
                 [(r.gev.mu, r.gev.sigma, r.gev.xi) for r in results]))
-    gof_path = os.path.join(out, "gof.csv")
-    _write_csv(gof_path, ["site_id", "statistic", "df", "p_value"],
+    _write_csv(files.output("gof.csv"), ["site_id", "statistic", "df", "p_value"],
                ([",%.17g,%d,%.17g\r\n"],
                 [(r.gof.statistic, r.gof.df, r.gof.p_value) for r in results]))
-    months_path = os.path.join(out, "months.csv")
-    _write_csv(months_path, ["month_index", "year", "month"],
+    _write_csv(files.output("months.csv"), ["month_index", "year", "month"],
                ([",%d,%d\r\n"], months))
-
-    outputs = [maxima_path, fields_path, gev_path, gof_path, months_path]
-    write_manifest(out, "preprocess", None, [args.daily, args.sites], outputs,
-                   digests=digests)
-    print(f"preprocessed {daily.shape[1]} sites, {len(months)} months -> {out}")
+    files.manifest("preprocess", None)
+    print(f"preprocessed {daily.shape[1]} sites, {len(months)} months -> {args.out}")
     return 0
 
 

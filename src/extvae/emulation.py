@@ -163,7 +163,7 @@ def emulate(
     k, ch, two_k = h.latent_dim, h.conv_channels, 2 * h.latent_dim
     row = (3 * k + two_k + 3 * two_k               # eps, log z, z; fused; its window rows
            + 2 * 3 * two_k                         # windows, padded
-           + 3 * two_k * h.kernel_len              # conv windows as einsum copies them
+           + 3 * two_k * h.kernel_len              # conv's (in * width, length) window copy
            + 2 * ch * two_k + ch * two_k // h.pool_len  # conv output, biased, pooled
            + cfg.n_sites                           # mixed, every site
            + 4 * site_idx.size)                    # kept rows, words, noise, paths

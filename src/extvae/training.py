@@ -31,12 +31,7 @@ PLATEAU_TOL = 1e-4
 
 
 class TrainingError(RuntimeError):
-    """Non-finite loss or gradient; records where training aborted."""
-
-    def __init__(self, message, epoch=None, batch=None):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
+    """Non-finite loss or gradient; the message names the epoch and batch."""
 
 
 class CheckpointError(RuntimeError):
@@ -181,14 +176,10 @@ def train(
                 value, grad = value_and_gradient(loss, params)
             except NonFiniteError as err:
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {bi}: {err}",
-                    epoch=epoch, batch=bi,
-                ) from err
+                    f"non-finite loss at epoch {epoch}, batch {bi}: {err}") from err
             if not np.isfinite(value) or not np.all(np.isfinite(grad)):
                 raise TrainingError(
-                    f"non-finite loss or gradient at epoch {epoch}, batch {bi}",
-                    epoch=epoch, batch=bi,
-                )
+                    f"non-finite loss or gradient at epoch {epoch}, batch {bi}")
             epoch_loss += value * len(batch)
             params = params.replace(adam.update(params.data, grad, lr))
         history.append(epoch_loss / n_t)

@@ -237,38 +237,55 @@ class TestEmulate:
                        "--out", tmp_path / "x") == 2
 
 
-@pytest.mark.parametrize("command", ["simulate", "train", "emulate", "metrics",
+@pytest.mark.parametrize("command", ["simulate", "train", "emulate", "counterfactual",
+                                     "metrics", "metrics, one file name twice",
                                      "preprocess"])
 def test_each_file_hashed_at_most_once(tiny_run, tmp_path, monkeypatch, command):
+    """Each file is hashed at most once; every file read is an input, and every
+    file written to --out an output (manifest.json and sidecars aside), each
+    with the sha256 of its bytes."""
     _, cfg, sim, train, emu_dir = tiny_run
     m_cfg = tmp_path / "m.json"
     m_cfg.write_text(json.dumps({"schema_version": 1, "metrics": {"n_boot": 3}}))
+    cli.write_series_csv(str(tmp_path / "cf.csv"),
+                         1 - cli.read_series_csv(str(sim / "conditions.csv")))
+    (tmp_path / "em").mkdir()
+    (tmp_path / "em" / "fields.csv").write_bytes(
+        (emu_dir / "emulated_fields.csv").read_bytes())
+    model = ["--checkpoint", train / "checkpoint.json", "--fields", sim / "fields.csv",
+             "--conditions", sim / "conditions.csv", "--n-samples", 2]
     inputs = {"simulate": ["--config", cfg],
               "train": ["--config", cfg, "--fields", sim / "fields.csv",
                         "--conditions", sim / "conditions.csv",
                         "--knots", sim / "knots.csv", "--sites", sim / "sites.csv"],
-              "emulate": ["--config", cfg, "--checkpoint", train / "checkpoint.json",
-                          "--fields", sim / "fields.csv",
-                          "--conditions", sim / "conditions.csv", "--n-samples", 2],
+              "emulate": ["--config", cfg, *model],
+              "counterfactual": ["--config", cfg, *model,
+                                 "--cf-conditions", tmp_path / "cf.csv"],
               "metrics": ["--config", m_cfg, "--truth", sim / "fields.csv",
                           "--emulated", emu_dir / "emulated_fields.csv",
                           "--coords", sim / "sites.csv",
                           "--ensemble", emu_dir / "ensemble.csv"],
+              "metrics, one file name twice": [
+                  "--config", m_cfg, "--truth", sim / "fields.csv",
+                  "--emulated", tmp_path / "em" / "fields.csv", "--coords", sim / "sites.csv"],
               "preprocess": [*TestPreprocess._write_inputs(tmp_path),
                              "--start-date", "2015-01-01"]}[command]
     hashed, sha256 = [], cli._sha256
     monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(p) or sha256(p))
-    assert run_cli(command, *inputs, "--out", tmp_path / "o") == 0
+    out = tmp_path / "o"
+    assert run_cli(command.split(",")[0], *inputs, "--out", out) == 0
     assert hashed and len(hashed) == len(set(hashed)), hashed
-    # every manifest digest is the sha256 of the file's bytes; sidecars are unlisted
-    files = {p.name: p for p in [*inputs[1::2], *(tmp_path / "o").iterdir()]
-             if isinstance(p, os.PathLike)}
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    listed = manifest["inputs"] | manifest["outputs"]
-    assert len(listed) == len(manifest["inputs"]) + len(manifest["outputs"])
-    assert not [name for name in listed if name.endswith(".npy")]
-    for name, digest in listed.items():
-        assert digest == hashlib.sha256(files[name].read_bytes()).hexdigest(), name
+    # a file is listed by its name, or by its path where another has the name
+    read = [p for p in inputs[1::2] if isinstance(p, os.PathLike)]
+    names = [p.name for p in read]
+    read = {p.name if names.count(p.name) == 1 else str(p): p for p in read}
+    written = {p.name: p for p in out.iterdir()
+               if p.name != "manifest.json" and p.suffix != ".npy"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    for listed, files in ((manifest["inputs"], read), (manifest["outputs"], written)):
+        assert sorted(listed) == sorted(files)
+        for name, digest in listed.items():
+            assert digest == hashlib.sha256(files[name].read_bytes()).hexdigest(), name
 
 
 class TestDeskSiteSelection:
@@ -378,8 +395,6 @@ class TestPreprocess:
         ({"n_days": 850}, [], "28 months"),
         ({"nan_at": (400, 1)}, [], "value nan at row 400, column 1"),
         ({}, ["--bins", "3"], "--bins"),
-        ({"n_coords": 1}, [], "sites.csv"),
-        ({"n_coords": 3}, [], "sites.csv"),
         ({}, ["--radius-km", "0"], "--radius-km"),
         ({}, ["--radius-km", "nan"], "--radius-km"),
     ])
@@ -885,7 +900,7 @@ def test_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, kind, row):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "fields.csv" in err and "Traceback" not in err
-    assert not (tmp_path / "o" / "checkpoint.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 class TestMetricsEnsemble:
@@ -905,7 +920,7 @@ class TestMetricsEnsemble:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "two.csv" in err and "'counterfactual'" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "m" / "chi_truth.csv").exists()
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("label", [b'"a\rb"', b'"a\nb"', b'"a\r\nb"'],
                              ids=["cr", "lf", "crlf"])
@@ -932,6 +947,63 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and needle in err and "Traceback" not in err
+
+    @staticmethod
+    def _corrupt(src, dest, case):
+        """The CSV ``src`` copied to ``dest`` with its last data row dropped
+        ("row short") or repeated ("row long"), its last column dropped
+        ("column short"), or a non-numeric ("malformed") or NaN ("nan") cell."""
+        lines = src.read_text().splitlines()
+        if case == "row short":
+            lines.pop()
+        elif case == "row long":
+            lines.append(lines[-1])
+        elif case == "column short":
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        else:
+            lines[1] = lines[1].rsplit(",", 1)[0] + {"malformed": ",abc", "nan": ",nan"}[case]
+        dest.write_text("\r\n".join(lines) + "\r\n")
+        return dest
+
+    # every input that must agree with another in shape, and every series file
+    @pytest.mark.parametrize("command, flag, case", [
+        *(("simulate", "--conditions", case) for case in ("malformed", "nan")),
+        *((command, "--conditions", case) for command in ("train", "emulate", "counterfactual")
+          for case in ("row short", "row long", "malformed", "nan")),
+        *(("counterfactual", "--cf-conditions", case)
+          for case in ("row short", "row long", "malformed", "nan")),
+        *((command, "--fields", case) for command in ("train", "emulate", "counterfactual")
+          for case in ("row short", "column short")),
+        ("train", "--sites", "row short"),
+        *(("metrics", flag, "column short") for flag in ("--truth", "--emulated")),
+        *(("metrics", "--coords", case) for case in ("row short", "row long")),
+        ("preprocess", "--daily", "column short"),
+        *(("preprocess", "--sites", case) for case in ("row short", "row long")),
+    ])
+    def test_inputs_that_disagree_rejected_before_output(self, tiny_run, tmp_path, capsys,
+                                                         command, flag, case):
+        root, cfg_path, sim, train, emu_dir = tiny_run
+        model = {"--config": cfg_path, "--checkpoint": train / "checkpoint.json",
+                 "--fields": sim / "fields.csv", "--conditions": sim / "conditions.csv",
+                 "--n-samples": 2}
+        args = {
+            "simulate": {"--config": cfg_path, "--conditions": sim / "conditions.csv"},
+            "train": {"--config": cfg_path, "--fields": sim / "fields.csv",
+                      "--conditions": sim / "conditions.csv",
+                      "--knots": sim / "knots.csv", "--sites": sim / "sites.csv"},
+            "emulate": model,
+            "counterfactual": {**model, "--cf-conditions": sim / "conditions.csv"},
+            "metrics": {"--config": cfg_path, "--truth": sim / "fields.csv",
+                        "--emulated": emu_dir / "emulated_fields.csv",
+                        "--coords": sim / "sites.csv"},
+            "preprocess": {**dict(zip(*[iter(TestPreprocess._write_inputs(tmp_path))] * 2)),
+                           "--start-date": "2015-01-01"},
+        }[command]
+        args[flag] = self._corrupt(args[flag], tmp_path / "bad.csv", case)
+        code = run_cli(command, *(a for pair in args.items() for a in pair),
+                       "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, "bad.csv")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sites", ["0,9999", "-1", "0,x", "1.5", "0,,2", "0,0"])
     @pytest.mark.parametrize("command", ["emulate", "counterfactual"])
