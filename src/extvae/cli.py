@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from . import emulation as emu
 from . import fieldsim as fs
+from . import floattext as ft
 from . import metrics as mx
 from . import model as mdl
 from . import preprocess as pp
@@ -163,8 +164,10 @@ def _settings(section: str, cfg: dict, preset: dict | None = None,
 # ---------------------------------------------------------------------------
 
 # Every table is CSV as csv.writer writes it (header row, CRLF, minimal
-# quoting) with floats as %.17g, so values read back bit for bit.  Rows are
-# filled from %-templates one time step at a time; reads go through loadtxt.
+# quoting) with each value as '%.17g' % x writes it (floattext.render), so
+# floats read back bit for bit and ints below 2**53 read as %d writes them.
+# Rows are laid out in a NUL-padded byte grid that one pass compacts, so no
+# text in a row may hold a NUL.  Reads go through loadtxt.
 # A wide matrix also leaves its parsed values beside the CSV, as the .npy
 # sidecar .<csv name>.<sha256 of the CSV>.<sha256 of the .npy>.npy; a read
 # whose CSV hashes to that name, and whose sidecar hashes to its own, loads it
@@ -183,38 +186,56 @@ def _quote(text) -> str:
     return text
 
 
-def _lines(rows, cells: list[str], block, prefix: str = "", index: bool = True):
-    """Per step t in ``rows`` of ``block``, the text of one line per cell:
-    ``prefix``, t (when ``index``), the cell; the cells' %-fields take
-    block[t]'s values in C order."""
-    for t in rows:
-        lead = f"{prefix}{t}" if index else prefix
-        yield (lead + lead.join(cells)) % tuple(np.ravel(block[t]).tolist())
+def _text(strings) -> np.ndarray:
+    """The strings' UTF-8 bytes as the rows of a NUL-padded byte grid."""
+    return np.array([s.encode("utf-8") for s in strings], "S")[:, None].view(np.uint8)
 
 
-def _encoded(*args) -> list[bytes]:
-    """The text of ``_lines``, all formatted before any is sent: a worker does
-    not wait on its pipe while the parent formats block 0."""
-    return [text.encode("utf-8") for text in _lines(*args)]
+def _block(rows: range, values, pre, post, prefix: str, index: bool):
+    """The text of ``rows``, as one bytes object per sub-block of about
+    floattext.CHUNK values.  Row t of ``values`` holds, in C order, k values
+    for each of the len(pre) lines; line l is ``prefix``, t (when ``index``),
+    pre[l], its values joined by ",", then ``post``."""
+    lines = len(pre)
+    k = values.size // max(1, len(values) * lines)
+    slot = ft.WIDTH + 1                          # a value, and the "," before it
+    sep = np.array([0] + [ord(",")] * (k - 1), np.uint8)
+    step = max(1, ft.CHUNK // max(1, lines * k))
+    for lo in range(rows.start, rows.stop, step):
+        hi = min(lo + step, rows.stop)
+        lead = _text([f"{prefix}{t}" if index else prefix for t in range(lo, hi)])
+        start = lead.shape[1] + pre.shape[1]
+        grid = np.empty((hi - lo, lines, start + slot * k + post.size), np.uint8)
+        grid[:, :, :lead.shape[1]] = lead[:, None]
+        grid[:, :, lead.shape[1]:start] = pre
+        cells = grid[:, :, start:start + slot * k].reshape(hi - lo, lines, k, slot)
+        cells[..., 0] = sep
+        cells[..., 1:] = ft.render(values[lo:hi]).reshape(hi - lo, lines, k, ft.WIDTH)
+        grid[:, :, start + slot * k:] = post
+        yield grid.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: str, header, table) -> None:
-    """``header``, then the table's lines; the table is the arguments of one
-    ``_lines`` call but ``rows``, and is formatted in row blocks."""
-    cells, block, *rest = table
-    block = np.asarray(block)
-    edges = block_edges(block.shape[0], block.size, BLOCK_CELLS)
-    with (open(path, "w", newline="", encoding="utf-8") as fh,
+def _write_csv(path: str, header, values, pre=(",",), post: str = "\r\n",
+               prefix: str = "", index: bool = True) -> str:
+    """``header``, then the text of ``_block`` for every row of ``values``,
+    formatted in row blocks.  Returns the sha256 of the bytes written."""
+    values = np.asarray(values, np.float64)
+    table = (values, _text(pre), np.frombuffer(post.encode("utf-8"), np.uint8), prefix,
+             index)
+    edges = block_edges(values.shape[0], values.size, BLOCK_CELLS)
+    head, digest = (",".join(map(_quote, header)) + "\r\n").encode("utf-8"), hashlib.sha256()
+    with (open(path, "wb") as fh,
           Workers(f"{path}: a row-block worker") as workers):
-        fh.write(",".join(map(_quote, header)) + "\r\n")
-        pids = [workers.start(_encoded, range(lo, hi), cells, block, *rest)
+        # a worker formats its whole block before it sends any: it does not
+        # wait on its pipe while the parent formats block 0
+        pids = [workers.start(lambda *args: list(_block(*args)), range(lo, hi), *table)
                 for lo, hi in zip(edges[1:], edges[2:])]
-        fh.writelines(_lines(range(edges[1]), cells, block, *rest))
-        for pid in pids:                           # each block's text, in order
-            fh.flush()
-            fh.buffer.writelines(workers.chunks(pid))
-            if not workers.reap(pid):
-                raise OSError(f"{path}: a row-block worker failed")
+        for data in itertools.chain([head], _block(range(edges[1]), *table),
+                                    *map(workers.chunks, pids)):     # blocks in order
+            digest.update(data), fh.write(data)
+        if not all(map(workers.reap, pids)):
+            raise OSError(f"{path}: a row-block worker failed")
+    return digest.hexdigest()
 
 
 def _loadtxt(lines, n_cols: int, start: int, stop: int, converters=None):
@@ -309,28 +330,23 @@ def _load_sidecar(path: str, digest: str) -> np.ndarray | None:
 
 
 def write_matrix_csv(path: str, matrix: np.ndarray, prefix: str,
-                     index_name: str = "time_index", ids=None,
-                     digests: dict | None = None) -> None:
+                     index_name: str = "time_index", ids=None) -> str:
     """Wide layout: one row per time step, one column per site/knot, and the
-    CSV's sidecar.  ``digests`` records the CSV's sha256 by path."""
+    CSV's sidecar.  Returns the CSV's sha256."""
     matrix = np.asarray(matrix)
     if ids is None:
         ids = range(matrix.shape[1])
-    _write_csv(path, [index_name] + [f"{prefix}{j}" for j in ids],
-               ([",%.17g" * matrix.shape[1] + "\r\n"], matrix))
-    digest = _sha256(path)
+    digest = _write_csv(path, [index_name] + [f"{prefix}{j}" for j in ids], matrix)
     _write_sidecar(path, digest, matrix)
-    if digests is not None:
-        digests[path] = digest
+    return digest
 
 
 def read_matrix_csv(path: str, digests: dict | None = None) -> np.ndarray:
     """Every column but the first (which may hold dates) as float64, from the
     CSV's sidecar when it has one, else parsed; writes no file.  ``digests``
-    records the CSV's sha256 by path."""
-    digest = _sha256(path)
-    if digests is not None:
-        digests[path] = digest
+    holds the sha256 of files already hashed by path, and gains the CSV's."""
+    digests = {} if digests is None else digests
+    digest = digests[path] = digests.get(path) or _sha256(path)
     table = _load_sidecar(path, digest)
     return _read_csv(path, 1) if table is None else table
 
@@ -347,30 +363,29 @@ def _check_cells(path: str, table: np.ndarray, positive: bool = False) -> np.nda
 
 
 def write_series_csv(path: str, values: np.ndarray, name: str = "condition",
-                     index_name: str = "time_index") -> None:
-    _write_csv(path, [index_name, name], ([",%.17g\r\n"], values))
+                     index_name: str = "time_index") -> str:
+    return _write_csv(path, [index_name, name], values)
 
 
 def read_series_csv(path: str) -> np.ndarray:
     return _read_csv(path, 1, 2)[:, 0]
 
 
-def write_coords_csv(path: str, coords: np.ndarray, id_name: str) -> None:
-    _write_csv(path, [id_name, "x", "y"], ([",%.17g,%.17g\r\n"], coords))
+def write_coords_csv(path: str, coords: np.ndarray, id_name: str) -> str:
+    return _write_csv(path, [id_name, "x", "y"], coords)
 
 
 def read_coords_csv(path: str) -> np.ndarray:
     return _read_csv(path, 1, 3)
 
 
-def write_ensemble(path: str, ens: emu.EmulationEnsemble) -> None:
-    if "\r" in ens.scenario or "\n" in ens.scenario:   # a text-mode read loses CR
-        raise ValueError(f"scenario label {ens.scenario!r} holds a line break")
-    scenario = _quote(ens.scenario).replace("%", "%%")
-    cells = [f",{sid},{s},%.17g,{scenario}\r\n" for sid in ens.site_indices.tolist()
-             for s in range(ens.n_samples)]
-    _write_csv(path, ["time_index", "site_id", "sample_index", "value", "scenario"],
-               (cells, ens.samples))
+def write_ensemble(path: str, ens: emu.EmulationEnsemble) -> str:
+    if any(c in ens.scenario for c in "\r\n\0"):    # a read loses CR, a write NUL
+        raise ValueError(f"scenario label {ens.scenario!r} holds a line break or a NUL")
+    return _write_csv(path, ["time_index", "site_id", "sample_index", "value", "scenario"],
+                      ens.samples, [f",{sid},{s}," for sid in ens.site_indices.tolist()
+                                    for s in range(ens.n_samples)],
+                      f",{_quote(ens.scenario)}\r\n")
 
 
 def _read_ensemble_csv(path: str):
@@ -383,9 +398,9 @@ def _read_ensemble_csv(path: str):
         except (ValueError, csv.Error) as err:
             raise ConfigError(f"malformed CSV {path}: {err}") from None
     scenario = row[4] if len(row) > 4 else ""
-    if "\n" in scenario:                          # CR reads as LF, too
+    if "\n" in scenario or "\0" in scenario:      # CR reads as LF, too
         raise ConfigError(f"ensemble {path}: scenario label {scenario!r} holds a "
-                          "line break")
+                          "line break or a NUL")
 
     def same_scenario(text: str) -> float:
         if text != scenario:
@@ -408,10 +423,9 @@ def _read_ensemble_csv(path: str):
     return samples, site_ids, scenario
 
 
-def write_curve_csv(path: str, curve) -> None:
-    _write_csv(path, ["u", "estimate", "lo95", "hi95"], (
-        ["%.17g,%.17g,%.17g,%.17g\r\n"], np.column_stack(
-            [curve.u, curve.estimate, curve.lo95, curve.hi95]), "", False))
+def write_curve_csv(path: str, curve) -> str:
+    return _write_csv(path, ["u", "estimate", "lo95", "hi95"], np.column_stack(
+        [curve.u, curve.estimate, curve.lo95, curve.hi95]), [""], index=False)
 
 
 def _sha256(path: str) -> str:
@@ -487,8 +501,10 @@ class _Files:
         self.outputs.append(os.path.join(self.out, name))
         return self.outputs[-1]
 
-    def write_matrix(self, name: str, matrix: np.ndarray, prefix: str, **kwargs) -> None:
-        write_matrix_csv(self.output(name), matrix, prefix, digests=self.digests, **kwargs)
+    def write(self, name: str, writer, *args, **kwargs) -> None:
+        """Output ``name``, written by ``writer``, which returns its sha256."""
+        path = self.output(name)
+        self.digests[path] = writer(path, *args, **kwargs)
 
     def manifest(self, command: str, seed, config: dict | None = None) -> None:
         write_manifest(self.out, command, seed, self.inputs, self.outputs, config,
@@ -516,12 +532,12 @@ def cmd_simulate(args) -> int:
     x, z = fs.simulate_dataset(theta, w, data_cfg["alpha0"], seed,
                                return_latent=True)
 
-    write_coords_csv(files.output("sites.csv"), grid.sites, "site_id")
-    write_coords_csv(files.output("knots.csv"), knots, "knot_id")
-    write_series_csv(files.output("conditions.csv"), c)
-    files.write_matrix("fields.csv", x, "site_")
-    files.write_matrix("theta_truth.csv", theta, "knot_")
-    files.write_matrix("latent_truth.csv", z, "knot_")
+    files.write("sites.csv", write_coords_csv, grid.sites, "site_id")
+    files.write("knots.csv", write_coords_csv, knots, "knot_id")
+    files.write("conditions.csv", write_series_csv, c)
+    files.write("fields.csv", write_matrix_csv, x, "site_")
+    files.write("theta_truth.csv", write_matrix_csv, theta, "knot_")
+    files.write("latent_truth.csv", write_matrix_csv, z, "knot_")
     files.manifest("simulate", seed, {"data": data_cfg})
     print(f"simulated {x.shape[0]} x {x.shape[1]} fields "
           f"(K={knots.shape[0]}) into {args.out}")
@@ -577,14 +593,14 @@ def cmd_train(args) -> int:
         train_cfg, scores = tr.grid_search(
             x, c, candidates, search_epochs=args.grid_epochs,
             knots=knots, sites=sites, wendland_radius=radius)
-        write_series_csv(files.output("grid_scores.csv"), scores, "score",
-                         index_name="candidate")
+        files.write("grid_scores.csv", write_series_csv, scores, "score",
+                    index_name="candidate")
 
     model, report = tr.train(x, c, dataclasses.replace(
         train_cfg, checkpoint_path=files.output("checkpoint.json")),
         knots=knots, sites=sites, wendland_radius=radius)
-    write_series_csv(files.output("train_report.csv"), report.loss_history, "loss",
-                     index_name="epoch")
+    files.write("train_report.csv", write_series_csv, report.loss_history, "loss",
+                index_name="epoch")
     files.manifest("train", train_cfg.hyper.seed)
     print(f"trained {model.config.hyper.epochs} epochs "
           f"({model.params.size} parameters, {report.seconds:.1f}s), "
@@ -638,12 +654,12 @@ def _emulate_common(args, counterfactual_mode: bool) -> int:
         ens = emu.emulate(model, x, c_used, n_samples, seed, scenario=scenario,
                           sites=sites_sel, **opts)
 
-    write_ensemble(files.output("ensemble.csv"), ens)
-    _write_csv(files.output("theta_hat.csv"), ["time_index", "knot_id", "mean", "std"],
-               ([f",{k},%.17g,%.17g\r\n" for k in range(ens.theta.shape[1])],
-                np.stack([ens.theta.mean(axis=2), ens.theta.std(axis=2)], axis=2)))
-    files.write_matrix("emulated_fields.csv", ens.samples[:, :, 0], "site_",
-                       ids=ens.site_indices)
+    files.write("ensemble.csv", write_ensemble, ens)
+    files.write("theta_hat.csv", _write_csv, ["time_index", "knot_id", "mean", "std"],
+                np.stack([ens.theta.mean(axis=2), ens.theta.std(axis=2)], axis=2),
+                [f",{k}," for k in range(ens.theta.shape[1])])
+    files.write("emulated_fields.csv", write_matrix_csv, ens.samples[:, :, 0], "site_",
+                ids=ens.site_indices)
     files.manifest("counterfactual" if counterfactual_mode else "emulate", seed)
     print(f"wrote {scenario} ensemble of {ens.n_samples} samples to {args.out}")
     return 0
@@ -687,23 +703,22 @@ def cmd_metrics(args) -> int:
                "n_boot": m_cfg["n_boot"], "ref_index": ref}
     for name, fields in (("truth", truth), ("emulated", emulated)):
         chi = mx.chi_curve(fields, pairs, u, m_cfg["n_boot"], seed)
-        write_curve_csv(files.output(f"chi_{name}.csv"), chi)
+        files.write(f"chi_{name}.csv", write_curve_csv, chi)
         are = mx.are_curve(fields, psi, ref, u, n_boot=m_cfg["n_boot"], seed=seed)
-        write_curve_csv(files.output(f"are_{name}.csv"), are)
+        files.write(f"are_{name}.csv", write_curve_csv, are)
 
     if args.ensemble:
         obs = truth[:, site_ids]
         scores = mx.twcrps_field(ens, obs).scores
-        label = _quote(scenario).replace("%", "%%")
-        _write_csv(files.output("twcrps.csv"), ["scenario", "time_index", "site_id", "twcrps"],
-                   ([f",{sid},%.17g\r\n" for sid in site_ids.tolist()], scores,
-                    label + ","))
-        _write_csv(files.output("twcrps_summary.csv"), ["scenario", "median_twcrps"],
-                   ([f"{label},%.17g\r\n"], [[np.median(scores)]], "", False))
+        label = _quote(scenario) + ","
+        files.write("twcrps.csv", _write_csv, ["scenario", "time_index", "site_id", "twcrps"],
+                    scores, [f",{sid}," for sid in site_ids.tolist()], prefix=label)
+        files.write("twcrps_summary.csv", _write_csv, ["scenario", "median_twcrps"],
+                    [np.median(scores)], [""], prefix=label, index=False)
         q = np.linspace(0.01, 0.99, 99)
         qo, qe = mx.qq_data(obs.ravel(), ens.ravel(), q)
-        _write_csv(files.output("qq.csv"), ["q", "obs_quantile", "ensemble_quantile"],
-                   (["%.17g,%.17g,%.17g\r\n"], np.column_stack([q, qo, qe]), "", False))
+        files.write("qq.csv", _write_csv, ["q", "obs_quantile", "ensemble_quantile"],
+                    np.column_stack([q, qo, qe]), [""], index=False)
 
     with open(files.output("metrics_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
@@ -781,18 +796,16 @@ def cmd_preprocess(args) -> int:
     results = pp.run_pipeline(daily, calendar, coords, radius_km=args.radius_km,
                               n_bins=args.bins, doubled=args.doubled)
     months = results[0].months
-    files.write_matrix("monthly_maxima.csv", np.column_stack([r.maxima for r in results]),
-                       "site_", index_name="month_index")
-    files.write_matrix("fields.csv", np.column_stack([r.transformed for r in results]),
-                       "site_")
-    _write_csv(files.output("gev_params.csv"), ["site_id", "mu", "sigma", "xi"],
-               ([",%.17g,%.17g,%.17g\r\n"],
-                [(r.gev.mu, r.gev.sigma, r.gev.xi) for r in results]))
-    _write_csv(files.output("gof.csv"), ["site_id", "statistic", "df", "p_value"],
-               ([",%.17g,%d,%.17g\r\n"],
-                [(r.gof.statistic, r.gof.df, r.gof.p_value) for r in results]))
-    _write_csv(files.output("months.csv"), ["month_index", "year", "month"],
-               ([",%d,%d\r\n"], months))
+    files.write("monthly_maxima.csv", write_matrix_csv,
+                np.column_stack([r.maxima for r in results]), "site_",
+                index_name="month_index")
+    files.write("fields.csv", write_matrix_csv,
+                np.column_stack([r.transformed for r in results]), "site_")
+    files.write("gev_params.csv", _write_csv, ["site_id", "mu", "sigma", "xi"],
+                [(r.gev.mu, r.gev.sigma, r.gev.xi) for r in results])
+    files.write("gof.csv", _write_csv, ["site_id", "statistic", "df", "p_value"],
+                [(r.gof.statistic, r.gof.df, r.gof.p_value) for r in results])
+    files.write("months.csv", _write_csv, ["month_index", "year", "month"], months)
     files.manifest("preprocess", None)
     print(f"preprocessed {daily.shape[1]} sites, {len(months)} months -> {args.out}")
     return 0

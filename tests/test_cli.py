@@ -239,11 +239,12 @@ class TestEmulate:
 
 @pytest.mark.parametrize("command", ["simulate", "train", "emulate", "counterfactual",
                                      "metrics", "metrics, one file name twice",
-                                     "preprocess"])
+                                     "metrics, one file twice", "preprocess"])
 def test_each_file_hashed_at_most_once(tiny_run, tmp_path, monkeypatch, command):
-    """Each file is hashed at most once; every file read is an input, and every
-    file written to --out an output (manifest.json and sidecars aside), each
-    with the sha256 of its bytes."""
+    """Each file is hashed at most once, and a table is never re-read to hash
+    what _write_csv wrote; every file read is an input, and every file written
+    to --out an output (manifest.json and sidecars aside), each with the sha256
+    of its bytes."""
     _, cfg, sim, train, emu_dir = tiny_run
     m_cfg = tmp_path / "m.json"
     m_cfg.write_text(json.dumps({"schema_version": 1, "metrics": {"n_boot": 3}}))
@@ -268,15 +269,22 @@ def test_each_file_hashed_at_most_once(tiny_run, tmp_path, monkeypatch, command)
               "metrics, one file name twice": [
                   "--config", m_cfg, "--truth", sim / "fields.csv",
                   "--emulated", tmp_path / "em" / "fields.csv", "--coords", sim / "sites.csv"],
+              "metrics, one file twice": [
+                  "--config", m_cfg, "--truth", sim / "fields.csv",
+                  "--emulated", sim / "fields.csv", "--coords", sim / "sites.csv"],
               "preprocess": [*TestPreprocess._write_inputs(tmp_path),
                              "--start-date", "2015-01-01"]}[command]
     hashed, sha256 = [], cli._sha256
     monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(p) or sha256(p))
+    written, write_csv = [], cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda p, *args, **kw: written.append(p) or write_csv(p, *args, **kw))
     out = tmp_path / "o"
     assert run_cli(command.split(",")[0], *inputs, "--out", out) == 0
     assert hashed and len(hashed) == len(set(hashed)), hashed
+    assert written and not set(hashed) & set(written), set(hashed) & set(written)
     # a file is listed by its name, or by its path where another has the name
-    read = [p for p in inputs[1::2] if isinstance(p, os.PathLike)]
+    read = list(dict.fromkeys(p for p in inputs[1::2] if isinstance(p, os.PathLike)))
     names = [p.name for p in read]
     read = {p.name if names.count(p.name) == 1 else str(p): p for p in read}
     written = {p.name: p for p in out.iterdir()
@@ -597,7 +605,7 @@ class TestFileLayer:
         # sites come back in id order
         assert same_bits(back, samples[:, [1, 0, 2], :])
 
-    @pytest.mark.parametrize("scenario", ["a\rb", "a\nb", "a\r\nb", "end\n"])
+    @pytest.mark.parametrize("scenario", ["a\rb", "a\nb", "a\r\nb", "end\n", "a\0b"])
     def test_line_break_label_rejected_before_writing(self, tmp_path, scenario):
         ens = emu.EmulationEnsemble(samples=np.ones((2, 1, 1)), theta=np.ones((2, 1, 1)),
                                     scenario=scenario, site_indices=np.array([0]))
@@ -769,10 +777,9 @@ class TestSidecar:
 
         monkeypatch.setattr(os, "replace", disk_full)
         m = awkward_matrix(3, 4)
-        digests = {}
-        cli.write_matrix_csv(str(path), m, "site_", digests=digests)
+        digest = cli.write_matrix_csv(str(path), m, "site_")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
-        assert digests == {str(path): sha256(path)}
+        assert digest == sha256(path)
         assert same_bits(cli.read_matrix_csv(str(path)), np.where(np.isnan(m), np.nan, m))
         assert parses == [str(path)]
 
@@ -842,7 +849,7 @@ class TestRowBlocks:
                                                     monkeypatch, split, act):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(TINY_CONFIG))
-        _in_workers(monkeypatch, "_encoded", act)
+        _in_workers(monkeypatch, "_block", act)
         assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
         assert split
         err = capsys.readouterr().err
@@ -850,14 +857,14 @@ class TestRowBlocks:
         assert "Traceback" not in err
 
     def test_parent_failure_kills_and_reaps_workers(self, tmp_path, monkeypatch, split):
-        real, parent = cli._lines, os.getpid()
+        real, parent = cli._block, os.getpid()
 
         def parent_fails(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return real(*args)
 
-        monkeypatch.setattr(cli, "_lines", parent_fails)
+        monkeypatch.setattr(cli, "_block", parent_fails)
         with pytest.raises(KeyboardInterrupt):
             cli.write_matrix_csv(str(tmp_path / "m.csv"), awkward_matrix(9, 7), "site_")
         assert len(split) == 3
@@ -876,6 +883,65 @@ class TestRowBlocks:
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == \
                 (tmp_path / "four" / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the numpy renderer against Python's %
+# ---------------------------------------------------------------------------
+
+def _around(values, ulps: int = 3) -> np.ndarray:
+    """Each value and the floats up to ``ulps`` steps of its bit pattern away."""
+    bits = np.asarray(values, np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).view(np.float64).ravel()
+
+
+class TestRenderOracle:
+    """floattext.render writes each value as '%.17g' % x does, byte for byte,
+    on the cases its fast path could get wrong: random bit patterns (NaN
+    payloads, subnormals, every exponent), magnitudes past its table, exact
+    decimal ties, powers of ten and the %g switch points."""
+
+    @staticmethod
+    def corpus() -> np.ndarray:
+        rng = np.random.default_rng(20251020)
+        n = 50_000
+        with np.errstate(over="ignore"):
+            spread = 10.0 ** rng.uniform(-330, 310, n)
+        ties = ((rng.integers(0, 2 ** rng.integers(1, 41, n)) + 0.5)
+                * 2.0 ** -rng.integers(0, 80, n))
+        # exact ties at the 17th digit: m * 2**-j whose 18 digits m * 5**j end in 5
+        ties17 = [m * 2.0 ** -j for j in range(1, 26)
+                  for m in range(10 ** 17 // 5 ** j | 1, min(10 ** 18 // 5 ** j, 2 ** 53), 2)[:300]]
+        values = np.concatenate([
+            SPECIAL, AWKWARD,
+            rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64),
+            spread, rng.lognormal(0.0, 1.5, n), ties, ties17,
+            _around([float(f"1e{q}") for q in range(-330, 309)]),
+            _around([1e-5, 1e-4, 1e16, 1e17])])
+        return np.concatenate([values, -values])
+
+    @staticmethod
+    def rendered(values) -> bytes:
+        """Each value's text and a newline, the NULs compacted away."""
+        cells = cli.ft.render(values)
+        lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)], axis=1)
+        return lines.tobytes().translate(None, b"\0")
+
+    def check(self, values, template: str) -> None:
+        got = self.rendered(values)
+        want = "".join([template % x for x in values.tolist()]).encode()
+        if got != want:
+            bad = [(x, g, w) for x, g, w in zip(values.tolist(), got.split(b"\n"),
+                                                 want.split(b"\n")) if g != w]
+            pytest.fail(f"{len(bad)} of {values.size} values differ, e.g. {bad[:5]}")
+
+    def test_floats_as_percent_17g(self):
+        self.check(self.corpus(), "%.17g\n")
+
+    def test_integers_as_percent_d(self):
+        ints = np.concatenate([np.arange(-1000, 1001), np.random.default_rng(7).integers(
+            -2 ** 53, 2 ** 53, 10_000), [2 ** 53, -2 ** 53, 10 ** 16, 10 ** 16 - 1]])
+        self.check(ints.astype(np.float64), "%d\n")
 
 
 def _write_tiny_inputs(root):
@@ -922,8 +988,8 @@ class TestMetricsEnsemble:
         assert "Traceback" not in err
         assert not (tmp_path / "m").exists()
 
-    @pytest.mark.parametrize("label", [b'"a\rb"', b'"a\nb"', b'"a\r\nb"'],
-                             ids=["cr", "lf", "crlf"])
+    @pytest.mark.parametrize("label", [b'"a\rb"', b'"a\nb"', b'"a\r\nb"', b"a\0b"],
+                             ids=["cr", "lf", "crlf", "nul"])
     def test_line_break_label_exits_2_naming_the_file(self, tiny_run, tmp_path,
                                                       capsys, label):
         _, _, sim, _, emu_dir = tiny_run
