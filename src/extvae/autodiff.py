@@ -34,7 +34,7 @@ def _finite_or_raise(value: np.ndarray, op: str) -> np.ndarray:
 class Var:
     """Tape node holding a float64 array, its parents, and their vjp closures."""
 
-    __slots__ = ("value", "grad", "parents", "op")
+    __slots__ = ("value", "grad", "parents", "op", "__weakref__")
 
     # keep numpy from consuming `ndarray <op> Var`; defer to our reflected ops
     __array_ufunc__ = None
@@ -54,23 +54,36 @@ class Var:
         return self.value.ndim
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into the ``grad`` of every leaf below.
+
+        The tape is released as it is walked: once a node has passed its
+        gradient on to its parents, its ``grad`` is None and its ``parents``
+        is ``()``, so its vjp closures and the forward arrays they hold are
+        freed during the pass.  Afterwards only leaves hold ``.grad``.
+        """
         if self.value.ndim != 0 and self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _toposort(self)
+        order.reverse()
         self.grad = np.ones_like(self.value)
-        for node in order:
-            g = node.grad
-            if g is None:
-                continue
-            for parent, vjp in node.parents:
+        while order:
+            node = order.pop()
+            g, parents = node.grad, node.parents
+            if not parents:
+                continue            # a leaf keeps its grad
+            node.grad, node.parents = None, ()
+            for parent, vjp in parents:
                 contrib = vjp(g)
                 if parent.grad is not None:
                     parent.grad += contrib
                 elif (contrib is not g and contrib.flags.owndata
                       and contrib.flags.writeable):
                     parent.grad = contrib      # fresh from the vjp: no copy
+                elif (len(parents) == 1 and _buffer(contrib) is _buffer(g)
+                      and contrib.flags.c_contiguous and contrib.flags.writeable):
+                    parent.grad = contrib      # g's buffer, released above
                 else:
-                    parent.grad = contrib.copy()   # g itself or a view
+                    parent.grad = contrib.copy()   # g shared, or another layout
 
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
@@ -132,6 +145,11 @@ def _toposort(root: Var) -> list[Var]:
 
 def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def _buffer(a: np.ndarray):
+    """The array that owns ``a``'s memory (numpy keeps a view's base at the owner)."""
+    return a if a.base is None else a.base
 
 
 def _is_var(*args) -> bool:

@@ -490,10 +490,12 @@ class _Files:
             self.one_per(path, values.size, "values", table, 0)
         return values
 
-    def coords(self, path: str, table: str) -> np.ndarray:
-        """Coordinates with one row per column of ``table``."""
-        coords = read_coords_csv(path)
-        self.one_per(path, coords.shape[0], "rows", table, 1)
+    def coords(self, path: str, table: str | None = None) -> np.ndarray:
+        """Finite coordinates, with one row per column of ``table`` where one
+        is named."""
+        coords = _check_cells(path, read_coords_csv(path))
+        if table is not None:
+            self.one_per(path, coords.shape[0], "rows", table, 1)
         return coords
 
     def output(self, name: str) -> str:
@@ -558,7 +560,7 @@ def cmd_train(args) -> int:
                    args.grid, args.config)
     x = files.table(args.fields, positive=True)
     c = files.series(args.conditions, args.fields)
-    knots = read_coords_csv(args.knots) if args.knots else None
+    knots = files.coords(args.knots) if args.knots else None
     sites = files.coords(args.sites, args.fields) if args.sites else None
 
     hyper = _hyper_from(cfg, args.desk, {

@@ -5,9 +5,10 @@ double-double arithmetic (Dekker's exact product, 10**q as hi + lo) and rounds
 it to the 17-digit integer N.  N's digits are looked up four at a time and
 placed in three 64-bit words per value, where byte masks drop trailing zeros
 and insert the point, the "0." and zeros of -4 <= X < 0, or the "e+XX" of
-X < -4 or X > 16, as %g does.  The scaled value is known to about 1e-14, so a
-remainder within 1e-6 of 1/2 (every exact tie), zero, a non-finite value, |x|
-outside [1e-250, 1e250], or an X that log10 guessed one off goes to Python's %.
+X < -4 or X > 16, as %g does; a zero is N = 0 at X = 0.  The scaled value is
+known to about 1e-14, so a remainder within 1e-6 of 1/2 (every exact tie), a
+non-finite value, a nonzero |x| outside [1e-250, 1e250], or an X that log10
+guessed one off goes to Python's %.
 """
 
 import numpy as np
@@ -82,6 +83,9 @@ def _render(v: np.ndarray, out: np.ndarray) -> None:
     # 1e16 <= p + r < 1e17 - 1/2: x was the exponent and N has 17 digits
     ok &= (n >= 10 ** 16 + (r < k)) & (n < 10 ** 17) & (np.abs(r - k) < _TIE)
     n[~ok], x[~ok] = 10 ** 16, 0
+    zero = v == 0
+    n[zero] = 0                 # N = 0 at X = 0 is laid out "0", signed "-0"
+    ok |= zero
 
     d0 = n // 10 ** 16
     n -= d0 * 10 ** 16

@@ -1031,6 +1031,27 @@ class TestInputValidation:
         dest.write_text("\r\n".join(lines) + "\r\n")
         return dest
 
+    @staticmethod
+    def _args(tiny_run, tmp_path, command) -> dict:
+        """A valid flag -> value set for ``command`` on the tiny run's files."""
+        root, cfg_path, sim, train, emu_dir = tiny_run
+        model = {"--config": cfg_path, "--checkpoint": train / "checkpoint.json",
+                 "--fields": sim / "fields.csv", "--conditions": sim / "conditions.csv",
+                 "--n-samples": 2}
+        return {
+            "simulate": {"--config": cfg_path, "--conditions": sim / "conditions.csv"},
+            "train": {"--config": cfg_path, "--fields": sim / "fields.csv",
+                      "--conditions": sim / "conditions.csv",
+                      "--knots": sim / "knots.csv", "--sites": sim / "sites.csv"},
+            "emulate": model,
+            "counterfactual": {**model, "--cf-conditions": sim / "conditions.csv"},
+            "metrics": {"--config": cfg_path, "--truth": sim / "fields.csv",
+                        "--emulated": emu_dir / "emulated_fields.csv",
+                        "--coords": sim / "sites.csv"},
+            "preprocess": {**dict(zip(*[iter(TestPreprocess._write_inputs(tmp_path))] * 2)),
+                           "--start-date": "2015-01-01"},
+        }[command]
+
     # every input that must agree with another in shape, and every series file
     @pytest.mark.parametrize("command, flag, case", [
         *(("simulate", "--conditions", case) for case in ("malformed", "nan")),
@@ -1048,27 +1069,28 @@ class TestInputValidation:
     ])
     def test_inputs_that_disagree_rejected_before_output(self, tiny_run, tmp_path, capsys,
                                                          command, flag, case):
-        root, cfg_path, sim, train, emu_dir = tiny_run
-        model = {"--config": cfg_path, "--checkpoint": train / "checkpoint.json",
-                 "--fields": sim / "fields.csv", "--conditions": sim / "conditions.csv",
-                 "--n-samples": 2}
-        args = {
-            "simulate": {"--config": cfg_path, "--conditions": sim / "conditions.csv"},
-            "train": {"--config": cfg_path, "--fields": sim / "fields.csv",
-                      "--conditions": sim / "conditions.csv",
-                      "--knots": sim / "knots.csv", "--sites": sim / "sites.csv"},
-            "emulate": model,
-            "counterfactual": {**model, "--cf-conditions": sim / "conditions.csv"},
-            "metrics": {"--config": cfg_path, "--truth": sim / "fields.csv",
-                        "--emulated": emu_dir / "emulated_fields.csv",
-                        "--coords": sim / "sites.csv"},
-            "preprocess": {**dict(zip(*[iter(TestPreprocess._write_inputs(tmp_path))] * 2)),
-                           "--start-date": "2015-01-01"},
-        }[command]
+        args = self._args(tiny_run, tmp_path, command)
         args[flag] = self._corrupt(args[flag], tmp_path / "bad.csv", case)
         code = run_cli(command, *(a for pair in args.items() for a in pair),
                        "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, "bad.csv")
+        assert not (tmp_path / "o").exists()
+
+    # every coordinate table: train's knots and sites, metrics' and preprocess's
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--knots"), ("train", "--sites"), ("metrics", "--coords"),
+        ("preprocess", "--sites")])
+    def test_non_finite_coordinate_rejected_before_output(self, tiny_run, tmp_path, capsys,
+                                                          command, flag, value):
+        args = self._args(tiny_run, tmp_path, command)
+        bad = cli.read_coords_csv(str(args[flag]))
+        bad[1, 0] = value
+        args[flag] = tmp_path / "bad.csv"
+        cli.write_coords_csv(str(args[flag]), bad, "site_id")
+        code = run_cli(command, *(a for pair in args.items() for a in pair),
+                       "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, f"bad.csv: value {value:.17g} at row 1, column 0")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sites", ["0,9999", "-1", "0,x", "1.5", "0,,2", "0,0"])
