@@ -417,11 +417,17 @@ def conv1d_same(x, kernel, bias):
 
         parents.append((x, vjp_x))
     if isinstance(kernel, Var):
-        # one product over the (batch, length) pairs, in that order
-        parents.append((kernel, lambda g: (
-            g.transpose(1, 0, 2).reshape(c, b * length)
-            @ win.transpose(0, 2, 1).reshape(b * length, cin * width)
-        ).reshape(kv.shape)))
+
+        def vjp_kernel(g):
+            # one product over the (batch, length) pairs, in that order, into
+            # an array of the kernel's shape, which backward then takes as is
+            dk = np.empty(kv.shape)
+            np.matmul(g.transpose(1, 0, 2).reshape(c, b * length),
+                      win.transpose(0, 2, 1).reshape(b * length, cin * width),
+                      out=dk.reshape(c, cin * width))
+            return dk
+
+        parents.append((kernel, vjp_kernel))
     if isinstance(bias, Var):
         parents.append((bias, lambda g: g.sum(axis=(0, 2))))
     return Var(out, tuple(parents), "conv1d_same")

@@ -584,6 +584,11 @@ def cmd_train(args) -> int:
             candidates = [tr.apply_overrides(train_cfg, g) for g in grid]
         except (KeyError, TypeError, ValueError) as err:     # JSONDecodeError too
             raise ConfigError(f"grid {args.grid}: {err}") from None
+    if knots is not None and sites is not None:
+        try:                                   # a learnable W starts at this matrix
+            fs.wendland_basis(sites, knots, radius)
+        except ValueError as err:
+            raise ConfigError(f"model: {err}") from None
     try:                                       # geometry, e.g. --fixed-W's W
         for cand in [train_cfg] + candidates:
             ModelConfig(n_sites=x.shape[1], hyper=cand.hyper, knots=knots,

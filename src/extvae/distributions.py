@@ -1,9 +1,10 @@
 """Distributions used by the extremes model.
 
-Closed-form CDFs, log-densities, and samplers for the log-Laplace multiplicative
-noise, the Frechet noise it replaces, exponentially-tilted positive-stable
-latent factors (stability index STABILITY_INDEX = 1/2, drawn exactly as
-inverse Gaussians), log-normal variational posteriors, and the GEV marginal model.
+Samplers and quantiles for the log-Laplace multiplicative noise and the
+Frechet noise it replaces, the exact sampler of exponentially-tilted
+positive-stable latent factors (stability index STABILITY_INDEX = 1/2, drawn
+as inverse Gaussians), and the GEV marginal model.  The model's own
+log-densities are written once, on the tape, in :mod:`extvae.model`.
 
 All samplers are deterministic given a seed; see :mod:`extvae.seeds`.
 """
@@ -18,9 +19,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .seeds import as_generator, substream
-
-_HALF_LOG_PI = 0.5 * math.log(math.pi)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # |xi| below this is rejected: the Pareto-scale transform divides by xi,
 # so the Gumbel boundary is excluded from fitting.
@@ -85,29 +83,6 @@ class GevParams:
 # log-Laplace noise
 # ---------------------------------------------------------------------------
 
-def _check_positive_arg(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
-        raise ValueError("argument must be strictly positive and finite")
-    return x
-
-
-def loglaplace_cdf(x, p: LogLaplaceParams) -> np.ndarray:
-    """P(eps <= x) = x^a0/2 below 1 and 1 - x^(-a0)/2 above; continuous at 1."""
-    x = _check_positive_arg(x)
-    a0 = p.alpha0
-    # clamp each branch's argument so the unused side cannot overflow
-    return np.where(x <= 1.0, 0.5 * np.minimum(x, 1.0) ** a0,
-                    1.0 - 0.5 * np.maximum(x, 1.0) ** (-a0))
-
-
-def loglaplace_logpdf(x, p: LogLaplaceParams) -> np.ndarray:
-    x = _check_positive_arg(x)
-    a0 = p.alpha0
-    # log(a0/2) - log x - a0*|log x|, the two power branches written at once
-    return math.log(a0 / 2.0) - np.log(x) - a0 * np.abs(np.log(x))
-
-
 def loglaplace_sample(p: LogLaplaceParams, n: int, seed) -> np.ndarray:
     """exp(U) with U ~ Laplace(0, 1/alpha0)."""
     if n < 1:
@@ -135,22 +110,6 @@ def loglaplace_quantile(q, p: LogLaplaceParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exponentially tilted positive-stable(1/2)
 # ---------------------------------------------------------------------------
-
-def expps_logdensity_half(z, theta) -> np.ndarray:
-    """Log-density of expPS(1/2, theta); theta = 0 is the untilted stable law."""
-    z = _check_positive_arg(z)
-    theta = np.asarray(theta, dtype=np.float64)
-    if np.any(theta < 0) or not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be >= 0 and finite")
-    return (
-        -math.log(2.0)
-        - _HALF_LOG_PI
-        + np.sqrt(theta)
-        - 1.5 * np.log(z)
-        - theta * z
-        - 0.25 / z
-    )
-
 
 def expps_sample_field(theta: np.ndarray, seed) -> np.ndarray:
     """One expPS(1/2, theta[i]) draw per entry of an arbitrary-shape theta array.
@@ -184,37 +143,11 @@ def expps_sample_field(theta: np.ndarray, seed) -> np.ndarray:
 # Frechet noise (kept for the tail-equivalence check)
 # ---------------------------------------------------------------------------
 
-def frechet_cdf(x, p: FrechetParams) -> np.ndarray:
-    x = _check_positive_arg(x)
-    return np.exp(-((x / p.tau) ** (-p.alpha0)))
-
-
 def frechet_quantile(q, p: FrechetParams) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if np.any(q <= 0) or np.any(q >= 1):
         raise ValueError("quantile level must lie in (0, 1)")
     return p.tau * (-np.log(q)) ** (-1.0 / p.alpha0)
-
-
-def frechet_sample(p: FrechetParams, n: int, seed) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
-    return frechet_quantile(rng.random(n), p)
-
-
-# ---------------------------------------------------------------------------
-# log-normal (variational posterior of the latent factors)
-# ---------------------------------------------------------------------------
-
-def lognormal_logpdf(z, m, sigma) -> np.ndarray:
-    """Exact log-density of exp(N(m, sigma^2)); no dropped constants."""
-    z = _check_positive_arg(z)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be > 0")
-    lz = np.log(z)
-    return -(lz + np.log(sigma) + _HALF_LOG_2PI + (lz - m) ** 2 / (2.0 * sigma**2))
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +172,11 @@ def gev_cdf(x, p: GevParams, warn_on_clamp: bool = True) -> np.ndarray:
 
 
 def gev_quantile(q, p: GevParams) -> np.ndarray:
+    """The level-q return level of the marginal p."""
     q = np.asarray(q, dtype=np.float64)
     if np.any(q <= 0) or np.any(q >= 1):
         raise ValueError("quantile level must lie in (0, 1)")
     return p.mu + p.sigma * ((-np.log(q)) ** (-p.xi) - 1.0) / p.xi
-
-
-def gev_sample(p: GevParams, n: int, seed) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
-    return gev_quantile(rng.random(n), p)
 
 
 def _gev_negloglik(params: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -150,7 +150,6 @@ def emulate(
     p = ArrayView(model.params)
     mu, sigma = mdl.encode(cfg, p, x)
     w = np.asarray(mdl.weight_matrix(cfg, p))
-    cond = np.zeros(x.shape[0]) if cfg.sever_condition else c
     streams = {label: CounterStream(seed, f"emulate-{label}")
                for label in ("eps", "noise", "prior-z")}
 
@@ -170,7 +169,7 @@ def emulate(
     budget = max(1, CHUNK_BYTES // (8 * row * max(n_t, 1)))
     for start in range(0, n_samples, budget):
         block = range(start, min(start + budget, n_samples))
-        paths, thetas = _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, block,
+        paths, thetas = _chunk_pass(cfg, p, mu, sigma, c, w, site_idx, block,
                                     streams, mode, draw_latent_noise, draw_data_noise)
         out[:, :, block.start:block.stop] = paths.transpose(2, 1, 0)
         theta[:, :, block.start:block.stop] = thetas.transpose(1, 2, 0)

@@ -22,7 +22,7 @@ The forward pass is written once, batched over time steps, against
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,7 +185,6 @@ class ModelConfig:
     sites: np.ndarray | None = None
     wendland_radius: float | None = None
     fixed_w: np.ndarray | None = None
-    sever_condition: bool = False
     phi: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -244,11 +243,6 @@ def param_template(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     if not h.fix_w:
         shapes["w_raw"] = (cfg.n_sites, h.latent_dim)
     return shapes
-
-
-def count_params(cfg: ModelConfig) -> int:
-    """Depends only on sizes and geometry, never on the number of time steps."""
-    return sum(int(np.prod(s)) for s in param_template(cfg).values())
 
 
 def default_wendland_w(cfg: ModelConfig) -> np.ndarray | None:
@@ -470,8 +464,7 @@ def penalized_elbo(cfg: ModelConfig, p, x: np.ndarray, c: np.ndarray,
     pos[needed] = np.arange(needed.size)
 
     xs = x[needed]
-    cs = c[needed]
-    cond = np.zeros_like(cs) if cfg.sever_condition else cs
+    cond = c[needed]
 
     mu, sigma = encode(cfg, p, xs)
     w = weight_matrix(cfg, p)
@@ -508,11 +501,7 @@ def penalized_elbo(cfg: ModelConfig, p, x: np.ndarray, c: np.ndarray,
     return ad.div(total, float(l_draws))
 
 
-def draw_eps(cfg: ModelConfig, n_t: int, seed, label="elbo-eps") -> np.ndarray:
+def draw_eps(cfg: ModelConfig, n_t: int, seed) -> np.ndarray:
     """(L, n_t, K) standard-normal draws from a derived substream."""
-    rng = substream(seed, label)
+    rng = substream(seed, "elbo-eps")
     return rng.standard_normal((cfg.hyper.mc_draws, n_t, cfg.hyper.latent_dim))
-
-
-def severed_copy(cfg: ModelConfig) -> ModelConfig:
-    return replace(cfg, sever_condition=True, phi=cfg.phi)

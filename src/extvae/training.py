@@ -21,7 +21,7 @@ from .autodiff import NonFiniteError, ParamVector, value_and_gradient
 from .model import HyperParams, ModelConfig, ModelParameters, check_value
 from .seeds import substream
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 FULL_BATCH_LIMIT = 512
 # Adam's moment decay rates and denominator guard, at their usual values
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -284,7 +284,6 @@ def checkpoint_state(model: ModelParameters, *, adam: AdamState | None = None,
             "wendland_radius": cfg.wendland_radius,
             "fixed_w": _encode_array(cfg.fixed_w),
             "phi": _encode_array(cfg.phi),
-            "sever_condition": cfg.sever_condition,
         },
         "param_layout": [[name, offset, list(shape)]
                          for name, (offset, shape) in model.params.layout.items()],
@@ -326,8 +325,7 @@ def checkpoint_load(path) -> ModelParameters:
     return _model_from_state(state)
 
 
-_MODEL_KEYS = ("n_sites", "knots", "sites", "wendland_radius", "fixed_w", "phi",
-               "sever_condition")
+_MODEL_KEYS = ("n_sites", "knots", "sites", "wendland_radius", "fixed_w", "phi")
 
 
 def _section(state: dict, name: str, keys) -> dict:
@@ -357,7 +355,6 @@ def _model_from_state(state: dict) -> ModelParameters:
             sites=_decode_array(ms["sites"]),
             wendland_radius=ms["wendland_radius"],
             fixed_w=_decode_array(ms["fixed_w"]),
-            sever_condition=ms["sever_condition"],
             phi=_decode_array(ms["phi"]),
         )
         layout, offset = {}, 0

@@ -1093,6 +1093,20 @@ class TestInputValidation:
         self._one_line_exit_2(code, capsys, f"bad.csv: value {value:.17g} at row 1, column 0")
         assert not (tmp_path / "o").exists()
 
+    # every knot 1000 units away leaves each site's Wendland row empty: a
+    # learnable W (which starts there) and a fixed W are refused before output
+    @pytest.mark.parametrize("fixed_w", [False, True], ids=["learnable", "fixed-W"])
+    def test_knots_out_of_range_rejected_before_output(self, tiny_run, tmp_path, capsys,
+                                                       fixed_w):
+        args = self._args(tiny_run, tmp_path, "train")
+        far = cli.read_coords_csv(str(args["--knots"])) + 1000.0
+        args["--knots"] = tmp_path / "far.csv"
+        cli.write_coords_csv(str(args["--knots"]), far, "knot_id")
+        code = run_cli("train", *(a for pair in args.items() for a in pair),
+                       *(["--fixed-W"] if fixed_w else []), "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, "site(s) have no knot within radius")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("sites", ["0,9999", "-1", "0,x", "1.5", "0,,2", "0,0"])
     @pytest.mark.parametrize("command", ["emulate", "counterfactual"])
     def test_bad_sites_rejected_before_compute(self, tiny_run, tmp_path, capsys,
@@ -1331,22 +1345,28 @@ class TestInputValidation:
     @pytest.mark.parametrize("command", ["emulate", "counterfactual"])
     def test_format_1_checkpoint_rejected(self, tiny_run, tmp_path, capsys, command):
         # format 1 also stored the seed and epoch count in an rng section, a
-        # parameter count in meta and the stability index in hyper
+        # parameter count in meta and the stability index in hyper; formats 1
+        # and 2 also stored model.sever_condition
         root, cfg_path, sim, train, _ = tiny_run
-        state = json.loads((train / "checkpoint.json").read_text())
-        state["format_version"] = 1
-        state["hyper"]["alpha"] = 0.5
-        state["rng"] = {"seed": state["hyper"]["seed"],
-                        "epochs_completed": len(state["meta"]["loss_history"])}
-        state["meta"]["n_params"] = sum(math.prod(shape)
-                                        for *_, shape in state["param_layout"])
-        (tmp_path / "old.json").write_text(json.dumps(state))
-        code = run_cli(command, "--config", cfg_path, "--checkpoint", tmp_path / "old.json",
-                       "--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv",
-                       *(["--flip"] if command == "counterfactual" else []),
-                       "--out", tmp_path / "o")
-        self._one_line_exit_2(code, capsys, "format 1")
-        assert not (tmp_path / "o").exists()
+        for version in (1, 2):
+            state = json.loads((train / "checkpoint.json").read_text())
+            state["format_version"] = version
+            state["model"]["sever_condition"] = False
+            if version == 1:
+                state["hyper"]["alpha"] = 0.5
+                state["rng"] = {"seed": state["hyper"]["seed"],
+                                "epochs_completed": len(state["meta"]["loss_history"])}
+                state["meta"]["n_params"] = sum(math.prod(shape)
+                                                for *_, shape in state["param_layout"])
+            (tmp_path / "old.json").write_text(json.dumps(state))
+            code = run_cli(command, "--config", cfg_path,
+                           "--checkpoint", tmp_path / "old.json",
+                           "--fields", sim / "fields.csv",
+                           "--conditions", sim / "conditions.csv",
+                           *(["--flip"] if command == "counterfactual" else []),
+                           "--out", tmp_path / "o")
+            self._one_line_exit_2(code, capsys, f"format {version}")
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [("rows", 0), ("n_t", -5), ("alpha0", -1),
                                             ("wendland_radius", 0), ("knot_side", 0),

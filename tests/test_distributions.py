@@ -6,60 +6,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize
-from scipy.stats import kstest, kstwobign, laplace, levy
+from scipy.stats import invweibull, kstest, kstwobign, laplace, levy
 
+from extvae import model as mdl
 from extvae.distributions import (
     XI_MIN,
     FrechetParams,
     GevFitError,
     GevParams,
     LogLaplaceParams,
-    expps_logdensity_half,
     expps_sample_field,
-    frechet_cdf,
     frechet_quantile,
-    frechet_sample,
     gev_cdf,
     gev_fit,
     gev_quantile,
-    gev_sample,
-    loglaplace_cdf,
-    loglaplace_logpdf,
     loglaplace_quantile,
     loglaplace_sample,
-    lognormal_logpdf,
     tail_equivalence_check,
 )
 from extvae.distributions import _gev_negloglik
-from extvae.seeds import substream
+from extvae.seeds import as_generator, substream
 from expps_oracle import expps_sample, positive_stable_half_sample
+from references import gev_sample, loglaplace_cdf
 
 KS_CRIT_1PCT = kstwobign.isf(0.01)  # asymptotic 1% critical constant
 
 
 class TestLogLaplace:
-    def test_cdf_branches_meet_at_one(self):
+    def test_quantile_branches_meet_at_one(self):
         p = LogLaplaceParams(30.0)
-        assert loglaplace_cdf(1.0, p) == 0.5
+        assert loglaplace_quantile(0.5, p) == 1.0
 
-    def test_cdf_hand_value(self):
-        p = LogLaplaceParams(30.0)
-        assert loglaplace_cdf(1.1, p) == pytest.approx(1 - 0.5 * 1.1**-30, rel=1e-12)
-        assert loglaplace_cdf(1.1, p) == pytest.approx(0.97134, abs=1e-5)
+    def test_quantile_hand_value(self):
+        # P(eps <= 1.1) = 1 - 1.1^-30 / 2 = 0.97134 at a0 = 30
+        q = 1 - 0.5 * 1.1**-30
+        assert q == pytest.approx(0.97134, abs=1e-5)
+        assert loglaplace_quantile(q, LogLaplaceParams(30.0)) == pytest.approx(
+            1.1, rel=1e-12)
+        assert loglaplace_cdf(30.0)(1.1) == pytest.approx(q, rel=1e-12)
 
-    def test_cdf_limit(self):
-        p = LogLaplaceParams(30.0)
-        assert loglaplace_cdf(1e12, p) == pytest.approx(1.0, abs=1e-12)
+    def test_quantile_inverts_scipy_cdf(self):
+        a0 = 2.5
+        x = np.array([0.01, 0.3, 1.0, 1.7, 5.0, 20.0])
+        np.testing.assert_allclose(
+            loglaplace_quantile(loglaplace_cdf(a0)(x), LogLaplaceParams(a0)), x,
+            rtol=1e-12)
 
-    def test_cdf_monotone(self):
+    def test_quantile_monotone(self):
         p = LogLaplaceParams(2.5)
-        x = np.linspace(0.01, 5.0, 400)
-        assert np.all(np.diff(loglaplace_cdf(x, p)) >= 0)
+        q = np.linspace(0.001, 0.999, 400)
+        assert np.all(np.diff(loglaplace_quantile(q, p)) > 0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
-    def test_cdf_domain_errors(self, bad):
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -1.0, 2.0])
+    def test_quantile_domain_errors(self, bad):
         with pytest.raises(ValueError):
-            loglaplace_cdf(bad, LogLaplaceParams(2.0))
+            loglaplace_quantile(bad, LogLaplaceParams(2.0))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -70,7 +71,7 @@ class TestLogLaplace:
     def test_sample_ks_against_cdf(self):
         p = LogLaplaceParams(2.0)
         draws = loglaplace_sample(p, 10**5, seed=42)
-        stat = kstest(draws, lambda q: loglaplace_cdf(q, p)).statistic
+        stat = kstest(draws, loglaplace_cdf(p.alpha0)).statistic
         assert stat < KS_CRIT_1PCT / math.sqrt(draws.size)
 
     def test_tail_probability_hand_value(self):
@@ -90,11 +91,11 @@ class TestLogLaplace:
         stat = kstest(np.log(draws), laplace(scale=1 / a0).cdf).statistic
         assert stat < KS_CRIT_1PCT / math.sqrt(draws.size)
 
-    def test_logpdf_symmetric_in_log_space(self):
-        p = LogLaplaceParams(4.0)
-        x = np.array([0.2, 0.7, 1.3, 6.0])
-        lhs = loglaplace_logpdf(x, p)
-        rhs = loglaplace_logpdf(1.0 / x, p) - 2.0 * np.log(x)
+    def test_loglik_symmetric_in_log_space(self):
+        # the model's per-site log-likelihood at y = 1: one observation a row
+        x = np.array([[0.2], [0.7], [1.3], [6.0]])
+        lhs = mdl.loglik(x, np.ones_like(x), 4.0)
+        rhs = mdl.loglik(1.0 / x, np.ones_like(x), 4.0) - 2.0 * np.log(x[:, 0])
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_seed_reproducibility(self):
@@ -103,30 +104,34 @@ class TestLogLaplace:
         assert np.array_equal(a, b)
 
 
+def one_knot(*args):
+    """Arguments broadcast together, each entry a model with one knot."""
+    return [a[..., None] for a in np.broadcast_arrays(*map(np.asarray, args))]
+
+
+def prior_logdensity(z, theta) -> np.ndarray:
+    """The model's prior log-density of one knot, entry by entry."""
+    return mdl.log_prior(*one_knot(z, theta))
+
+
 class TestExpPS:
     def test_logdensity_hand_values(self):
-        assert expps_logdensity_half(1.0, 0.0) == pytest.approx(-1.5155, abs=2e-4)
+        assert prior_logdensity(1.0, 0.0) == pytest.approx(-1.5155, abs=2e-4)
         # theta = 2 equals the theta = 0 value times exp(sqrt(2) - 2)
-        expected = expps_logdensity_half(1.0, 0.0) + (math.sqrt(2.0) - 2.0)
-        assert expps_logdensity_half(1.0, 2.0) == pytest.approx(expected, rel=1e-12)
-        assert math.exp(expps_logdensity_half(1.0, 2.0)) == pytest.approx(0.12230, abs=2e-5)
+        expected = prior_logdensity(1.0, 0.0) + (math.sqrt(2.0) - 2.0)
+        assert prior_logdensity(1.0, 2.0) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(prior_logdensity(1.0, 2.0)) == pytest.approx(0.12230, abs=2e-5)
 
     def test_theta_zero_is_untilted_stable(self):
         z = np.array([0.05, 0.3, 1.0, 4.0, 50.0])
         np.testing.assert_allclose(
-            expps_logdensity_half(z, 0.0), levy(scale=0.5).logpdf(z), rtol=1e-10)
+            prior_logdensity(z, 0.0), levy(scale=0.5).logpdf(z), rtol=1e-10)
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 2.0])
     def test_density_integrates_to_one(self, theta):
-        val, _ = quad(lambda z: math.exp(expps_logdensity_half(z, theta)),
+        val, _ = quad(lambda z: math.exp(prior_logdensity(z, theta)),
                       0, np.inf, limit=200)
         assert val == pytest.approx(1.0, abs=1e-6)
-
-    def test_logdensity_domain_error(self):
-        with pytest.raises(ValueError):
-            expps_logdensity_half(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            expps_logdensity_half(1.0, -0.5)
 
     # the rejection oracle: acceptance rate exp(-sqrt(theta)), exact proposals
 
@@ -218,38 +223,43 @@ class TestExpPS:
 
 
 class TestFrechet:
-    def test_cdf_at_scale(self):
+    def test_quantile_at_scale(self):
         p = FrechetParams(tau=3.0, alpha0=2.0)
-        assert frechet_cdf(3.0, p) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert frechet_quantile(math.exp(-1.0), p) == pytest.approx(3.0, rel=1e-12)
 
     def test_tail_constant(self):
         p = FrechetParams(tau=1.5, alpha0=2.0)
-        x = 100 * p.tau
-        tail = 1.0 - frechet_cdf(x, p)
+        tail = 1e-4
+        x = frechet_quantile(1.0 - tail, p)
         assert tail * x**p.alpha0 == pytest.approx(p.tau**p.alpha0, rel=0.01)
 
     def test_sample_median(self):
         p = FrechetParams(tau=2.0, alpha0=3.0)
         target = p.tau * math.log(2.0) ** (-1.0 / p.alpha0)
-        draws = frechet_sample(p, 10**5, seed=2)
+        draws = frechet_quantile(as_generator(2).random(10**5), p)
         assert np.median(draws) == pytest.approx(target, rel=0.02)
 
     def test_quantile_inverts_cdf(self):
         p = FrechetParams(tau=0.7, alpha0=1.3)
         q = np.array([0.05, 0.5, 0.99])
-        np.testing.assert_allclose(frechet_cdf(frechet_quantile(q, p), p), q,
-                                   rtol=1e-12)
+        cdf = invweibull(c=p.alpha0, scale=p.tau).cdf
+        np.testing.assert_allclose(cdf(frechet_quantile(q, p)), q, rtol=1e-12)
+
+
+def posterior_logdensity(z, m, sigma) -> np.ndarray:
+    """The model's posterior log-density of one knot, entry by entry."""
+    return mdl.log_q(*one_knot(z, m, sigma))
 
 
 class TestLognormal:
     def test_hand_value(self):
         # z=1, m=0, sigma=1: density is 1/sqrt(2 pi)
-        assert lognormal_logpdf(1.0, 0.0, 1.0) == pytest.approx(
+        assert posterior_logdensity(1.0, 0.0, 1.0) == pytest.approx(
             -0.918939, abs=1e-6)
 
     def test_integrates_to_one(self):
         m, s = 0.3, 0.7
-        val, _ = quad(lambda z: math.exp(lognormal_logpdf(z, m, s)), 0, np.inf,
+        val, _ = quad(lambda z: math.exp(posterior_logdensity(z, m, s)), 0, np.inf,
                       limit=200)
         assert val == pytest.approx(1.0, abs=1e-7)
 
@@ -257,7 +267,7 @@ class TestLognormal:
         m, s = 0.4, 0.8
         mode = math.exp(m - s**2)
         grid = mode * np.linspace(0.5, 1.5, 201)
-        vals = lognormal_logpdf(grid, m, s)
+        vals = posterior_logdensity(grid, m, s)
         assert abs(grid[np.argmax(vals)] - mode) < 0.01 * mode
 
 

@@ -243,18 +243,6 @@ class TestCounterfactual:
                                 seed=21)
         assert not np.array_equal(fact.samples, cf.samples)
 
-    def test_severed_pathway_identical(self, small_model):
-        model, x, c = small_model
-        cfg = mdl.severed_copy(model.config)
-        params = model.params.copy()
-        params.view("cond_map")[:] = 0.0
-        m2 = mdl.ModelParameters(cfg, params)
-        fact = emu.emulate(m2, x, c, n_samples=5, seed=22)
-        cf = emu.counterfactual(m2, x, c, emu.flip_condition(c), n_samples=5,
-                                seed=22)
-        assert np.array_equal(fact.samples, cf.samples)
-        assert np.array_equal(fact.theta, cf.theta)
-
     def test_length_mismatch(self, small_model):
         model, x, c = small_model
         with pytest.raises(ValueError):

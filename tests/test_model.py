@@ -7,9 +7,9 @@ from scipy.integrate import quad
 from extvae import autodiff as ad
 from extvae import model as mdl
 from extvae.autodiff import ArrayView, NonFiniteError, fd_check, value_and_gradient
-from extvae.distributions import expps_logdensity_half, lognormal_logpdf
 from extvae.fieldsim import wendland_basis
 from extvae.seeds import substream
+from references import expps_half_logpdf, loglaplace_logpdf, lognormal_logpdf
 
 LN2 = math.log(2.0)
 
@@ -314,6 +314,15 @@ class TestObjectiveTerms:
         with pytest.raises(ValueError):
             mdl.loglik(np.array([-1.0]), np.array([1.0]), 2.0)
 
+    @pytest.mark.parametrize("a0", [2.0, 30.0])
+    def test_loglik_matches_laplace(self, a0):
+        rng = substream(12)
+        x = np.exp(rng.standard_normal((3, 5)))
+        y = np.exp(rng.standard_normal((3, 5)))
+        np.testing.assert_allclose(mdl.loglik(x, y, a0),
+                                   np.sum(loglaplace_logpdf(x, y, a0), axis=-1),
+                                   rtol=1e-12)
+
     def test_log_prior_hand_value(self):
         val = mdl.log_prior(np.array([1.0]), np.array([0.0]))
         assert val == pytest.approx(-1.5155, abs=2e-4)
@@ -330,7 +339,7 @@ class TestObjectiveTerms:
         z = np.array([0.2, 1.0, 3.0])
         th = np.array([0.5, 1.5, 0.0])
         np.testing.assert_allclose(mdl.log_prior(z, th),
-                                   np.sum(expps_logdensity_half(z, th)),
+                                   np.sum(expps_half_logpdf(z, th)),
                                    rtol=1e-12)
 
     def test_log_q_hand_value(self):
@@ -510,9 +519,8 @@ def reference_kink_values(cfg, pv, x, c, eps, batch=None):
         batch = np.arange(n_t)
     batch = np.sort(np.asarray(batch, dtype=np.intp))
     p = ad.ArrayView(pv)
-    cond = np.zeros_like(c) if cfg.sever_condition else c
     mu, sigma = mdl.encode(cfg, p, x)
-    m = np.log(mu) + cond.reshape(-1, 1) * p["cond_map"]
+    m = np.log(mu) + c.reshape(-1, 1) * p["cond_map"]
     w = mdl.weight_matrix(cfg, p)
     out = []
     for l in range(eps.shape[0]):
@@ -606,7 +614,8 @@ def test_desk_penalty_abs_gradient_matches_central_differences(desk_instance):
 
 class TestParamCount:
     def test_count_independent_of_time(self, tiny_cfg):
-        assert mdl.count_params(tiny_cfg) == mdl.init_params(tiny_cfg, 0).size
+        shapes = mdl.param_template(tiny_cfg).values()
+        assert sum(math.prod(s) for s in shapes) == mdl.init_params(tiny_cfg, 0).size
 
     def test_count_formula(self):
         hyper = mdl.HyperParams(latent_dim=4, n_theta_basis=2, conv_channels=3,
@@ -617,7 +626,7 @@ class TestParamCount:
         expected += 3 * 3 * 3 + 3                # conv kernel and bias
         expected += (3 * 4) * 2 + 2              # dense head on pooled features
         expected += 10 * 4                       # raw weight matrix
-        assert mdl.count_params(cfg) == expected
+        assert mdl.init_params(cfg, 0).size == expected
 
     def test_fixed_w_excluded(self):
         hyper = mdl.HyperParams(latent_dim=4, n_theta_basis=2, conv_channels=3,

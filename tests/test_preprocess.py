@@ -11,8 +11,9 @@ from scipy.stats import chi2 as chi2_dist
 
 from extvae import cli, workers
 from extvae import preprocess as pp
-from extvae.distributions import GevFitError, GevParams, gev_cdf, gev_sample
+from extvae.distributions import GevFitError, GevParams, gev_cdf
 from extvae.seeds import substream
+from references import gev_sample
 
 
 # Reference implementations: the tiled-design seasonal OLS, the per-element
