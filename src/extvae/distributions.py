@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .seeds import as_generator, substream
 
@@ -41,6 +40,14 @@ class GevFitError(RuntimeError):
 def _validate_positive(name: str, value: float) -> None:
     if not np.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _levels(q) -> np.ndarray:
+    """q as float64 levels, every one in (0, 1): NaN is refused as 0 and 1 are."""
+    q = np.asarray(q, dtype=np.float64)
+    if not (np.all(q > 0) and np.all(q < 1)):
+        raise ValueError("quantile level must lie in (0, 1)")
+    return q
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,7 @@ def loglaplace_sample(p: LogLaplaceParams, n: int, seed) -> np.ndarray:
 
 
 def loglaplace_quantile(q, p: LogLaplaceParams) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if np.any(q <= 0) or np.any(q >= 1):
-        raise ValueError("quantile level must lie in (0, 1)")
+    q = _levels(q)
     # (2q)^(1/a0) below the median, (2(1-q))^(-1/a0) above.  The lower power
     # is taken everywhere and the upper one only above the median: the same
     # bits as np.where over both powers, which takes the upper one everywhere
@@ -144,9 +149,7 @@ def expps_sample_field(theta: np.ndarray, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def frechet_quantile(q, p: FrechetParams) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if np.any(q <= 0) or np.any(q >= 1):
-        raise ValueError("quantile level must lie in (0, 1)")
+    q = _levels(q)
     return p.tau * (-np.log(q)) ** (-1.0 / p.alpha0)
 
 
@@ -173,9 +176,7 @@ def gev_cdf(x, p: GevParams, warn_on_clamp: bool = True) -> np.ndarray:
 
 def gev_quantile(q, p: GevParams) -> np.ndarray:
     """The level-q return level of the marginal p."""
-    q = np.asarray(q, dtype=np.float64)
-    if np.any(q <= 0) or np.any(q >= 1):
-        raise ValueError("quantile level must lie in (0, 1)")
+    q = _levels(q)
     return p.mu + p.sigma * ((-np.log(q)) ** (-p.xi) - 1.0) / p.xi
 
 
@@ -213,6 +214,7 @@ def gev_fit(data) -> GevParams:
         raise ValueError(f"gev_fit needs a 1-D sample of at least {GEV_MIN_OBS} points")
     if not np.all(np.isfinite(x)):
         raise ValueError("gev_fit requires finite data")
+    from scipy.optimize import minimize
 
     sigma0 = math.sqrt(6.0) * float(np.std(x)) / math.pi
     sigma0 = max(sigma0, 1e-8)

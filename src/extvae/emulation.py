@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import model as mdl
 from .autodiff import ArrayView
@@ -84,6 +83,7 @@ def _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, samples, streams, mode,
     n_t, k = mu.shape
     n_c = len(samples)
     if draw_latent_noise:
+        from scipy.special import ndtri
         words = streams["eps"].words(samples.start * n_t * k, n_c * n_t * k)
         eps = ndtri(open_unit(words)).reshape(n_c, n_t, k)
     else:

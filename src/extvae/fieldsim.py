@@ -90,8 +90,12 @@ def wendland_basis(sites: np.ndarray, knots: np.ndarray, radius: float) -> np.nd
     if len(np.unique(knots, axis=0)) != len(knots):
         raise ValueError("knots must be distinct")
     d = pairwise_distances(sites, knots) / radius
-    w = np.where(d < 1.0, (1.0 - d) ** 4 * (4.0 * d + 1.0), 0.0)
-    dead = ~np.any(w > 0, axis=1)
+    # the power is taken only inside the radius, where the weight is positive
+    inside = d < 1.0
+    di = d[inside]
+    w = np.zeros_like(d)
+    w[inside] = (1.0 - di) ** 4 * (4.0 * di + 1.0)
+    dead = ~np.any(inside, axis=1)
     if np.any(dead):
         raise ValueError(
             f"{int(np.sum(dead))} site(s) have no knot within radius {radius}; "

@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import chi2 as chi2_dist
 
 from .distributions import GevParams, gev_cdf, gev_fit
 from .workers import Workers, block_edges
@@ -223,6 +221,7 @@ def fit_variance(residuals: np.ndarray, time_index: np.ndarray) -> VarianceModel
         raise ValueError("residuals and time index must align")
     if not np.all(np.isfinite(r)):
         raise ValueError("residuals must be finite")
+    from scipy.optimize import minimize
     scale = max(1.0, float(np.max(np.abs(t))))
     sd0 = float(np.std(r))
     x0 = np.array([math.log(max(sd0, 1e-12)), 0.0])
@@ -305,8 +304,9 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
     df = len(expected) - 1 - n_params
     if df < 1:
         raise ValueError("not enough bins left for the test; use fewer parameters")
+    from scipy.stats import chi2
     return GofResult(statistic=statistic, df=df,
-                     p_value=float(chi2_dist.sf(statistic, df)),
+                     p_value=float(chi2.sf(statistic, df)),
                      observed=observed, expected=expected)
 
 
@@ -400,6 +400,11 @@ def run_pipeline(daily: np.ndarray, calendar: DailyCalendar,
     def block(lo: int, hi: int) -> list[SitePreprocessResult]:
         return [preprocess_site(j, daily, calendar, design, nbs, n_bins, doubled)
                 for j in range(lo, hi)]
+
+    # the fits' scipy modules load here, once, so that the forked workers
+    # inherit them instead of each importing them again
+    import scipy.optimize  # noqa: F401
+    import scipy.stats  # noqa: F401
 
     edges = block_edges(daily.shape[1], daily.shape[1], BLOCK_SITES)
     with Workers("a site-block worker") as workers:

@@ -5,6 +5,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1427,3 +1429,76 @@ def test_malformed_checkpoint_exits_2(tiny_run, tmp_path_factory, capsys, data):
     err = capsys.readouterr().err
     assert code == 2, (edit, err)
     assert err.count("\n") == 1 and "Traceback" not in err, (edit, err)
+
+
+# ---------------------------------------------------------------------------
+# which scipy modules each command loads
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+SCIPY_USED = ("scipy.optimize", "scipy.special", "scipy.stats")
+# runs argv (if any) through cli.main in a fresh interpreter, then prints the
+# exit code and every scipy module loaded
+_LOADED = """
+import json, sys
+from extvae import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_loaded(*argv) -> tuple[int, list[str]]:
+    """The exit code of a fresh process running ``extvae argv`` and the scipy
+    modules it loaded."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, modules
+
+
+def _command_argv(command, tiny_run, tmp_path) -> list:
+    root, cfg_path, sim, train, emu_dir = tiny_run
+    out = ["--out", tmp_path / "out"]
+    if command == "preprocess":
+        return ["preprocess", *TestPreprocess._write_inputs(tmp_path),
+                "--start-date", "2015-01-01", *out]
+    data = ["--fields", sim / "fields.csv", "--conditions", sim / "conditions.csv"]
+    post = ["--config", cfg_path, "--checkpoint", train / "checkpoint.json", *data,
+            "--n-samples", 2, *out]
+    return {
+        "import": [],
+        "simulate": ["simulate", "--config", cfg_path, *out],
+        "train": ["train", "--config", cfg_path, *data, "--knots", sim / "knots.csv",
+                  "--sites", sim / "sites.csv", "--epochs", 1, *out],
+        "emulate": ["emulate", *post],
+        "counterfactual": ["counterfactual", "--flip", *post],
+        "metrics": ["metrics", "--truth", sim / "fields.csv",
+                    "--emulated", emu_dir / "emulated_fields.csv",
+                    "--coords", sim / "sites.csv",
+                    "--ensemble", emu_dir / "ensemble.csv", *out],
+        "gradcheck": ["gradcheck", "--seed", 0],
+        "tailcheck": ["tailcheck", "--seed", 0],
+    }[command]
+
+
+# the scipy modules each command loads; () means no scipy module at all
+SCIPY_BY_COMMAND = {
+    "import": (), "simulate": (), "train": (), "metrics": (), "gradcheck": (),
+    "tailcheck": (), "emulate": ("scipy.special",),
+    "counterfactual": ("scipy.special",), "preprocess": SCIPY_USED,
+}
+
+
+@pytest.mark.parametrize("command", list(SCIPY_BY_COMMAND))
+def test_each_command_loads_only_the_scipy_it_runs(tiny_run, tmp_path, command):
+    """`import extvae.cli` loads no scipy, and a command loads only the scipy
+    modules it calls: ndtri for the latent draws, the optimiser and the
+    chi-square law for the preprocessing fits."""
+    code, modules = scipy_loaded(*_command_argv(command, tiny_run, tmp_path))
+    used = SCIPY_BY_COMMAND[command]
+    assert code == 0
+    assert tuple(m for m in SCIPY_USED if m in modules) == used
+    if not used:
+        assert modules == []

@@ -114,6 +114,18 @@ def prior_logdensity(z, theta) -> np.ndarray:
     return mdl.log_prior(*one_knot(z, theta))
 
 
+@pytest.mark.parametrize("quantile, params", [
+    (loglaplace_quantile, LogLaplaceParams(2.0)),
+    (frechet_quantile, FrechetParams(tau=1.0, alpha0=2.0)),
+    (gev_quantile, GevParams(mu=0.0, sigma=1.0, xi=0.1)),
+], ids=["loglaplace", "frechet", "gev"])
+@pytest.mark.parametrize("bad", [np.nan, [0.5, np.nan], [[0.25], [np.nan]], 0.0, 1.0],
+                         ids=["nan", "nan-in-vector", "nan-in-matrix", "zero", "one"])
+def test_nan_level_rejected_as_zero_and_one_are(quantile, params, bad):
+    with pytest.raises(ValueError, match=r"quantile level must lie in \(0, 1\)"):
+        quantile(bad, params)
+
+
 class TestExpPS:
     def test_logdensity_hand_values(self):
         assert prior_logdensity(1.0, 0.0) == pytest.approx(-1.5155, abs=2e-4)

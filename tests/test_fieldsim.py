@@ -64,6 +64,32 @@ class TestWendland:
         assert np.all(np.any(w > 0, axis=1))
 
 
+def wendland_where(sites, knots, radius):
+    """The weights as np.where over every entry, the power taken everywhere."""
+    d = fs.pairwise_distances(sites, knots) / radius
+    return np.where(d < 1.0, (1.0 - d) ** 4 * (4.0 * d + 1.0), 0.0)
+
+
+class TestWendlandBits:
+    @pytest.mark.parametrize("side, knot_side, radius", [(50, 8, 3.0), (20, 4, 6.0)],
+                             ids=["grid50", "desk"])
+    def test_preset_geometry_bits(self, side, knot_side, radius):
+        g = fs.regular_grid(side, side, 20.0)
+        k = fs.knot_lattice(knot_side, 20.0)
+        w = fs.wendland_basis(g.sites, k, radius)
+        assert w.tobytes() == wendland_where(g.sites, k, radius).tobytes()
+
+    def test_bits_at_zero_just_under_one_and_one(self):
+        under = np.nextafter(1.0, 0.0)
+        sites = np.array([[0.0, 0.0], [under, 0.0], [1.0, 0.0]])
+        knots = np.array([[0.0, 0.0], [1.0, 0.0]])
+        d = fs.pairwise_distances(sites, knots)
+        assert d[0, 0] == 0.0 and d[1, 0] == under and d[2, 0] == 1.0
+        w = fs.wendland_basis(sites, knots, 1.0)
+        assert w.tobytes() == wendland_where(sites, knots, 1.0).tobytes()
+        assert w[0, 0] == 1.0 and 0.0 < w[1, 0] < 1e-60 and w[2, 0] == 0.0
+
+
 class TestSimulateTheta:
     def test_center_value(self):
         # condition 0.5 puts the kernel center at (10, 10)

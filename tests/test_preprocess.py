@@ -1,7 +1,10 @@
 import datetime as dt
+import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 
@@ -573,3 +576,43 @@ class TestSiteBlocks:
         err = capsys.readouterr().err
         assert code == 2 and len(forks) == 1
         assert err == "error: a site-block worker died (signal 9)\n"
+
+
+# in a fresh interpreter: the scipy modules that importing extvae.preprocess
+# loads, and those of the fits that the parent holds each time run_pipeline
+# starts a site-block worker (two CPUs, blocks of one site)
+_AT_EACH_FORK = """
+import datetime as dt, json, sys
+import numpy as np
+from extvae import preprocess as pp, workers
+at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+held, start = [], workers.Workers.start
+
+def recording_start(self, *args):
+    held.append([m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules])
+    return start(self, *args)
+
+workers.Workers.start = recording_start
+workers.usable_cpus = lambda: 2
+pp.BLOCK_SITES = 1
+daily, coords = np.load(sys.argv[1]), np.load(sys.argv[2])
+pp.run_pipeline(daily, pp.daily_calendar(dt.date.fromisoformat(sys.argv[3]),
+                                         daily.shape[0]), coords)
+print(json.dumps([at_import, held]))
+"""
+
+
+def test_workers_inherit_the_fits_scipy(tmp_path):
+    """Importing preprocess loads no scipy; run_pipeline loads the fits'
+    modules in the parent before it forks, so no worker imports them again."""
+    daily, _, coords = site_inputs(2)
+    np.save(tmp_path / "daily.npy", daily)
+    np.save(tmp_path / "coords.npy", coords)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pp.__file__)))
+    done = subprocess.run([sys.executable, "-c", _AT_EACH_FORK, str(tmp_path / "daily.npy"),
+                           str(tmp_path / "coords.npy"), SITE_START.isoformat()],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True, timeout=300)
+    at_import, held = json.loads(done.stdout.splitlines()[-1])
+    assert at_import == []
+    assert held == [["scipy.optimize", "scipy.stats"]]
