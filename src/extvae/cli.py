@@ -97,7 +97,7 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:                  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} does not hold a JSON object")
@@ -294,8 +294,8 @@ def _write_sidecar(path: str, digest: str, matrix: np.ndarray) -> None:
                 header, {"descr": "<f8", "fortran_order": False, "shape": matrix.shape})
             blocks = (np.asarray(matrix[lo:lo + step], "<f8")
                       for lo in range(0, matrix.shape[0], step))
-            for data in itertools.chain([header.getvalue()],
-                                        (np.where(np.isnan(b), np.nan, b) for b in blocks)):
+            for data in itertools.chain([header.getvalue()], (
+                    np.ascontiguousarray(np.where(np.isnan(b), np.nan, b)) for b in blocks)):
                 h.update(data)
                 fh.write(data)
         os.replace(tmp, os.path.join(head, f".{name}.{digest}.{h.hexdigest()}.npy"))

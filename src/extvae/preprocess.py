@@ -271,9 +271,10 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
     """Multinomial likelihood-ratio statistic sum O_i log(O_i / E_i).
 
     Bins are equal-width over the sample range; adjacent bins are merged until
-    every expected count reaches one.  Degrees of freedom are
-    (bins - 1 - n_params); the p-value comes from the chi-square survival
-    function.  ``doubled`` applies the classical factor 2.
+    every expected count reaches one; df = bins - 1 - n_params.  The p-value is
+    scipy.special.chdtrc(df, statistic clamped at 0): rounding can put the
+    statistic below 0, where chdtrc gives NaN and chi2.sf 1.  ``doubled``
+    applies the classical factor 2.
     """
     m = np.asarray(maxima, dtype=np.float64)
     if n_bins <= n_params + 1:
@@ -304,9 +305,9 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
     df = len(expected) - 1 - n_params
     if df < 1:
         raise ValueError("not enough bins left for the test; use fewer parameters")
-    from scipy.stats import chi2
+    from scipy.special import chdtrc
     return GofResult(statistic=statistic, df=df,
-                     p_value=float(chi2.sf(statistic, df)),
+                     p_value=float(chdtrc(df, max(statistic, 0.0))),
                      observed=observed, expected=expected)
 
 
@@ -401,10 +402,9 @@ def run_pipeline(daily: np.ndarray, calendar: DailyCalendar,
         return [preprocess_site(j, daily, calendar, design, nbs, n_bins, doubled)
                 for j in range(lo, hi)]
 
-    # the fits' scipy modules load here, once, so that the forked workers
-    # inherit them instead of each importing them again
+    # the fits' scipy loads here, once, for the forked workers to inherit
     import scipy.optimize  # noqa: F401
-    import scipy.stats  # noqa: F401
+    import scipy.special  # noqa: F401
 
     edges = block_edges(daily.shape[1], daily.shape[1], BLOCK_SITES)
     with Workers("a site-block worker") as workers:

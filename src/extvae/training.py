@@ -308,7 +308,7 @@ def checkpoint_read(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             state = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:       # JSONDecodeError, UnicodeDecodeError
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
     if not isinstance(state, dict):
         raise CheckpointError(f"checkpoint {path} does not hold a JSON object")

@@ -732,6 +732,26 @@ class TestSidecar:
         assert parses == [str(path)]
         assert snapshot(tmp_path) == before
 
+    # a transpose, a column stride and a reversed transpose: no row block of
+    # them is C-contiguous, whole or in blocks of one row
+    @pytest.mark.parametrize("cells", [None, 8], ids=["one-block", "row-blocks"])
+    @pytest.mark.parametrize("view", [np.transpose, lambda m: m[:, ::2],
+                                      lambda m: m[::-1].T], ids=["T", "stride", "reversed-T"])
+    def test_non_c_order_matrix_writes_its_c_copy_bytes(self, tmp_path, monkeypatch,
+                                                        view, cells):
+        if cells:
+            monkeypatch.setattr(cli, "BLOCK_CELLS", cells)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        m = view(awkward_matrix(6, 8))
+        assert not m.flags.c_contiguous
+        for name, matrix in (("view", m), ("copy", np.ascontiguousarray(m))):
+            (tmp_path / name).mkdir()
+            cli.write_matrix_csv(str(tmp_path / name / "m.csv"), matrix, "site_")
+        assert snapshot(tmp_path / "view") == snapshot(tmp_path / "copy")
+        path = tmp_path / "view" / "m.csv"
+        assert sorted(snapshot(path.parent)) == sorted(["m.csv", sidecar_of(path).name])
+        assert same_bits(cli.read_matrix_csv(str(path)), np.where(np.isnan(m), np.nan, m))
+
     def test_header_only_matrix_is_refused(self, tmp_path, parses):
         path = tmp_path / "m.csv"
         cli.write_matrix_csv(str(path), np.empty((0, 3)), "site_")
@@ -1007,6 +1027,21 @@ class TestMetricsEnsemble:
         assert not (tmp_path / "m").exists()
 
 
+# every input file of every command, by the flag that names it, and those
+# that hold coordinates
+INPUT_FILES = {
+    "simulate": ("--config", "--conditions"),
+    "preprocess": ("--daily", "--sites"),
+    "train": ("--config", "--fields", "--conditions", "--knots", "--sites", "--grid"),
+    "emulate": ("--config", "--checkpoint", "--fields", "--conditions"),
+    "counterfactual": ("--config", "--checkpoint", "--fields", "--conditions",
+                       "--cf-conditions"),
+    "metrics": ("--config", "--truth", "--emulated", "--coords", "--ensemble"),
+}
+COORDINATE_FILES = {("train", "--knots"), ("train", "--sites"), ("metrics", "--coords"),
+                    ("preprocess", "--sites")}
+
+
 class TestInputValidation:
     """Bad command-line input is one stderr line and exit 2, before compute."""
 
@@ -1086,13 +1121,50 @@ class TestInputValidation:
     def test_non_finite_coordinate_rejected_before_output(self, tiny_run, tmp_path, capsys,
                                                           command, flag, value):
         args = self._args(tiny_run, tmp_path, command)
-        bad = cli.read_coords_csv(str(args[flag]))
-        bad[1, 0] = value
-        args[flag] = tmp_path / "bad.csv"
-        cli.write_coords_csv(str(args[flag]), bad, "site_id")
+        args[flag] = self._broken(args[flag], tmp_path / "bad.csv", value)
         code = run_cli(command, *(a for pair in args.items() for a in pair),
                        "--out", tmp_path / "o")
         self._one_line_exit_2(code, capsys, f"bad.csv: value {value:.17g} at row 1, column 0")
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def _broken(src, dest, corruption):
+        """``dest``, made from the input file ``src``: the coordinate table
+        with its second x set to ``corruption`` (a float), the file with a
+        byte that is not UTF-8 after its first ("non-utf8"), a directory
+        ("directory"), or nothing at all ("missing")."""
+        if isinstance(corruption, float):
+            coords = cli.read_coords_csv(str(src))
+            coords[1, 0] = corruption
+            cli.write_coords_csv(str(dest), coords, "site_id")
+        elif corruption == "non-utf8":
+            data = src.read_bytes()
+            dest.write_bytes(data[:1] + b"\xff" + data[1:])
+        elif corruption == "directory":
+            dest.mkdir()
+        return dest
+
+    # the failure matrix: command x input file x corruption, a NaN or inf
+    # coordinate in the coordinate tables only; each is one stderr line that
+    # names the file, exit 2, and no --out
+    @pytest.mark.parametrize("command, flag, corruption", [
+        (command, flag, corruption) for command, flags in INPUT_FILES.items() for flag in flags
+        for corruption in ((np.nan, np.inf) if (command, flag) in COORDINATE_FILES else ())
+        + ("non-utf8", "directory", "missing")])
+    def test_broken_input_file_exits_2_before_output(self, tiny_run, tmp_path, capsys,
+                                                     command, flag, corruption):
+        *_, emu_dir = tiny_run
+        args = self._args(tiny_run, tmp_path, command)
+        if command == "train":
+            (tmp_path / "grid.json").write_text('[{"learning_rate": 1e-3}]')
+            args.update({"--grid": tmp_path / "grid.json", "--grid-epochs": 1, "--epochs": 1})
+        elif command == "metrics":
+            args["--ensemble"] = emu_dir / "ensemble.csv"
+        args[flag] = self._broken(args[flag], tmp_path / f"broken{args[flag].suffix}",
+                                  corruption)
+        code = run_cli(command, *(a for pair in args.items() for a in pair),
+                       "--out", tmp_path / "o")
+        self._one_line_exit_2(code, capsys, args[flag].name)
         assert not (tmp_path / "o").exists()
 
     # every knot 1000 units away leaves each site's Wendland row empty: a
@@ -1486,8 +1558,8 @@ def _command_argv(command, tiny_run, tmp_path) -> list:
 # the scipy modules each command loads; () means no scipy module at all
 SCIPY_BY_COMMAND = {
     "import": (), "simulate": (), "train": (), "metrics": (), "gradcheck": (),
-    "tailcheck": (), "emulate": ("scipy.special",),
-    "counterfactual": ("scipy.special",), "preprocess": SCIPY_USED,
+    "tailcheck": (), "emulate": ("scipy.special",), "counterfactual": ("scipy.special",),
+    "preprocess": ("scipy.optimize", "scipy.special"),
 }
 
 
@@ -1495,7 +1567,8 @@ SCIPY_BY_COMMAND = {
 def test_each_command_loads_only_the_scipy_it_runs(tiny_run, tmp_path, command):
     """`import extvae.cli` loads no scipy, and a command loads only the scipy
     modules it calls: ndtri for the latent draws, the optimiser and the
-    chi-square law for the preprocessing fits."""
+    chi-square survival function (chdtrc) for the preprocessing fits; no
+    command loads scipy.stats."""
     code, modules = scipy_loaded(*_command_argv(command, tiny_run, tmp_path))
     used = SCIPY_BY_COMMAND[command]
     assert code == 0

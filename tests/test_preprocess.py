@@ -321,6 +321,20 @@ class TestMonthlyMaxima:
                                           maxima_ref.view(np.int64))
 
 
+class _PlantedSum:
+    """numpy, but np.sum returns ``value``: the statistic is chi2_gof's one
+    np.sum, so a test can plant there a value no histogram gives exactly."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, *args, **kwargs):
+        return self.value
+
+
 class TestChi2Gof:
     def test_perfect_fit_statistic_zero(self):
         observed = np.array([10.0, 20.0, 30.0, 25.0, 15.0])
@@ -342,16 +356,35 @@ class TestChi2Gof:
         assert res.p_value == pytest.approx(1.0, abs=1e-6)
 
     def test_pvalue_from_survival_function(self):
-        rng = substream(10)
+        # the truth's own sample first, then samples of other laws, so that
+        # the statistics spread over the tail
+        truth = GevParams(0.0, 1.0, 0.25)
+        cdf = lambda e: gev_cdf(e, truth, warn_on_clamp=False)
+        cases = [(truth, 127, 12, 10)] + [
+            (GevParams(0.0, 1.0, 0.1 * (seed % 5 - 2.5)), 60 + seed, seed, 6 + seed % 7)
+            for seed in range(20, 60)]
+        for law, n, seed, n_bins in cases:
+            m = gev_sample(law, n, seed=seed)
+            for doubled in (False, True):
+                res = pp.chi2_gof(m, cdf, n_bins=n_bins, n_params=3, doubled=doubled)
+                assert res.p_value == float(chi2_dist.sf(res.statistic, res.df))
+                assert res.statistic >= 0.0
+                assert np.sum(res.observed) == n
+                assert np.all(res.expected > 0)
+
+    # rounding can take sum O log(O/E) just below 0, where chdtrc alone gives
+    # NaN and chi2.sf gives 1; a statistic of inf or NaN maps as chi2.sf maps it
+    @pytest.mark.parametrize("statistic", [0.0, -0.0, -1e-17, math.inf, math.nan])
+    def test_pvalue_at_the_edges_is_chi2_sf(self, monkeypatch, statistic):
         truth = GevParams(0.0, 1.0, 0.25)
         m = gev_sample(truth, 127, seed=12)
-        res = pp.chi2_gof(m, lambda e: gev_cdf(e, truth, warn_on_clamp=False),
-                          n_bins=10, n_params=3)
-        assert res.p_value == pytest.approx(
-            float(chi2_dist.sf(res.statistic, res.df)), rel=1e-12)
-        assert res.statistic >= 0.0
-        assert np.sum(res.observed) == 127
-        assert np.all(res.expected > 0)
+        monkeypatch.setattr(pp, "np", _PlantedSum(statistic))
+        res = pp.chi2_gof(m, lambda e: gev_cdf(e, truth, warn_on_clamp=False))
+        bits = lambda x: np.float64(x).view(np.int64)
+        assert bits(res.statistic) == bits(statistic)            # recorded unclamped
+        assert bits(res.p_value) == bits(chi2_dist.sf(statistic, res.df))
+        if not statistic > 0 and not math.isnan(statistic):
+            assert res.p_value == 1.0
 
     def test_doubled_variant(self):
         truth = GevParams(0.0, 1.0, 0.25)
@@ -589,7 +622,8 @@ at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 held, start = [], workers.Workers.start
 
 def recording_start(self, *args):
-    held.append([m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules])
+    held.append([m for m in ("scipy.optimize", "scipy.special", "scipy.stats")
+                 if m in sys.modules])
     return start(self, *args)
 
 workers.Workers.start = recording_start
@@ -604,7 +638,8 @@ print(json.dumps([at_import, held]))
 
 def test_workers_inherit_the_fits_scipy(tmp_path):
     """Importing preprocess loads no scipy; run_pipeline loads the fits'
-    modules in the parent before it forks, so no worker imports them again."""
+    modules in the parent before it forks, so no worker imports them again,
+    and scipy.stats is never loaded: the p-value is scipy.special's."""
     daily, _, coords = site_inputs(2)
     np.save(tmp_path / "daily.npy", daily)
     np.save(tmp_path / "coords.npy", coords)
@@ -615,4 +650,4 @@ def test_workers_inherit_the_fits_scipy(tmp_path):
                           text=True, check=True, timeout=300)
     at_import, held = json.loads(done.stdout.splitlines()[-1])
     assert at_import == []
-    assert held == [["scipy.optimize", "scipy.stats"]]
+    assert held == [["scipy.optimize", "scipy.special"]]
