@@ -22,8 +22,15 @@ from .seeds import as_generator, substream
 # |xi| below this is rejected: the Pareto-scale transform divides by xi,
 # so the Gumbel boundary is excluded from fitting.
 XI_MIN = 1e-3
+# gev_fit's bounds on |xi| are [XI_MIN, XI_MAX] on each side of zero
+XI_MAX = 5.0
 # fewest maxima gev_fit accepts
 GEV_MIN_OBS = 30
+# the GEV negative log-likelihood outside the support
+GEV_BARRIER = 1e10
+# gev_fit's Newton steps per start; newton_columns' halvings of one step
+GEV_NEWTON_STEPS = 100
+NEWTON_BACKTRACKS = 40
 # the latent factors' stability index: the one index whose tilted law has a
 # closed-form density and an exact sampler, so it is fixed, not a setting
 STABILITY_INDEX = 0.5
@@ -180,69 +187,182 @@ def gev_quantile(q, p: GevParams) -> np.ndarray:
     return p.mu + p.sigma * ((-np.log(q)) ** (-p.xi) - 1.0) / p.xi
 
 
-def _gev_negloglik(params: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """GEV negative log-likelihood and its gradient in (mu, log sigma, xi);
-    outside the support, a 1e10 barrier with a zero gradient."""
+def _gev_negloglik(params: np.ndarray, x: np.ndarray, hessian: bool = False):
+    """GEV negative log-likelihood and its gradient in (mu, log sigma, xi), and
+    with ``hessian`` its Hessian; outside the support, a GEV_BARRIER value with
+    a zero gradient and Hessian.
+
+    ``params`` is (3,) for one sample x of shape (n,), or (3, k) for the k
+    columns of an (n, k) x: every sum runs over the first axis of x.
+    """
     mu, log_sigma, xi = params
-    sigma = math.exp(log_sigma)
+    sigma = np.exp(log_sigma)
     z = (x - mu) / sigma
     t = 1.0 + xi * z
-    if np.any(t <= 0):
-        return 1e10, np.zeros(3)
+    outside = np.any(t <= 0, axis=0)
+    t = np.where(t > 0, t, 1.0)
     log_t = np.log(t)
     u = np.exp(-log_t / xi)                       # t^(-1/xi)
-    nll = float(x.size * log_sigma + (1.0 + 1.0 / xi) * np.sum(log_t) + np.sum(u))
+    n = x.shape[0]
+    nll = n * log_sigma + (1.0 + 1.0 / xi) * np.sum(log_t, axis=0) + np.sum(u, axis=0)
     a = (1.0 + (1.0 - u) / xi) / t                # d nll / d t, per observation
-    grad = np.array([
-        -xi / sigma * np.sum(a),
-        x.size - xi * np.sum(a * z),
-        np.sum(a * z) + np.sum((u - 1.0) * log_t) / xi**2,
-    ])
-    return nll, grad
+    a0, a1 = np.sum(a, axis=0), np.sum(a * z, axis=0)
+    grad = np.array([-xi / sigma * a0, n - xi * a1,
+                     a1 + np.sum((u - 1.0) * log_t, axis=0) / xi**2])
+    nll = np.where(outside, GEV_BARRIER, nll)
+    grad = np.where(outside, 0.0, grad)
+    if not hessian:
+        return nll, grad
+    # per observation: xi d2nll/dt2, xi d2nll/dt dxi and d2nll/dxi2 at fixed t
+    w = (1.0 + 1.0 / xi) * (u - xi) / t**2
+    q = ((u - 1.0) / xi - u * log_t / xi**2) / t
+    xx = (u * log_t / xi - 2.0 * (u - 1.0)) * log_t / xi**3
+    s0, s1, s2 = np.sum(w, axis=0), np.sum(w * z, axis=0), np.sum(w * z * z, axis=0)
+    q0, q1 = np.sum(q, axis=0), np.sum(q * z, axis=0)
+    h_mm = xi * s0 / sigma**2
+    h_ms = xi * (s1 + a0) / sigma
+    h_mx = -(s1 + q0 + a0) / sigma
+    h_ss = xi * (s2 + a1)
+    h_sx = -(s2 + q1 + a1)
+    h_xx = s2 / xi + 2.0 * q1 / xi + np.sum(xx, axis=0)
+    hess = np.array([[h_mm, h_ms, h_mx], [h_ms, h_ss, h_sx], [h_mx, h_sx, h_xx]])
+    return nll, grad, np.where(outside, 0.0, hess)
 
 
-def gev_fit(data) -> GevParams:
-    """Maximum-likelihood GEV fit by quasi-Newton search.
+def _gev_newton_step(grad: np.ndarray, hess: np.ndarray, xi: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimizer of each column's quadratic model over lo <= xi <= hi,
+    as a step, and the model's decrease along it.
 
-    Started from Gumbel moment estimates, run once on each side of the excluded
-    band |xi| < XI_MIN, keeping the better optimum.  Raises GevFitError (with
-    the best point found) when no converged solution satisfies the support
-    constraint on every observation.
+    The Hessian's eigenvalues are taken in absolute value and floored, so the
+    model is convex.  Where its free minimum has xi outside the bounds, xi
+    goes to the nearer bound and (mu, log sigma) minimize the model there:
+    the constrained minimum of a convex quadratic in one bounded variable.
+    """
+    vals, vecs = np.linalg.eigh(np.moveaxis(hess, -1, 0))
+    vals = np.abs(vals)
+    vals = np.maximum(vals, 1e-10 * vals[:, -1:] + 1e-300)
+    h = np.einsum("kij,kj,klj->ilk", vecs, vals, vecs)
+    step = -np.einsum("kij,kj,klj,lk->ik", vecs, 1.0 / vals, vecs, grad)
+    dxi = np.clip(xi + step[2], lo, hi) - xi
+    r0 = grad[0] + h[0, 2] * dxi
+    r1 = grad[1] + h[1, 2] * dxi
+    det = h[0, 0] * h[1, 1] - h[0, 1] ** 2
+    face = np.array([(h[0, 1] * r1 - h[1, 1] * r0) / det,
+                     (h[0, 1] * r0 - h[0, 0] * r1) / det, dxi])
+    step = np.where(dxi != step[2], face, step)
+    decrease = -(np.sum(grad * step, axis=0)
+                 + 0.5 * np.einsum("ik,ijk,jk->k", step, h, step))
+    return step, decrease
+
+
+def newton_columns(objective, direction, theta: np.ndarray,
+                   max_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backtracking Newton on every column of ``theta`` at once.
+
+    ``objective(th, cols, derivatives)`` evaluates columns ``cols`` (an index
+    array, or a full slice) at ``th``, one column each: nll, or with
+    ``derivatives`` (nll, grad, hess).  ``direction(th, grad, hess, cols)``
+    gives each column's step and the decrease its model promises along it.
+    A column is done when that promise is at most 1e-12 (1 + |nll|).  Each
+    step is halved, at most NEWTON_BACKTRACKS times, until nll falls by 1e-4
+    of the slope along it.
+    A column stops undone when its derivatives overflow, or when it cannot
+    progress while its model promises more than 1e-8 (1 + |nll|).  Returns
+    the points, their nll and which columns are done.
+    """
+    theta = np.array(theta, dtype=np.float64)
+
+    def pick(cols):                       # a full slice copies no data
+        return slice(None) if cols.size == theta.shape[1] else cols
+
+    nll = objective(theta, slice(None), False)
+    live = np.isfinite(nll)
+    done = np.zeros(theta.shape[1], dtype=bool)
+    for _ in range(max_steps):
+        cols = np.flatnonzero(live & ~done)
+        if cols.size == 0:
+            break
+        th = theta[:, cols]
+        f, grad, hess = objective(th, pick(cols), True)
+        finite = np.all(np.isfinite(hess), axis=(0, 1)) & np.all(np.isfinite(grad), axis=0)
+        if not np.all(finite):
+            live[cols[~finite]] = False
+            cols, th = cols[finite], th[:, finite]
+            f, grad, hess = f[finite], grad[:, finite], hess[..., finite]
+        step, decrease = direction(th, grad, hess, pick(cols))
+        small = decrease <= 1e-12 * (1.0 + np.abs(f))
+        done[cols[small]] = True
+        search = np.flatnonzero(~small)
+        slope = np.sum(grad * step, axis=0)
+        alpha = 1.0
+        for _ in range(NEWTON_BACKTRACKS):
+            if search.size == 0:
+                break
+            trial = th[:, search] + alpha * step[:, search]
+            f_trial = objective(trial, pick(cols[search]), False)
+            ok = f_trial <= f[search] + 1e-4 * alpha * slope[search]
+            theta[:, cols[search[ok]]] = trial[:, ok]
+            nll[cols[search[ok]]] = f_trial[ok]
+            search = search[~ok]
+            alpha *= 0.5
+        # no sufficient decrease along a descent direction: rounding has the
+        # last word, so the column is done if its model promised little
+        stuck = decrease[search] <= 1e-8 * (1.0 + np.abs(f[search]))
+        done[cols[search[stuck]]] = True
+        live[cols[search[~stuck]]] = False
+    return theta, nll, done
+
+
+def gev_fit(data):
+    """Maximum-likelihood GEV fit of a sample, or of each column of an
+    (n, sites) matrix, by batched projected Newton.
+
+    Every site starts from Gumbel moment estimates once on each side of the
+    excluded band |xi| < XI_MIN, with xi from 0.1 in [XI_MIN, XI_MAX] and from
+    -0.1 in [-XI_MAX, -XI_MIN]; the better optimum is kept, the xi > 0 one
+    on a tie.  A sample gives one GevParams, a matrix a list of them.  Raises
+    GevFitError (with the best point found) for the first site, in site
+    order, whose better optimum did not converge or whose starts both lie
+    outside the support; a matrix's error begins "site <j>: ".
     """
     x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 1 or x.size < GEV_MIN_OBS:
-        raise ValueError(f"gev_fit needs a 1-D sample of at least {GEV_MIN_OBS} points")
+    if x.ndim not in (1, 2) or x.shape[0] < GEV_MIN_OBS:
+        raise ValueError(f"gev_fit needs samples of at least {GEV_MIN_OBS} points")
     if not np.all(np.isfinite(x)):
         raise ValueError("gev_fit requires finite data")
-    from scipy.optimize import minimize
+    cols = x.reshape(x.shape[0], -1)
+    k = cols.shape[1]
+    sigma0 = np.maximum(math.sqrt(6.0) * np.std(cols, axis=0) / math.pi, 1e-8)
+    mu0 = np.mean(cols, axis=0) - 0.5772156649015329 * sigma0
+    # columns 0..k-1 start at xi = 0.1, columns k..2k-1 at xi = -0.1
+    theta = np.array([np.tile(mu0, 2), np.tile(np.log(sigma0), 2),
+                      np.repeat([0.1, -0.1], k)])
+    lo, hi = np.repeat([XI_MIN, -XI_MAX], k), np.repeat([XI_MAX, -XI_MIN], k)
+    both = np.tile(cols, 2)
 
-    sigma0 = math.sqrt(6.0) * float(np.std(x)) / math.pi
-    sigma0 = max(sigma0, 1e-8)
-    mu0 = float(np.mean(x)) - 0.5772156649015329 * sigma0
+    def objective(th, c, derivatives):
+        out = _gev_negloglik(th, both[:, c], hessian=derivatives)
+        return out if derivatives else out[0]
 
-    best = None
-    best_val = np.inf
-    for xi0, lo, hi in ((0.1, XI_MIN, 5.0), (-0.1, -5.0, -XI_MIN)):
-        res = minimize(
-            _gev_negloglik,
-            x0=np.array([mu0, math.log(sigma0), xi0]),
-            args=(x,),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(None, None), (None, None), (lo, hi)],
-        )
-        if res.fun < best_val:
-            best_val = res.fun
-            best = res
-    fitted = GevParams(mu=float(best.x[0]), sigma=float(math.exp(best.x[1])),
-                       xi=float(best.x[2]))
-    support = 1.0 + fitted.xi * (x - fitted.mu) / fitted.sigma
-    if not best.success or best_val >= 1e10 or np.any(support <= 0):
-        raise GevFitError(
-            f"GEV fit did not converge to an admissible optimum: {best.message}",
-            best=fitted,
-        )
-    return fitted
+    with np.errstate(all="ignore"):
+        theta, nll, done = newton_columns(
+            objective,
+            lambda th, grad, hess, c: _gev_newton_step(grad, hess, th[2], lo[c], hi[c]),
+            theta, GEV_NEWTON_STEPS)
+    best = np.where(nll[k:] < nll[:k], np.arange(k, 2 * k), np.arange(k))
+    fits = []
+    for j, c in enumerate(best):
+        fitted = GevParams(mu=float(theta[0, c]), sigma=float(math.exp(theta[1, c])),
+                           xi=float(theta[2, c]))
+        if nll[c] >= GEV_BARRIER or not done[c]:
+            why = ("both starts lie outside the support" if nll[c] >= GEV_BARRIER
+                   else f"no convergence in {GEV_NEWTON_STEPS} Newton steps")
+            site = f"site {j}: " if x.ndim == 2 else ""
+            raise GevFitError(f"{site}GEV fit did not converge to an admissible "
+                              f"optimum: {why}", best=fitted)
+        fits.append(fitted)
+    return fits if x.ndim == 2 else fits[0]
 
 
 # ---------------------------------------------------------------------------

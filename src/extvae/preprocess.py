@@ -4,21 +4,19 @@ Neighborhood-pooled seasonal regression (periodic cubic splines plus a linear
 trend), a log-linear variance model fit by exact Gaussian likelihood,
 standardization, monthly-maxima extraction, a multinomial likelihood-ratio
 goodness-of-fit test against a fitted marginal, and the GEV-based monotone
-transformation.
+transformation.  The fits run over every site at once: one QR factorization
+of the design, and batched Newton for the variance model and the GEV.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-import pickle
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GevParams, gev_cdf, gev_fit
-from .workers import Workers, block_edges
+from .distributions import GevParams, gev_cdf, gev_fit, newton_columns
 
 EARTH_RADIUS_KM = 6371.0
 N_SPLINES = 12
@@ -29,9 +27,8 @@ GEV_PARAMS = 3                  # mu, sigma, xi: the GOF test's fitted count
 # temporaries take about 48 bytes a pair, so 256 rows at 10^4 sites peak near
 # 150 MB, where the whole matrix would take 4.8 GB
 NEIGHBOR_ROWS = 256
-# the fewest sites a worker takes: a site costs about 5 ms at 4,018 days, a
-# fork about 7 ms; 2 blocks of 4 sites gained nothing on 1, 2 of 8 did
-BLOCK_SITES = 8
+# fit_variance's Newton steps
+VARIANCE_NEWTON_STEPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -70,20 +67,23 @@ def cyclic_spline_basis(day: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def day_of_year(dates) -> np.ndarray:
-    """Day of year in 1..365; leap days fold onto day 59 so the cycle length
-    is constant."""
-    out = np.empty(len(dates), dtype=np.float64)
-    for i, d in enumerate(dates):
-        doy = d.timetuple().tm_yday
-        if d.year % 4 == 0 and (d.year % 100 != 0 or d.year % 400 == 0) and doy > 59:
-            doy -= 1
-        out[i] = doy
-    return out
+def calendar_days(start: dt.date, n_days: int) -> np.ndarray:
+    """The ``n_days`` consecutive days from ``start`` as datetime64[D];
+    OverflowError past year 9999, as date arithmetic raises it."""
+    if n_days > 0:
+        start + dt.timedelta(days=n_days - 1)       # the OverflowError check
+    return np.datetime64(start, "D") + np.arange(n_days)
 
 
-def daterange(start: dt.date, n_days: int) -> list[dt.date]:
-    return [start + dt.timedelta(days=i) for i in range(n_days)]
+def day_of_year(days) -> np.ndarray:
+    """Day of year in 1..365 of each day (datetime64 or dates); leap days
+    fold onto day 59 so the cycle length is constant."""
+    days = np.asarray(days, dtype="datetime64[D]")
+    year = days.astype("datetime64[Y]")
+    doy = (days - year).astype(np.int64) + 1
+    y = year.astype(np.int64) + 1970
+    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    return (doy - (leap & (doy > 59))).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,10 @@ class DailyCalendar:
 
 
 def daily_calendar(start: dt.date, n_days: int) -> DailyCalendar:
-    """Scans the days once; raises OverflowError past year 9999."""
-    month = np.fromiter((d.year * 12 + d.month - 1 for d in daterange(start, n_days)),
-                        dtype=np.int64, count=n_days)
+    """Raises OverflowError past year 9999."""
+    # months since year 0: year * 12 + month - 1
+    month = (calendar_days(start, n_days).astype("datetime64[M]").astype(np.int64)
+             + 1970 * 12)
     starts = np.flatnonzero(np.diff(month, prepend=month[:1] - 1))
     first = month[starts]
     return DailyCalendar(start=start, n_days=n_days,
@@ -125,12 +126,10 @@ class SeasonalDesign:
 def build_design(n_days: int, start: dt.date) -> SeasonalDesign:
     """Design matrix for the seasonal regression over a daily calendar.
 
-    Column-major: ``fit_seasonal``'s ``matrix @ beta`` rounds differently on
-    a row-major copy of the same values."""
+    Column-major, the layout LAPACK factorizes."""
     if n_days < 366:
         raise ValueError("need at least a full year of days")
-    dates = daterange(start, n_days)
-    day = day_of_year(dates)
+    day = day_of_year(calendar_days(start, n_days))
     t = np.arange(1, n_days + 1, dtype=np.float64)
     b = cyclic_spline_basis(day)
     matrix = np.asfortranarray(np.column_stack([np.ones(n_days), t, b[:, :-1]]))
@@ -138,7 +137,7 @@ def build_design(n_days: int, start: dt.date) -> SeasonalDesign:
 
 
 # ---------------------------------------------------------------------------
-# neighborhoods and the per-site regressions
+# neighborhoods and the regressions
 # ---------------------------------------------------------------------------
 
 def haversine_km(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,72 +166,109 @@ def neighborhoods(coords_lonlat: np.ndarray,
     return out
 
 
-def fit_seasonal(responses: np.ndarray, design: SeasonalDesign):
-    """OLS of the stacked neighborhood series on the (stacked) design.
+def fit_seasonal(means: np.ndarray, design: SeasonalDesign):
+    """OLS of each site's neighbour-mean series on the design.
 
-    ``responses`` is (n_neighbors, N). The stacked normal equations are
-    n_neighbors times those of the neighbor mean on one copy of the design, so
-    the fit solves the latter. Returns (beta, fitted values over one calendar,
-    per-series residuals).
+    Stacking a site's neighbour series on a tiled design gives n times the
+    normal equations of their mean on one copy, so each site is fitted on
+    its neighbour mean.  ``means`` is (N,), or (N, sites) with one column per
+    site; one QR factorization of the design serves every column.  Returns
+    (beta, fitted values), with a column per site.  The products are
+    einsums, not BLAS calls, so their bits do not depend on the BLAS
+    thread count.
     """
-    responses = np.atleast_2d(np.asarray(responses, dtype=np.float64))
+    means = np.asarray(means, dtype=np.float64)
     m = design.matrix
-    if m.shape[0] != responses.shape[1]:
+    if means.shape[0] != m.shape[0]:
         raise ValueError("design length does not match the series")
-    beta, _, rank, _ = np.linalg.lstsq(m, responses.mean(axis=0), rcond=None)
-    if rank < m.shape[1]:
+    q, r = np.linalg.qr(m)
+    if np.linalg.matrix_rank(r) < m.shape[1]:
         raise ValueError("design matrix is rank deficient")
-    fitted = m @ beta
-    residuals = responses - fitted
-    return beta, fitted, residuals
+    coef = np.einsum("ti,t...->i...", q, means)
+    return np.linalg.solve(r, coef), np.einsum("ti,i...->t...", q, coef)
 
 
 @dataclass
 class VarianceModel:
-    """log eps = beta1 + beta2 * t, fitted standard deviations always > 0."""
+    """log eps = beta1 + beta2 * t, fitted standard deviations always > 0;
+    one model per site, or floats for one."""
 
-    beta1: float
-    beta2: float
+    beta1: np.ndarray
+    beta2: np.ndarray
     eps_hat: np.ndarray
 
 
-def _variance_nll(b: np.ndarray, ss: np.ndarray, n: int,
-                  ts: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood, without its constant, and gradient of
-    log eps_t = b0 + b1 ts_t for n series with per-day sums of squares ss."""
-    log_eps = b[0] + b[1] * ts
-    w = ss * np.exp(-2.0 * log_eps)
-    nll = float(np.sum(n * log_eps + 0.5 * w))
-    d = n - w
-    return nll, np.array([np.sum(d), np.sum(d * ts)])
+def _variance_nll(b: np.ndarray, ss: np.ndarray, n, ts: np.ndarray,
+                  derivatives: bool = False):
+    """Negative log-likelihood, without its constant, of log eps_t =
+    b0 + b1 ts_t for n series with per-day sums of squares ss, and with
+    ``derivatives`` also its gradient and Hessian.  ``b`` is (2,) with ss
+    and ts (N,), or (2, k) with ss (N, k) and ts (N, 1): one model per column.
 
-
-def fit_variance(residuals: np.ndarray, time_index: np.ndarray) -> VarianceModel:
-    """Exact independent-Gaussian MLE of the log-linear variance model,
-    quasi-Newton from (log sd(residuals), 0).
-
-    ``residuals`` is (n_series, N), or (N,) for one series, all sharing the
-    (N,) ``time_index``. The likelihood sees the residuals only through the
-    per-day sum of squares S_t, so nll = sum_t (n log eps_t + S_t / (2 eps_t^2)).
+    sum_t n log eps_t is n (N b0 + b1 sum_t ts_t), and the weights
+    w_t = S_t / eps_t^2 are exp(-2 b0) S_t exp(-2 b1 ts_t), so one
+    exponential per day and site serves the value and every derivative.
     """
-    r = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
+    w = ss * np.exp(-2.0 * b[1] * ts)
+    scale = np.exp(-2.0 * b[0])
+    s0 = scale * np.sum(w, axis=0)
+    nll = n * (ts.shape[0] * b[0] + b[1] * np.sum(ts)) + 0.5 * s0
+    if not derivatives:
+        return nll
+    w = w * ts
+    s1 = scale * np.sum(w, axis=0)
+    s2 = scale * np.sum(w * ts, axis=0)
+    grad = np.array([n * ts.shape[0] - s0, n * np.sum(ts) - s1])
+    return nll, grad, 2.0 * np.array([[s0, s1], [s1, s2]])
+
+
+def _newton_2x2(b, grad, hess, cols):
+    """The Newton step of each column and half its Newton decrement."""
+    det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
+    step = np.array([hess[0, 1] * grad[1] - hess[1, 1] * grad[0],
+                     hess[0, 1] * grad[0] - hess[0, 0] * grad[1]]) / det
+    return step, -0.5 * np.sum(grad * step, axis=0)
+
+
+def fit_variance(sum_sq: np.ndarray, n_series, time_index: np.ndarray) -> VarianceModel:
+    """Exact independent-Gaussian MLE of the log-linear variance model, by
+    Newton from (log rms residual, 0), every site at once.
+
+    The likelihood sees a site's ``n_series`` residual series only through
+    the per-day sum of squares S_t, so
+    nll = sum_t (n log eps_t + S_t / (2 eps_t^2)), convex in (b1, b2).
+    ``sum_sq`` is (N,) with a count, or (N, sites) with a count per site.
+    Raises RuntimeError for the first site, in site order, without a
+    positive S_t or whose fit does not converge.
+    """
+    ss = np.asarray(sum_sq, dtype=np.float64)
     t = np.asarray(time_index, dtype=np.float64)
-    if r.ndim != 2 or t.shape != r.shape[1:]:
-        raise ValueError("residuals and time index must align")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residuals must be finite")
-    from scipy.optimize import minimize
+    if t.ndim != 1 or ss.ndim not in (1, 2) or ss.shape[0] != t.size:
+        raise ValueError("sums of squares and time index must align")
+    if not np.all(np.isfinite(ss)) or np.any(ss < 0):
+        raise ValueError("sums of squares must be finite and >= 0")
+    cols = ss.reshape(t.size, -1)
+    n = np.broadcast_to(np.asarray(n_series, dtype=np.float64), cols.shape[1:])
+    site = "site {}: " if ss.ndim == 2 else ""
+    empty = np.flatnonzero(~np.any(cols > 0, axis=0))
+    if empty.size:
+        raise RuntimeError(f"{site.format(empty[0])}every residual is zero: the "
+                           "variance model has no optimum")
     scale = max(1.0, float(np.max(np.abs(t))))
-    sd0 = float(np.std(r))
-    x0 = np.array([math.log(max(sd0, 1e-12)), 0.0])
-    res = minimize(_variance_nll, x0=x0, jac=True, method="L-BFGS-B",
-                   args=(np.einsum("ij,ij->j", r, r), r.shape[0], t / scale))
-    if not res.success:
-        raise RuntimeError(f"variance model did not converge: {res.message}")
-    beta1 = float(res.x[0])
-    beta2 = float(res.x[1] / scale)
-    eps_hat = np.exp(beta1 + beta2 * t)
-    return VarianceModel(beta1=beta1, beta2=beta2, eps_hat=eps_hat)
+    ts = (t / scale)[:, None]
+    b0 = np.array([0.5 * np.log(np.mean(cols, axis=0) / n), np.zeros(cols.shape[1])])
+    with np.errstate(all="ignore"):
+        b, _, done = newton_columns(
+            lambda b, c, derivatives: _variance_nll(b, cols[:, c], n[c], ts, derivatives),
+            _newton_2x2, b0, VARIANCE_NEWTON_STEPS)
+    if not np.all(done):
+        raise RuntimeError(f"{site.format(np.flatnonzero(~done)[0])}variance model "
+                           "did not converge")
+    beta1, beta2 = b[0], b[1] / scale
+    eps_hat = np.exp(beta1 + beta2 * t[:, None])
+    return VarianceModel(beta1=beta1.reshape(ss.shape[1:])[()],
+                         beta2=beta2.reshape(ss.shape[1:])[()],
+                         eps_hat=eps_hat.reshape(ss.shape))
 
 
 def detrend(x: np.ndarray, fitted: np.ndarray, eps_hat: np.ndarray) -> np.ndarray:
@@ -271,10 +307,8 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
     """Multinomial likelihood-ratio statistic sum O_i log(O_i / E_i).
 
     Bins are equal-width over the sample range; adjacent bins are merged until
-    every expected count reaches one; df = bins - 1 - n_params.  The p-value is
-    scipy.special.chdtrc(df, statistic clamped at 0): rounding can put the
-    statistic below 0, where chdtrc gives NaN and chi2.sf 1.  ``doubled``
-    applies the classical factor 2.
+    every expected count reaches one; df = bins - 1 - n_params; the p-value
+    is chi2_sf(statistic, df).  ``doubled`` applies the classical factor 2.
     """
     m = np.asarray(maxima, dtype=np.float64)
     if n_bins <= n_params + 1:
@@ -305,10 +339,34 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
     df = len(expected) - 1 - n_params
     if df < 1:
         raise ValueError("not enough bins left for the test; use fewer parameters")
-    from scipy.special import chdtrc
-    return GofResult(statistic=statistic, df=df,
-                     p_value=float(chdtrc(df, max(statistic, 0.0))),
+    return GofResult(statistic=statistic, df=df, p_value=chi2_sf(statistic, df),
                      observed=observed, expected=expected)
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X ~ chi-square(df) with df a positive integer.
+
+    The regularized upper incomplete gamma Q(df/2, x/2) as its finite sum:
+    with y = x/2, e^-y sum_e y^e / e! over e = i + df % 2 / 2, i < df // 2,
+    plus erfc(sqrt y) for odd df.  Its terms are summed in log space, so
+    no power or factorial overflows whatever df.  x <= 0, which rounding can
+    give a likelihood-ratio statistic, maps to 1; inf to 0 and NaN to NaN.
+    """
+    if math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    logs = [e * log_y - math.lgamma(e + 1.0)
+            for e in (i + 0.5 * (df % 2) for i in range(df // 2))]
+    total = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    if logs:
+        top = max(logs)
+        total += math.exp(top - y) * math.fsum(math.exp(v - top) for v in logs)
+    return min(total, 1.0)
 
 
 def gev_bound(g: GevParams) -> float:
@@ -353,65 +411,34 @@ class SitePreprocessResult:
     transformed: np.ndarray
 
 
-def preprocess_site(
-    site_index: int,
-    daily: np.ndarray,
-    calendar: DailyCalendar,
-    design: SeasonalDesign,
-    neighbor_sets: list[np.ndarray],
-    n_bins: int = 10,
-    doubled: bool = False,
-) -> SitePreprocessResult:
-    """Full pipeline for one site: pooled seasonal fit, variance model,
-    standardization, monthly maxima, GEV fit + GOF, Pareto transform."""
-    nb = neighbor_sets[site_index]
-    _, fitted, residuals = fit_seasonal(daily[:, nb].T, design)
-    # the variance model depends on (intercept, t) only, so the fitted
-    # standard deviations are shared across the pooled neighbors
-    var_model = fit_variance(residuals, design.time_index)
-    detrended = detrend(daily[:, site_index], fitted, var_model.eps_hat)
-    months, maxima = monthly_maxima(detrended, calendar)
-    gev = gev_fit(maxima)
+def preprocess_site(site_index: int, maxima: np.ndarray, gev: GevParams,
+                    months: list[tuple[int, int]], n_bins: int = 10,
+                    doubled: bool = False) -> SitePreprocessResult:
+    """One site's GOF test and Pareto transform after the batched fits."""
     gof = chi2_gof(maxima, lambda e: gev_cdf(e, gev, warn_on_clamp=False),
                    n_bins=n_bins, n_params=GEV_PARAMS, doubled=doubled)
-    transformed = marginal_transform(maxima, gev)
     return SitePreprocessResult(months=months, maxima=maxima, gev=gev, gof=gof,
-                                transformed=transformed)
-
-
-def _pickled(work, *args) -> list[bytes]:
-    """The result, pickled; raises if the work warned, for the parent to redo."""
-    with warnings.catch_warnings(record=True) as caught:
-        result = work(*args)
-    if caught:
-        raise RuntimeError("the block warned")
-    return [pickle.dumps(result)]
+                                transformed=marginal_transform(maxima, gev))
 
 
 def run_pipeline(daily: np.ndarray, calendar: DailyCalendar,
                  coords_lonlat: np.ndarray, radius_km: float = DEFAULT_NEIGHBOR_KM,
                  n_bins: int = 10, doubled: bool = False) -> list[SitePreprocessResult]:
-    """Per-site pipelines over a (days, sites) matrix, in blocks of at least
-    BLOCK_SITES sites on the usable CPUs.  A block that raises or warns in a
-    worker is redone in the parent, so errors and warnings are the loop's."""
+    """Pooled seasonal fit, variance model, standardization, monthly maxima
+    and GEV fit of every site of a (days, sites) matrix at once, then each
+    site's GOF test and Pareto transform, in site order.  A failing fit
+    raises for its first site, in site order, and names it."""
     daily = np.asarray(daily, dtype=np.float64)
     design = build_design(calendar.n_days, calendar.start)
     nbs = neighborhoods(coords_lonlat, radius_km)
-
-    def block(lo: int, hi: int) -> list[SitePreprocessResult]:
-        return [preprocess_site(j, daily, calendar, design, nbs, n_bins, doubled)
-                for j in range(lo, hi)]
-
-    # the fits' scipy loads here, once, for the forked workers to inherit
-    import scipy.optimize  # noqa: F401
-    import scipy.special  # noqa: F401
-
-    edges = block_edges(daily.shape[1], daily.shape[1], BLOCK_SITES)
-    with Workers("a site-block worker") as workers:
-        pids = [workers.start(_pickled, block, lo, hi)
-                for lo, hi in zip(edges[1:], edges[2:])]
-        results = block(0, edges[1])
-        for pid, lo, hi in zip(pids, edges[1:], edges[2:]):
-            data = b"".join(workers.chunks(pid))
-            results += pickle.loads(data) if workers.reap(pid) else block(lo, hi)
-    return results
+    _, fitted = fit_seasonal(np.column_stack([daily[:, nb].mean(axis=1) for nb in nbs]),
+                             design)
+    # the variance model depends on (intercept, t) only, so the fitted
+    # standard deviations are shared across the pooled neighbours; S_t sums
+    # the squares of the neighbours' own residuals from the site's fit
+    sum_sq = np.column_stack([np.einsum("ij,ij->i", r, r) for r in
+                              (daily[:, nb] - fitted[:, j, None] for j, nb in enumerate(nbs))])
+    var_model = fit_variance(sum_sq, [len(nb) for nb in nbs], design.time_index)
+    months, maxima = monthly_maxima(detrend(daily, fitted, var_model.eps_hat), calendar)
+    return [preprocess_site(j, maxima[:, j], gev, months, n_bins, doubled)
+            for j, gev in enumerate(gev_fit(maxima))]

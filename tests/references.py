@@ -1,5 +1,6 @@
-"""Independent references for the model's three laws, from scipy.stats, and
-the seeded GEV draws the fit tests use as data.
+"""Independent references for the model's three laws, from scipy.stats; the
+seeded GEV draws the fit tests use as data; and, from scipy, the chi-square
+survival function and the L-BFGS-B fits that the preprocessing fits replace.
 
 - the expPS(1/2, theta) prior is the inverse Gaussian with mean 1/(2 sqrt theta)
   and shape 1/2, scipy's ``invgauss(mu=1/sqrt(theta), scale=1/2)``, and at
@@ -8,10 +9,14 @@ the seeded GEV draws the fit tests use as data.
 - log-Laplace noise x/y has log(x/y) ~ ``laplace(scale=1/alpha0)``.
 """
 
+import math
+
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import chdtrc
 from scipy.stats import invgauss, laplace, levy, lognorm
 
-from extvae.distributions import GevParams, gev_quantile
+from extvae.distributions import XI_MAX, XI_MIN, GevParams, _gev_negloglik, gev_quantile
 from extvae.seeds import as_generator
 
 
@@ -45,3 +50,56 @@ def loglaplace_cdf(alpha0: float):
 def gev_sample(p: GevParams, n: int, seed) -> np.ndarray:
     """n GEV draws: the quantile of n uniforms from ``as_generator(seed)``."""
     return gev_quantile(as_generator(seed).random(n), p)
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X ~ chi-square(df), from scipy's Cephes."""
+    return float(chdtrc(df, x))
+
+
+def gev_nll(p: GevParams, x) -> float:
+    """The GEV negative log-likelihood of the sample x at p."""
+    return float(_gev_negloglik(np.array([p.mu, math.log(p.sigma), p.xi]),
+                                np.asarray(x, dtype=np.float64))[0])
+
+
+def gev_fit_lbfgsb(x) -> float:
+    """The GEV fit as L-BFGS-B made it, with the analytic gradient, from the
+    same two starts and bounds as gev_fit: the better optimum's negative
+    log-likelihood."""
+    x = np.asarray(x, dtype=np.float64)
+    sigma0 = max(math.sqrt(6.0) * float(np.std(x)) / math.pi, 1e-8)
+    mu0 = float(np.mean(x)) - 0.5772156649015329 * sigma0
+
+    def nll(p):
+        f, g = _gev_negloglik(p, x)
+        return float(f), np.asarray(g)
+
+    return min(minimize(nll, x0=np.array([mu0, math.log(sigma0), xi0]), jac=True,
+                        method="L-BFGS-B", bounds=[(None, None), (None, None), (lo, hi)]).fun
+               for xi0, lo, hi in ((0.1, XI_MIN, XI_MAX), (-0.1, -XI_MAX, -XI_MIN)))
+
+
+def variance_nll(beta1: float, beta2: float, sum_sq, n: int, t) -> float:
+    """The variance model's negative log-likelihood, without its constant, at
+    log eps_t = beta1 + beta2 t for n series with per-day sums of squares."""
+    log_eps = beta1 + beta2 * np.asarray(t, dtype=np.float64)
+    return float(np.sum(n * log_eps + 0.5 * sum_sq * np.exp(-2.0 * log_eps)))
+
+
+def variance_fit_lbfgsb(sum_sq, n: int, t) -> float:
+    """The variance model's fit as L-BFGS-B made it, from (log sd, 0) with t
+    scaled to at most 1: its negative log-likelihood."""
+    t = np.asarray(t, dtype=np.float64)
+    scale = max(1.0, float(np.max(np.abs(t))))
+    ts = t / scale
+
+    def nll(b):
+        log_eps = b[0] + b[1] * ts
+        w = sum_sq * np.exp(-2.0 * log_eps)
+        d = n - w
+        return float(np.sum(n * log_eps + 0.5 * w)), np.array([np.sum(d), np.sum(d * ts)])
+
+    sd0 = math.sqrt(float(np.sum(sum_sq)) / (n * t.size))
+    res = minimize(nll, x0=np.array([math.log(sd0), 0.0]), jac=True, method="L-BFGS-B")
+    return variance_nll(res.x[0], res.x[1] / scale, sum_sq, n, t)

@@ -293,8 +293,8 @@ def test_criterion_6_preprocessing_calibration():
                                 + r.uniform(0, 2 * np.pi))
         sd = np.exp(r.uniform(-0.3, 0.3) + r.uniform(-1, 1) * 1e-4 * t_idx)
         series = 5.0 + seasonal + 0.001 * t_idx + sd * r.standard_normal(n_days)
-        _, fitted, resid = pp.fit_seasonal(series[None, :], design)
-        vm = pp.fit_variance(resid.ravel(), t_idx)
+        _, fitted = pp.fit_seasonal(series, design)
+        vm = pp.fit_variance((series - fitted) ** 2, 1, t_idx)
         z = pp.detrend(series, fitted, vm.eps_hat)
         stats.append((abs(float(z.mean())), float(z.std())))
         detrend_ok &= abs(z.mean()) < 0.05 and 0.9 < z.std() < 1.1

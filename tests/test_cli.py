@@ -370,8 +370,7 @@ class TestPreprocess:
         from extvae import preprocess as pp
         from extvae.seeds import substream
 
-        dates = pp.daterange(dt.date(2015, 1, 1), n_days)
-        doy = pp.day_of_year(dates)
+        doy = pp.day_of_year(pp.calendar_days(dt.date(2015, 1, 1), n_days))
         t = np.arange(1.0, n_days + 1)
         rng = substream(77)
         base = 4.0 + 2.0 * np.sin(2 * math.pi * doy / 365.0) + 0.0005 * t
@@ -1559,16 +1558,15 @@ def _command_argv(command, tiny_run, tmp_path) -> list:
 SCIPY_BY_COMMAND = {
     "import": (), "simulate": (), "train": (), "metrics": (), "gradcheck": (),
     "tailcheck": (), "emulate": ("scipy.special",), "counterfactual": ("scipy.special",),
-    "preprocess": ("scipy.optimize", "scipy.special"),
+    "preprocess": (),
 }
 
 
 @pytest.mark.parametrize("command", list(SCIPY_BY_COMMAND))
 def test_each_command_loads_only_the_scipy_it_runs(tiny_run, tmp_path, command):
     """`import extvae.cli` loads no scipy, and a command loads only the scipy
-    modules it calls: ndtri for the latent draws, the optimiser and the
-    chi-square survival function (chdtrc) for the preprocessing fits; no
-    command loads scipy.stats."""
+    modules it calls: ndtri for the latent draws; preprocess fits and tests
+    with numpy alone; no command loads scipy.stats or scipy.optimize."""
     code, modules = scipy_loaded(*_command_argv(command, tiny_run, tmp_path))
     used = SCIPY_BY_COMMAND[command]
     assert code == 0
