@@ -238,34 +238,28 @@ def _write_csv(path: str, header, values, pre=(",",), post: str = "\r\n",
     return digest.hexdigest()
 
 
-def _loadtxt(lines, n_cols: int, start: int, stop: int, converters=None):
-    """The rows of ``lines``: columns start:stop parsed as floats, the others
-    not parsed."""
-    conv = {c: lambda _: 0.0 for c in range(n_cols) if not start <= c < stop}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)   # no data rows
-        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
-                          ndmin=2, converters=conv | (converters or {}))
-
-
-def _read_csv(path: str, start: int, stop=None, converters=None) -> np.ndarray:
+def _read_csv(path: str, start: int, stop=None, dtype=None) -> np.ndarray:
     """Columns start:stop of the data rows as float64; the others are not
-    parsed, but every row must be as wide as the header.  A converter's
-    ConfigError is raised as is."""
+    parsed, but every row must be as wide as the header.  A structured
+    ``dtype`` parses every column into its field instead, as a 1-D table."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             n_cols = len(next(csv.reader([fh.readline()]), []))
             stop = n_cols if stop is None else stop
-            table = _loadtxt(fh, n_cols, start, stop, converters)
+            conv = None if dtype else {c: lambda _: 0.0 for c in range(n_cols)
+                                       if not start <= c < stop}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # no data rows
+                table = np.loadtxt(fh, dtype or np.float64, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1 if dtype else 2, converters=conv)
+        width = len(dtype.names) if dtype else table.shape[1]
         need = max(stop, start + 1)
-        if table.shape[0] == 0 or table.shape[1] != n_cols or n_cols < need:
-            raise ValueError(f"{table.shape[0]} rows of {table.shape[1]} columns, "
+        if table.shape[0] == 0 or width != n_cols or n_cols < need:
+            raise ValueError(f"{table.shape[0]} rows of {width} columns, "
                              f"{n_cols} in the header, {need} needed")
     except (ValueError, csv.Error) as err:
-        if isinstance(err.__cause__, ConfigError):       # a converter's verdict
-            raise err.__cause__ from None
         raise ConfigError(f"malformed CSV {path}: {err}") from None
-    return np.ascontiguousarray(table[:, start:stop])
+    return table if dtype else np.ascontiguousarray(table[:, start:stop])
 
 
 def _sidecars(path: str) -> tuple[str, list]:
@@ -391,7 +385,13 @@ def write_ensemble(path: str, ens: emu.EmulationEnsemble) -> str:
 def _read_ensemble_csv(path: str):
     """Long ensemble of one scenario -> ((time, site, sample) array, site ids,
     scenario); the file holds each (time, site, sample) of its indices exactly
-    once, and the first data row's scenario on every row."""
+    once, and the first data row's scenario on every row.
+
+    One parser pass reads all five columns.  The scenario field holds one
+    character more than the first label, so a longer label reads cut to a
+    string that still differs from it; a label that is the first one followed
+    by a NUL reads as the first one, as numpy strips trailing NULs.
+    """
     with open(path, "r", encoding="utf-8") as fh:      # as _read_csv reads it
         try:
             row = next(itertools.islice(csv.reader(fh), 1, None), [])
@@ -401,26 +401,33 @@ def _read_ensemble_csv(path: str):
     if "\n" in scenario or "\0" in scenario:      # CR reads as LF, too
         raise ConfigError(f"ensemble {path}: scenario label {scenario!r} holds a "
                           "line break or a NUL")
-
-    def same_scenario(text: str) -> float:
-        if text != scenario:
-            raise ConfigError(f"ensemble {path} holds a second scenario {text!r} "
-                              f"after {scenario!r}; a file holds one")
-        return 0.0
-
-    table = _read_csv(path, 0, 4, {4: same_scenario})
-    idx = table[:, :3]
-    if not np.all(np.isfinite(idx) & (idx == np.round(idx))):
+    fields = [(c, "f8") for c in ("t", "j", "s", "value")]
+    table = _read_csv(path, 0, 4, np.dtype(fields + [("scenario", f"U{len(scenario) + 1}")]))
+    other = np.flatnonzero(table["scenario"] != scenario)
+    if other.size:
+        raise ConfigError(f"ensemble {path} holds a second scenario "
+                          f"{_label_at(path, other[0])!r} after {scenario!r}; a file holds one")
+    idx = [table[c] for c in ("t", "j", "s")]
+    if not all(np.all(np.isfinite(col) & (col == np.round(col))) for col in idx):
         raise ConfigError(f"malformed CSV {path}: non-integer index")
-    (ts, ti), (site_ids, ji), (ss, si) = (np.unique(col, return_inverse=True)
-                                          for col in idx.astype(np.int64).T)
+    # the table goes before the sorts: it is the largest array here
+    idx, values = [col.astype(np.int64) for col in idx], table["value"].copy()
+    del table
+    (ts, ti), (site_ids, ji), (ss, si) = (np.unique(col, return_inverse=True) for col in idx)
     shape = (ts.size, site_ids.size, ss.size)
     flat = np.ravel_multi_index((ti, ji, si), shape)
     if flat.size != np.prod(shape) or np.bincount(flat).min() != 1:
         raise ConfigError(f"ensemble {path} misses or repeats cells")
     samples = np.empty(shape)
-    samples.flat[flat] = table[:, 3]
+    samples.flat[flat] = values
     return samples, site_ids, scenario
+
+
+def _label_at(path: str, row: int) -> str:
+    """The whole scenario label of data row ``row`` (blank lines skipped, as
+    numpy's parser skips them)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return next(itertools.islice((r for r in csv.reader(fh) if r), row + 1, None))[4]
 
 
 def write_curve_csv(path: str, curve) -> str:

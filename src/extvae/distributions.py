@@ -120,6 +120,116 @@ def loglaplace_quantile(q, p: LogLaplaceParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the standard normal quantile
+# ---------------------------------------------------------------------------
+
+# Cephes ndtri (S. L. Moshier), as scipy.special.ndtri runs it: P0/Q0 in
+# (y - 1/2)^2 between e^-2 and 1 - e^-2; beyond, P1/Q1 in 1/x with
+# x = sqrt(-2 log y) for x < 8 (y > e^-32), P2/Q2 for x >= 8
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_S2PI = 2.50662827463100050242E0           # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189           # e^-2
+# levels a block: one block's temporaries stay in a core's cache, which
+# halves the central branch's time at 192,000 levels
+_NDTRI_BLOCK = 1 << 15
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """coef[0] x^n + ... + coef[n] by Horner's rule, as Cephes polevl."""
+    ans = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """x^n + coef[0] x^(n-1) + ... + coef[n-1] by Horner's rule, as Cephes p1evl."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    """The platform libm's log of each value, as compiled Cephes takes it.
+
+    math.log calls libm's log; np.log has SIMD loops of its own whose last
+    bits differ from it on some inputs and change with the CPU.
+    """
+    return np.fromiter(map(math.log, v.tolist()), np.float64, v.size)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Cephes ndtri of a 1-D block of levels in (0, 1)."""
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)         # exact: Sterbenz
+    # the central rational y + y (y^2 P0 / Q0) sqrt(2 pi), y = level - 1/2,
+    # on every level (Q0 has no root for |y| < 1/2); the tails overwrite it
+    c = y - 0.5
+    c2 = c * c
+    x = _polevl(c2, _NDTRI_P0)
+    x *= c2
+    x /= _p1evl(c2, _NDTRI_Q0)
+    x *= c
+    x += c
+    x *= _S2PI
+    tail = np.flatnonzero(y <= _EXP_M2)
+    t = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = t - _libm_log(t) / t
+    z = 1.0 / t
+    x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    far = np.flatnonzero(t >= 8.0)
+    x1[far] = z[far] * _polevl(z[far], _NDTRI_P2) / _p1evl(z[far], _NDTRI_Q2)
+    x0 -= x1
+    np.negative(x0, out=x0, where=~upper[tail])
+    x[tail] = x0
+    return x
+
+
+def normal_quantile(q) -> np.ndarray:
+    """The standard normal quantile of levels in (0, 1).
+
+    A numpy port of Cephes ndtri, operation for operation: its coefficient
+    sets, Horner orders and branch points, and x - log(x)/x in the tails.
+    The two tail logarithms are libm's, taken with math.log.  So the result
+    is bit-identical to scipy.special.ndtri wherever Python and scipy call
+    one libm.
+    """
+    q = _levels(q)
+    flat = q.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _NDTRI_BLOCK):
+        out[lo:lo + _NDTRI_BLOCK] = _ndtri(flat[lo:lo + _NDTRI_BLOCK])
+    return out.reshape(q.shape)
+
+
+# ---------------------------------------------------------------------------
 # exponentially tilted positive-stable(1/2)
 # ---------------------------------------------------------------------------
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import model as mdl
 from .autodiff import ArrayView
-from .distributions import LogLaplaceParams, expps_sample_field, loglaplace_quantile
+from .distributions import (LogLaplaceParams, expps_sample_field, loglaplace_quantile,
+                            normal_quantile)
 from .model import ModelParameters
 from .seeds import CounterStream, open_unit, substream
 
@@ -72,7 +73,8 @@ def _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, samples, streams, mode,
 
     Every draw is read at its own counter address, so a sample's values do not
     depend on the chunking or on which other sites are kept:
-      - latent eps: word (s n_t + t) K + k of ``streams["eps"]``, through ndtri;
+      - latent eps: word (s n_t + t) K + k of ``streams["eps"]``, through the
+        normal quantile;
       - data noise: word (s n_sites + j) n_t + t of ``streams["noise"]``, read
         once per run of consecutive kept sites, through the log-Laplace quantile;
       - prior-mode z: a generator at sample s's own region of ``streams["prior-z"]``.
@@ -83,9 +85,8 @@ def _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, samples, streams, mode,
     n_t, k = mu.shape
     n_c = len(samples)
     if draw_latent_noise:
-        from scipy.special import ndtri
         words = streams["eps"].words(samples.start * n_t * k, n_c * n_t * k)
-        eps = ndtri(open_unit(words)).reshape(n_c, n_t, k)
+        eps = normal_quantile(open_unit(words)).reshape(n_c, n_t, k)
     else:
         eps = np.zeros((n_c, n_t, k))
     _, _, z = mdl.latent(p, mu, sigma, cond, eps)
@@ -219,14 +220,3 @@ def flip_condition(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     return 1.0 - c
 
-
-def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Energy distance between two multivariate samples (rows are draws)."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-
-    def _mean_cross(u, v):
-        d = np.sqrt(np.sum((u[:, None, :] - v[None, :, :]) ** 2, axis=2))
-        return float(np.mean(d))
-
-    return 2.0 * _mean_cross(a, b) - _mean_cross(a, a) - _mean_cross(b, b)

@@ -25,9 +25,9 @@ class Workers:
     """Forked block workers.  Each writes the buffers its work returns to a
     pipe and leaves by os._exit: 0 when done, 1 when the work raised.
     Leaving the ``with`` block kills and reaps every worker not yet reaped.
-    A worker may call BLAS: OpenBLAS (numpy's and scipy's, on pthreads) shuts
-    its thread pool down in a pthread_atfork handler before each fork, so no
-    worker inherits a lock a pool thread held."""
+    A worker may call BLAS: numpy's OpenBLAS, on pthreads, shuts its thread
+    pool down in a pthread_atfork handler before each fork, so no worker
+    inherits a lock a pool thread held."""
 
     def __init__(self, name: str):
         self.name, self.pipes = name, {}          # pid -> the pipe's read end

@@ -1503,11 +1503,10 @@ def test_malformed_checkpoint_exits_2(tiny_run, tmp_path_factory, capsys, data):
 
 
 # ---------------------------------------------------------------------------
-# which scipy modules each command loads
+# no command loads scipy
 # ---------------------------------------------------------------------------
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-SCIPY_USED = ("scipy.optimize", "scipy.special", "scipy.stats")
 # runs argv (if any) through cli.main in a fresh interpreter, then prints the
 # exit code and every scipy module loaded
 _LOADED = """
@@ -1515,6 +1514,13 @@ import json, sys
 from extvae import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+# the same with scipy unimportable: ``import scipy`` raises ImportError
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from extvae import cli
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 
@@ -1554,22 +1560,37 @@ def _command_argv(command, tiny_run, tmp_path) -> list:
     }[command]
 
 
-# the scipy modules each command loads; () means no scipy module at all
-SCIPY_BY_COMMAND = {
-    "import": (), "simulate": (), "train": (), "metrics": (), "gradcheck": (),
-    "tailcheck": (), "emulate": ("scipy.special",), "counterfactual": ("scipy.special",),
-    "preprocess": (),
-}
+# the scipy modules each command loads: none, for every command
+SCIPY_BY_COMMAND = dict.fromkeys(["import", "simulate", "train", "emulate", "counterfactual",
+                                  "metrics", "gradcheck", "tailcheck", "preprocess"], ())
 
 
 @pytest.mark.parametrize("command", list(SCIPY_BY_COMMAND))
 def test_each_command_loads_only_the_scipy_it_runs(tiny_run, tmp_path, command):
-    """`import extvae.cli` loads no scipy, and a command loads only the scipy
-    modules it calls: ndtri for the latent draws; preprocess fits and tests
-    with numpy alone; no command loads scipy.stats or scipy.optimize."""
+    """`import extvae.cli` loads no scipy, and neither does any command: the
+    latent draws take the numpy normal quantile, and preprocess fits and
+    tests with numpy alone."""
     code, modules = scipy_loaded(*_command_argv(command, tiny_run, tmp_path))
-    used = SCIPY_BY_COMMAND[command]
     assert code == 0
-    assert tuple(m for m in SCIPY_USED if m in modules) == used
-    if not used:
-        assert modules == []
+    assert modules == list(SCIPY_BY_COMMAND[command])
+
+
+@pytest.mark.parametrize("command, mode", [("emulate", "reconstruction"),
+                                           ("counterfactual", "reconstruction"),
+                                           ("counterfactual", "prior")])
+def test_post_training_commands_run_without_scipy(tiny_run, tmp_path, command, mode):
+    """emulate and counterfactual --flip, in prior mode too, exit 0 in a
+    process where scipy cannot be imported, and write the bytes they write
+    where it can."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG | {"emulate": {"mode": mode}}))
+    argv = [str(cfg) if a == tiny_run[1] else a
+            for a in _command_argv(command, tiny_run, tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    argv[argv.index("--out") + 1] = tmp_path / "in-process"
+    assert run_cli(*argv) == 0
+    assert ((tmp_path / "out" / "ensemble.csv").read_bytes()
+            == (tmp_path / "in-process" / "ensemble.csv").read_bytes())
