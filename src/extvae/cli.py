@@ -238,28 +238,30 @@ def _write_csv(path: str, header, values, pre=(",",), post: str = "\r\n",
     return digest.hexdigest()
 
 
-def _read_csv(path: str, start: int, stop=None, dtype=None) -> np.ndarray:
+def _loadtxt(lines, dtype, **kwargs) -> np.ndarray:
+    """np.loadtxt of comma-separated rows, fields quoted with '"'."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # no data rows
+        return np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"',
+                          **kwargs)
+
+
+def _read_csv(path: str, start: int, stop=None) -> np.ndarray:
     """Columns start:stop of the data rows as float64; the others are not
-    parsed, but every row must be as wide as the header.  A structured
-    ``dtype`` parses every column into its field instead, as a 1-D table."""
+    parsed, but every row must be as wide as the header."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             n_cols = len(next(csv.reader([fh.readline()]), []))
             stop = n_cols if stop is None else stop
-            conv = None if dtype else {c: lambda _: 0.0 for c in range(n_cols)
-                                       if not start <= c < stop}
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # no data rows
-                table = np.loadtxt(fh, dtype or np.float64, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=1 if dtype else 2, converters=conv)
-        width = len(dtype.names) if dtype else table.shape[1]
+            table = _loadtxt(fh, np.float64, ndmin=2, converters={
+                c: lambda _: 0.0 for c in range(n_cols) if not start <= c < stop})
         need = max(stop, start + 1)
-        if table.shape[0] == 0 or width != n_cols or n_cols < need:
-            raise ValueError(f"{table.shape[0]} rows of {width} columns, "
+        if table.shape[0] == 0 or table.shape[1] != n_cols or n_cols < need:
+            raise ValueError(f"{table.shape[0]} rows of {table.shape[1]} columns, "
                              f"{n_cols} in the header, {need} needed")
     except (ValueError, csv.Error) as err:
         raise ConfigError(f"malformed CSV {path}: {err}") from None
-    return table if dtype else np.ascontiguousarray(table[:, start:stop])
+    return np.ascontiguousarray(table[:, start:stop])
 
 
 def _sidecars(path: str) -> tuple[str, list]:
@@ -387,10 +389,11 @@ def _read_ensemble_csv(path: str):
     scenario); the file holds each (time, site, sample) of its indices exactly
     once, and the first data row's scenario on every row.
 
-    One parser pass reads all five columns.  The scenario field holds one
-    character more than the first label, so a longer label reads cut to a
-    string that still differs from it; a label that is the first one followed
-    by a NUL reads as the first one, as numpy strips trailing NULs.
+    One parser pass reads all five columns; columns past the fifth are not
+    parsed, but every row must be as wide as the header.  The scenario field
+    holds one character more than the first label, so a longer label reads
+    cut to a string that still differs from it.  numpy strips trailing NULs,
+    so in a file that holds a NUL the csv module compares the labels too.
     """
     with open(path, "r", encoding="utf-8") as fh:      # as _read_csv reads it
         try:
@@ -402,11 +405,22 @@ def _read_ensemble_csv(path: str):
         raise ConfigError(f"ensemble {path}: scenario label {scenario!r} holds a "
                           "line break or a NUL")
     fields = [(c, "f8") for c in ("t", "j", "s", "value")]
-    table = _read_csv(path, 0, 4, np.dtype(fields + [("scenario", f"U{len(scenario) + 1}")]))
-    other = np.flatnonzero(table["scenario"] != scenario)
-    if other.size:
-        raise ConfigError(f"ensemble {path} holds a second scenario "
-                          f"{_label_at(path, other[0])!r} after {scenario!r}; a file holds one")
+    fields.append(("scenario", f"U{len(scenario) + 1}"))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            n_cols = len(next(csv.reader([fh.readline()]), []))
+            fields += [(f"extra{c}", "U0") for c in range(len(fields), n_cols)]  # not parsed
+            table = _loadtxt(fh, np.dtype(fields), ndmin=1)
+        if table.shape[0] == 0 or n_cols != len(fields):
+            raise ValueError(f"{table.shape[0]} rows of {len(fields)} columns, "
+                             f"{n_cols} in the header, 4 needed")
+    except (ValueError, csv.Error) as err:
+        raise ConfigError(f"malformed CSV {path}: {err}") from None
+    if np.any(table["scenario"] != scenario) or _holds_nul(path):
+        other = _other_label(path, scenario)
+        if other is not None:
+            raise ConfigError(f"ensemble {path} holds a second scenario {other!r} "
+                              f"after {scenario!r}; a file holds one")
     idx = [table[c] for c in ("t", "j", "s")]
     if not all(np.all(np.isfinite(col) & (col == np.round(col))) for col in idx):
         raise ConfigError(f"malformed CSV {path}: non-integer index")
@@ -423,11 +437,16 @@ def _read_ensemble_csv(path: str):
     return samples, site_ids, scenario
 
 
-def _label_at(path: str, row: int) -> str:
-    """The whole scenario label of data row ``row`` (blank lines skipped, as
-    numpy's parser skips them)."""
+def _holds_nul(path: str) -> bool:
+    with open(path, "rb") as fh:
+        return any(b"\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _other_label(path: str, scenario: str):
+    """The first data row's scenario label that is not ``scenario``, or None."""
     with open(path, "r", encoding="utf-8") as fh:
-        return next(itertools.islice((r for r in csv.reader(fh) if r), row + 1, None))[4]
+        rows = itertools.islice(csv.reader(fh), 1, None)
+        return next((r[4] for r in rows if len(r) > 4 and r[4] != scenario), None)
 
 
 def write_curve_csv(path: str, curve) -> str:

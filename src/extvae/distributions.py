@@ -153,9 +153,6 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
              2.89247864745380683936E-6, 6.79019408009981274425E-9)
 _S2PI = 2.50662827463100050242E0           # sqrt(2 pi)
 _EXP_M2 = 0.13533528323661269189           # e^-2
-# levels a block: one block's temporaries stay in a core's cache, which
-# halves the central branch's time at 192,000 levels
-_NDTRI_BLOCK = 1 << 15
 
 
 def _polevl(x: np.ndarray, coef) -> np.ndarray:
@@ -185,8 +182,17 @@ def _libm_log(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, v.tolist()), np.float64, v.size)
 
 
-def _ndtri(y0: np.ndarray) -> np.ndarray:
-    """Cephes ndtri of a 1-D block of levels in (0, 1)."""
+def normal_quantile(q) -> np.ndarray:
+    """The standard normal quantile of levels in (0, 1).
+
+    A numpy port of Cephes ndtri, operation for operation: its coefficient
+    sets, Horner orders and branch points, and x - log(x)/x in the tails.
+    The two tail logarithms are libm's, taken with math.log.  So the result
+    is bit-identical to scipy.special.ndtri wherever Python and scipy call
+    one libm.
+    """
+    q = _levels(q)
+    y0 = q.reshape(-1)
     upper = y0 > 1.0 - _EXP_M2
     y = np.where(upper, 1.0 - y0, y0)         # exact: Sterbenz
     # the central rational y + y (y^2 P0 / Q0) sqrt(2 pi), y = level - 1/2,
@@ -209,24 +215,7 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     x0 -= x1
     np.negative(x0, out=x0, where=~upper[tail])
     x[tail] = x0
-    return x
-
-
-def normal_quantile(q) -> np.ndarray:
-    """The standard normal quantile of levels in (0, 1).
-
-    A numpy port of Cephes ndtri, operation for operation: its coefficient
-    sets, Horner orders and branch points, and x - log(x)/x in the tails.
-    The two tail logarithms are libm's, taken with math.log.  So the result
-    is bit-identical to scipy.special.ndtri wherever Python and scipy call
-    one libm.
-    """
-    q = _levels(q)
-    flat = q.reshape(-1)
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, _NDTRI_BLOCK):
-        out[lo:lo + _NDTRI_BLOCK] = _ndtri(flat[lo:lo + _NDTRI_BLOCK])
-    return out.reshape(q.shape)
+    return x.reshape(q.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ of the design, and batched Newton for the variance model and the GEV.
 from __future__ import annotations
 
 import datetime as dt
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -319,10 +318,17 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
     probs = np.diff(np.asarray(cdf(edges), dtype=np.float64))
     expected = m.size * probs
 
-    if not np.all(np.isfinite(expected)):
-        raise ValueError("the cdf gives a non-finite bin probability")
-    observed, expected = _merge_bins(observed.astype(float).tolist(), expected.tolist(),
-                                     n_params + 2)
+    observed = list(observed.astype(float))
+    expected = list(expected)
+    while len(expected) > n_params + 2 and min(expected) < 1.0:
+        i = int(np.argmin(expected))
+        j = i - 1 if i > 0 else i + 1
+        lo, hi = min(i, j), max(i, j)
+        observed[lo] += observed[hi]
+        expected[lo] += expected[hi]
+        del observed[hi], expected[hi]
+    observed = np.asarray(observed)
+    expected = np.asarray(expected)
     if np.any(expected <= 0):
         raise ValueError("expected count of zero; use fewer bins")
 
@@ -335,43 +341,6 @@ def chi2_gof(maxima: np.ndarray, cdf, n_bins: int = 10, n_params: int = 3,
         raise ValueError("not enough bins left for the test; use fewer parameters")
     return GofResult(statistic=statistic, df=df, p_value=chi2_sf(statistic, df),
                      observed=observed, expected=expected)
-
-
-def _merge_bins(observed: list, expected: list, keep: int):
-    """Merge adjacent bins while more than ``keep`` are left and the least
-    expected count is below one: the first bin of least expected count goes
-    into its left neighbour, the first bin into its right one.
-
-    A heap of (expected count, first original bin) over a linked list of the
-    live bins, stale entries skipped as they surface, finds the bin repeated
-    argmin over the list finds, and the sums run in the same order, in
-    O(n log n) rather than O(n^2).  Returns the live bins' arrays.
-    """
-    n = len(expected)
-    left, right = list(range(-1, n - 1)), list(range(1, n + 1))
-    alive = [True] * n
-    heap = [(e, i) for i, e in enumerate(expected)]
-    heapq.heapify(heap)
-    live = n
-    while live > keep:
-        e, i = heap[0]
-        if not alive[i] or e != expected[i]:
-            heapq.heappop(heap)
-            continue
-        if e >= 1.0:
-            break
-        heapq.heappop(heap)
-        lo, hi = (left[i], i) if left[i] >= 0 else (i, right[i])
-        observed[lo] += observed[hi]
-        expected[lo] += expected[hi]
-        alive[hi] = False
-        right[lo] = right[hi]
-        if right[hi] < n:
-            left[right[hi]] = lo
-        live -= 1
-        heapq.heappush(heap, (expected[lo], lo))
-    kept = [i for i in range(n) if alive[i]]
-    return np.array([observed[i] for i in kept]), np.array([expected[i] for i in kept])
 
 
 def chi2_sf(x: float, df: int) -> float:

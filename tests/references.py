@@ -1,8 +1,7 @@
 """Independent references for the model's three laws, from scipy.stats; the
 seeded GEV draws the fit tests use as data; from scipy, the chi-square
 survival function and the L-BFGS-B fits that the preprocessing fits replace;
-the GOF test's bin merge as the list loop it replaces; and the energy distance
-between two samples.
+and the energy distance between two samples.
 
 - the expPS(1/2, theta) prior is the inverse Gaussian with mean 1/(2 sqrt theta)
   and shape 1/2, scipy's ``invgauss(mu=1/sqrt(theta), scale=1/2)``, and at
@@ -105,23 +104,6 @@ def variance_fit_lbfgsb(sum_sq, n: int, t) -> float:
     sd0 = math.sqrt(float(np.sum(sum_sq)) / (n * t.size))
     res = minimize(nll, x0=np.array([math.log(sd0), 0.0]), jac=True, method="L-BFGS-B")
     return variance_nll(res.x[0], res.x[1] / scale, sum_sq, n, t)
-
-
-def merge_bins_loop(observed, expected, keep: int):
-    """chi2_gof's bin merge as a loop over lists, one argmin a merge: while
-    more than ``keep`` bins are left and the least expected count is below
-    one, the first such bin goes into its left neighbour (the first bin into
-    its right one)."""
-    observed = list(np.asarray(observed, dtype=np.float64))
-    expected = list(np.asarray(expected, dtype=np.float64))
-    while len(expected) > keep and min(expected) < 1.0:
-        i = int(np.argmin(expected))
-        j = i - 1 if i > 0 else i + 1
-        lo, hi = min(i, j), max(i, j)
-        observed[lo] += observed[hi]
-        expected[lo] += expected[hi]
-        del observed[hi], expected[hi]
-    return np.asarray(observed), np.asarray(expected)
 
 
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:

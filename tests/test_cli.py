@@ -991,11 +991,13 @@ def test_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, kind, row):
 
 
 class TestMetricsEnsemble:
-    def test_second_scenario_exits_2_before_chi(self, tiny_run, tmp_path, capsys):
+    # numpy's parser strips trailing NULs: "factual\0" must not read as "factual"
+    @pytest.mark.parametrize("label", ["counterfactual", "fact", "factual\0", "factual\0x"])
+    def test_second_scenario_exits_2_before_chi(self, tiny_run, tmp_path, capsys, label):
         _, _, sim, _, emu_dir = tiny_run
         lines = (emu_dir / "ensemble.csv").read_text().splitlines()
         assert lines[-1].endswith(",factual")
-        lines[-1] = lines[-1][:-len("factual")] + "counterfactual"
+        lines[-1] = lines[-1][:-len("factual")] + label
         (tmp_path / "two.csv").write_text("\r\n".join(lines) + "\r\n")
         cfg = tmp_path / "m.json"
         cfg.write_text(json.dumps({"schema_version": 1, "metrics": {"n_boot": 3}}))
@@ -1005,7 +1007,7 @@ class TestMetricsEnsemble:
                        "--coords", sim / "sites.csv", "--ensemble", tmp_path / "two.csv",
                        "--out", tmp_path / "m") == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "two.csv" in err and "'counterfactual'" in err
+        assert err.count("\n") == 1 and "two.csv" in err and repr(label) in err
         assert "Traceback" not in err
         assert not (tmp_path / "m").exists()
 
