@@ -15,8 +15,7 @@ import numpy as np
 
 from . import model as mdl
 from .autodiff import ArrayView
-from .distributions import (LogLaplaceParams, expps_sample_field, loglaplace_quantile,
-                            normal_quantile)
+from .distributions import LogLaplaceParams, expps_sample_field, loglaplace_quantile
 from .model import ModelParameters
 from .seeds import CounterStream, open_unit, substream
 
@@ -73,8 +72,8 @@ def _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, samples, streams, mode,
 
     Every draw is read at its own counter address, so a sample's values do not
     depend on the chunking or on which other sites are kept:
-      - latent eps: word (s n_t + t) K + k of ``streams["eps"]``, through the
-        normal quantile;
+      - latent eps: a generator at sample s's own region of ``streams["eps"]``,
+        one (n_t, K) standard normal draw;
       - data noise: word (s n_sites + j) n_t + t of ``streams["noise"]``, read
         once per run of consecutive kept sites, through the log-Laplace quantile;
       - prior-mode z: a generator at sample s's own region of ``streams["prior-z"]``.
@@ -84,11 +83,10 @@ def _chunk_pass(cfg, p, mu, sigma, cond, w, site_idx, samples, streams, mode,
     """
     n_t, k = mu.shape
     n_c = len(samples)
+    eps = np.zeros((n_c, n_t, k))
     if draw_latent_noise:
-        words = streams["eps"].words(samples.start * n_t * k, n_c * n_t * k)
-        eps = normal_quantile(open_unit(words)).reshape(n_c, n_t, k)
-    else:
-        eps = np.zeros((n_c, n_t, k))
+        for i, s in enumerate(samples):
+            streams["eps"].generator(s).standard_normal(out=eps[i])
     _, _, z = mdl.latent(p, mu, sigma, cond, eps)
     z = z.reshape(n_c * n_t, k)
 

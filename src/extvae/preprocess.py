@@ -426,8 +426,9 @@ def run_pipeline(daily: np.ndarray, calendar: DailyCalendar,
                  n_bins: int = 10, doubled: bool = False) -> list[SitePreprocessResult]:
     """Pooled seasonal fit, variance model, standardization, monthly maxima
     and GEV fit of every site of a (days, sites) matrix at once, then each
-    site's GOF test and Pareto transform, in site order.  A failing fit
-    raises for its first site, in site order, and names it."""
+    site's GOF test and Pareto transform, in site order.  A site whose
+    residual RMS is at most 1e-12 of its fitted series' RMS, or a failing
+    fit, raises for its first site, in site order, and names it."""
     daily = np.asarray(daily, dtype=np.float64)
     design = build_design(calendar.n_days, calendar.start)
     nbs = neighborhoods(coords_lonlat, radius_km)
@@ -438,7 +439,15 @@ def run_pipeline(daily: np.ndarray, calendar: DailyCalendar,
     # the squares of the neighbours' own residuals from the site's fit
     sum_sq = np.column_stack([np.einsum("ij,ij->i", r, r) for r in
                               (daily[:, nb] - fitted[:, j, None] for j, nb in enumerate(nbs))])
-    var_model = fit_variance(sum_sq, [len(nb) for nb in nbs], design.time_index)
+    counts = [len(nb) for nb in nbs]
+    # residuals at the rounding of the fit (a constant series) would be
+    # scaled up to unit variance and fitted as if they were data
+    flat = np.flatnonzero(np.sqrt(np.sum(sum_sq, axis=0) / counts)
+                          <= 1e-12 * np.sqrt(np.sum(fitted**2, axis=0)))
+    if flat.size:
+        raise RuntimeError(f"site {flat[0]}: the residuals from the seasonal fit are "
+                           "rounding error: the series is constant")
+    var_model = fit_variance(sum_sq, counts, design.time_index)
     months, maxima = monthly_maxima(detrend(daily, fitted, var_model.eps_hat), calendar)
     return [preprocess_site(j, maxima[:, j], gev, months, n_bins, doubled)
             for j, gev in enumerate(gev_fit(maxima))]

@@ -1,7 +1,7 @@
 """Independent references for the model's three laws, from scipy.stats; the
-seeded GEV draws the fit tests use as data; from scipy, the chi-square
-survival function and the L-BFGS-B fits that the preprocessing fits replace;
-and the energy distance between two samples.
+GEV return level and the seeded GEV draws the fit tests use as data; from
+scipy, the chi-square survival function and the L-BFGS-B fits that the
+preprocessing fits replace; and the energy distance between two samples.
 
 - the expPS(1/2, theta) prior is the inverse Gaussian with mean 1/(2 sqrt theta)
   and shape 1/2, scipy's ``invgauss(mu=1/sqrt(theta), scale=1/2)``, and at
@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from scipy.special import chdtrc
 from scipy.stats import invgauss, laplace, levy, lognorm
 
-from extvae.distributions import XI_MAX, XI_MIN, GevParams, _gev_negloglik, gev_quantile
+from extvae.distributions import XI_MAX, XI_MIN, GevParams, _gev_negloglik, _levels
 from extvae.seeds import as_generator
 
 
@@ -46,6 +46,12 @@ def loglaplace_logpdf(x, y, alpha0: float) -> np.ndarray:
 def loglaplace_cdf(alpha0: float):
     """The log-Laplace(1/alpha0) CDF, for kstest."""
     return lambda x: laplace(scale=1.0 / alpha0).cdf(np.log(x))
+
+
+def gev_quantile(q, p: GevParams) -> np.ndarray:
+    """The level-q return level of the marginal p."""
+    q = _levels(q)
+    return p.mu + p.sigma * ((-np.log(q)) ** (-p.xi) - 1.0) / p.xi
 
 
 def gev_sample(p: GevParams, n: int, seed) -> np.ndarray:

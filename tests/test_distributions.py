@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize
-from scipy.special import ndtri
 from scipy.stats import invweibull, kstest, kstwobign, laplace, levy
 
 from extvae import model as mdl
@@ -20,16 +19,14 @@ from extvae.distributions import (
     frechet_quantile,
     gev_cdf,
     gev_fit,
-    gev_quantile,
     loglaplace_quantile,
     loglaplace_sample,
-    normal_quantile,
     tail_equivalence_check,
 )
 from extvae.distributions import _gev_negloglik
-from extvae.seeds import CounterStream, as_generator, open_unit, substream
+from extvae.seeds import as_generator, substream
 from expps_oracle import expps_sample, positive_stable_half_sample
-from references import gev_sample, loglaplace_cdf
+from references import gev_quantile, gev_sample, loglaplace_cdf
 
 KS_CRIT_1PCT = kstwobign.isf(0.01)  # asymptotic 1% critical constant
 
@@ -106,47 +103,6 @@ class TestLogLaplace:
         assert np.array_equal(a, b)
 
 
-def same_bits(a, b) -> bool:
-    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
-
-
-def ulps_around(x: float, n: int = 64) -> np.ndarray:
-    """The 2n + 1 doubles from n ulps below x to n ulps above it."""
-    return (np.float64(x).view(np.int64) + np.arange(-n, n + 1)).view(np.float64)
-
-
-class TestNormalQuantile:
-    """normal_quantile against scipy's ndtri, compared bit for bit."""
-
-    @pytest.mark.parametrize("end", ["low", "high"])
-    def test_open_unit_ends(self, end):
-        # the 2e5 open_unit values nearest 2^-53 (or 1 - 2^-53): below
-        # e^-32 ~ 1.27e-14 the P2/Q2 branch runs
-        m = np.arange(200_000, dtype=np.uint64)
-        if end == "high":
-            m = np.uint64(2**52 - 1) - m
-        u = open_unit(m << np.uint64(12))
-        assert u.min() >= 2.0**-53 and u.max() <= 1.0 - 2.0**-53
-        assert same_bits(normal_quantile(u), ndtri(u))
-
-    @pytest.mark.parametrize("point", [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)],
-                             ids=["e^-2", "1-e^-2", "e^-32"])
-    def test_branch_points(self, point):
-        u = ulps_around(point)
-        assert same_bits(normal_quantile(u), ndtri(u))
-
-    def test_counter_stream_words(self):
-        u = open_unit(CounterStream(2026, "normal-quantile").words(0, 10**6))
-        assert same_bits(normal_quantile(u), ndtri(u))
-
-    def test_shape_and_hand_values(self):
-        q = np.array([[0.5, 0.975], [0.025, 0.8413447460685429]])
-        z = normal_quantile(q)
-        assert z.shape == (2, 2) and z[0, 0] == 0.0
-        np.testing.assert_allclose(z.ravel()[1:], [1.959963984540054, -1.959963984540054, 1.0],
-                                   rtol=1e-14)
-
-
 def one_knot(*args):
     """Arguments broadcast together, each entry a model with one knot."""
     return [a[..., None] for a in np.broadcast_arrays(*map(np.asarray, args))]
@@ -161,8 +117,7 @@ def prior_logdensity(z, theta) -> np.ndarray:
     (loglaplace_quantile, LogLaplaceParams(2.0)),
     (frechet_quantile, FrechetParams(tau=1.0, alpha0=2.0)),
     (gev_quantile, GevParams(mu=0.0, sigma=1.0, xi=0.1)),
-    (lambda q, _: normal_quantile(q), None),
-], ids=["loglaplace", "frechet", "gev", "normal"])
+], ids=["loglaplace", "frechet", "gev"])
 @pytest.mark.parametrize("bad", [np.nan, [0.5, np.nan], [[0.25], [np.nan]], 0.0, 1.0],
                          ids=["nan", "nan-in-vector", "nan-in-matrix", "zero", "one"])
 def test_nan_level_rejected_as_zero_and_one_are(quantile, params, bad):

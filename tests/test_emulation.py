@@ -194,6 +194,21 @@ class TestSiteAddressing:
         assert one.samples.tobytes() == two.samples[:, :, :1].tobytes()
         assert one.theta.tobytes() == two.theta[:, :, :1].tobytes()
 
+    def test_latent_eps_is_the_samples_generator_region(self, small_model, monkeypatch):
+        """Sample s's eps is one (n_t, K) standard normal draw of the generator
+        at region s of the emulate-eps stream, whichever chunk holds it."""
+        model, x, c = small_model
+        cfg, p = model.config, ArrayView(model.params)
+        monkeypatch.setattr(emu, "CHUNK_BYTES", 1)
+        ens = emu.emulate(model, x, c, n_samples=2, seed=21, draw_data_noise=False)
+        mu, sigma = mdl.encode(cfg, p, x)
+        w = np.asarray(mdl.weight_matrix(cfg, p))
+        stream = CounterStream(21, "emulate-eps")
+        for s in range(2):
+            _, _, z = mdl.latent(p, mu, sigma, c, stream.generator(s).standard_normal(mu.shape))
+            assert ens.samples[:, :, s].tobytes() == np.ascontiguousarray(
+                np.matmul(w, z.T).T).tobytes(), s
+
     def test_runs_read_one_read_per_run(self, monkeypatch):
         stream = CounterStream(4, "runs")
         # a run touching the one before, one 2 words after it (near), far runs,

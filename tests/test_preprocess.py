@@ -672,35 +672,35 @@ class TestBatchedSites:
         assert forks == []
         assert str(three.value) == str(one.value)
 
-    def test_constant_site_fits_without_warnings(self, monkeypatch, forks):
-        """A constant site's standardized series is the seasonal fit's rounding;
-        it gets a finite fit, the same on any CPU count, and no warning: the
-        fits evaluate their trial points under np.errstate."""
+    def test_constant_site_is_named_without_warnings(self, monkeypatch, forks):
+        """A constant site's residuals are the seasonal fit's rounding (about
+        3e-15 of its fitted RMS, against 0.22 at the other sites); it raises
+        one RuntimeError naming it, the same on any CPU count, and no warning."""
         inputs = site_inputs(6, constant=[4])
 
         def run():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                results = pp.run_pipeline(*inputs)
-            return result_bits(results), [(w.category, str(w.message), w.filename,
-                                           w.lineno) for w in caught], results
+                with pytest.raises(RuntimeError) as err:
+                    pp.run_pipeline(*inputs)
+            return type(err.value), str(err.value), [
+                (w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
-        bits, caught, results = run()
-        assert caught == []
-        g = results[4].gev
-        assert np.all(np.isfinite([g.mu, g.sigma, g.xi]))
-        assert np.all(np.isfinite(results[4].transformed))
+        kind, message, caught = run()
+        assert kind is RuntimeError and caught == []
+        assert message == ("site 4: the residuals from the seasonal fit are rounding "
+                           "error: the series is constant")
         monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
-        assert run()[:2] == (bits, caught)
+        assert run() == (kind, message, caught)
         assert forks == []
 
-    def test_constant_site_cli_exits_0_with_empty_stderr(self, tmp_path):
+    def test_constant_site_cli_is_one_line_exit_1(self, tmp_path):
         daily, _, coords = site_inputs(6, constant=[4])
         done = preprocess_cli(tmp_path, daily, coords, SITE_START)
-        assert done.returncode == 0 and done.stderr == ""
-        gev = np.loadtxt(tmp_path / "prep" / "gev_params.csv", delimiter=",", skiprows=1)
-        assert gev.shape == (6, 4) and np.all(np.isfinite(gev))
+        assert done.returncode == 1
+        assert done.stderr == ("numerical error: site 4: the residuals from the seasonal "
+                               "fit are rounding error: the series is constant\n")
 
     def test_unfittable_site_is_named_in_site_order(self):
         with pytest.raises(GevFitError, match="^site 1: GEV fit did not converge to an "
