@@ -23,7 +23,7 @@ from extvae.distributions import (
     loglaplace_sample,
     tail_equivalence_check,
 )
-from extvae.distributions import _gev_negloglik
+from extvae.distributions import _gev_negloglik, _levels
 from extvae.seeds import as_generator, substream
 from expps_oracle import expps_sample, positive_stable_half_sample
 from references import gev_quantile, gev_sample, loglaplace_cdf
@@ -117,7 +117,8 @@ def prior_logdensity(z, theta) -> np.ndarray:
     (loglaplace_quantile, LogLaplaceParams(2.0)),
     (frechet_quantile, FrechetParams(tau=1.0, alpha0=2.0)),
     (gev_quantile, GevParams(mu=0.0, sigma=1.0, xi=0.1)),
-], ids=["loglaplace", "frechet", "gev"])
+    (lambda q, _: _levels(q), None),
+], ids=["loglaplace", "frechet", "gev", "levels"])
 @pytest.mark.parametrize("bad", [np.nan, [0.5, np.nan], [[0.25], [np.nan]], 0.0, 1.0],
                          ids=["nan", "nan-in-vector", "nan-in-matrix", "zero", "one"])
 def test_nan_level_rejected_as_zero_and_one_are(quantile, params, bad):

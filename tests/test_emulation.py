@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest, kstwobign, uniform
+from scipy.stats import kstest, kstwobign, norm, uniform
 
 from extvae import emulation as emu
 from extvae import fieldsim as fs
 from extvae import model as mdl
 from extvae.autodiff import ArrayView
+from extvae.distributions import expps_sample_field
 from extvae.seeds import CounterStream, substream
 from references import energy_distance
 
@@ -194,21 +195,6 @@ class TestSiteAddressing:
         assert one.samples.tobytes() == two.samples[:, :, :1].tobytes()
         assert one.theta.tobytes() == two.theta[:, :, :1].tobytes()
 
-    def test_latent_eps_is_the_samples_generator_region(self, small_model, monkeypatch):
-        """Sample s's eps is one (n_t, K) standard normal draw of the generator
-        at region s of the emulate-eps stream, whichever chunk holds it."""
-        model, x, c = small_model
-        cfg, p = model.config, ArrayView(model.params)
-        monkeypatch.setattr(emu, "CHUNK_BYTES", 1)
-        ens = emu.emulate(model, x, c, n_samples=2, seed=21, draw_data_noise=False)
-        mu, sigma = mdl.encode(cfg, p, x)
-        w = np.asarray(mdl.weight_matrix(cfg, p))
-        stream = CounterStream(21, "emulate-eps")
-        for s in range(2):
-            _, _, z = mdl.latent(p, mu, sigma, c, stream.generator(s).standard_normal(mu.shape))
-            assert ens.samples[:, :, s].tobytes() == np.ascontiguousarray(
-                np.matmul(w, z.T).T).tobytes(), s
-
     def test_runs_read_one_read_per_run(self, monkeypatch):
         stream = CounterStream(4, "runs")
         # a run touching the one before, one 2 words after it (near), far runs,
@@ -239,6 +225,72 @@ class TestSiteAddressing:
             emu.emulate(model, x, c, n_samples=2, sites=sites)
         with pytest.raises(ValueError, match="sites"):
             emu.counterfactual(model, x, c, 1.0 - c, n_samples=2, sites=sites)
+
+
+class TestLatentAddress:
+    """Sample s's latent eps is one (n_t, K) standard normal draw of the
+    generator at region s of the emulate-eps stream, and its prior-mode z one
+    expPS field of region s of emulate-prior-z, whichever chunk holds it."""
+
+    @pytest.fixture(params=["one-chunk", "one-sample-chunks"])
+    def chunking(self, request, monkeypatch):
+        if request.param == "one-sample-chunks":
+            monkeypatch.setattr(emu, "CHUNK_BYTES", 1)
+
+    @staticmethod
+    def mixed(model, z):
+        w = np.asarray(mdl.weight_matrix(model.config, ArrayView(model.params)))
+        return np.ascontiguousarray(np.matmul(w, z.T).T)
+
+    @staticmethod
+    def hand_z(model, x, cond, seed, s):
+        p = ArrayView(model.params)
+        mu, sigma = mdl.encode(model.config, p, x)
+        eps = CounterStream(seed, "emulate-eps").generator(s).standard_normal(mu.shape)
+        return mdl.latent(p, mu, sigma, cond, eps)[2]
+
+    def test_eps_is_the_samples_generator_region(self, small_model, chunking):
+        model, x, c = small_model
+        ens = emu.emulate(model, x, c, n_samples=2, seed=21, draw_data_noise=False)
+        for s in range(2):
+            want = self.mixed(model, self.hand_z(model, x, c, 21, s))
+            assert ens.samples[:, :, s].tobytes() == want.tobytes(), s
+
+    def test_counterfactual_eps_is_the_samples_generator_region(self, small_model,
+                                                                 chunking):
+        model, x, c = small_model
+        c_cf = emu.flip_condition(c)
+        ens = emu.counterfactual(model, x, c, c_cf, n_samples=2, seed=22,
+                                 draw_data_noise=False)
+        for s in range(2):
+            want = self.mixed(model, self.hand_z(model, x, c_cf, 22, s))
+            assert ens.samples[:, :, s].tobytes() == want.tobytes(), s
+
+    def test_prior_z_is_the_samples_generator_region(self, small_model, chunking):
+        model, x, c = small_model
+        ens = emu.emulate(model, x, c, n_samples=2, seed=23, mode="prior",
+                          draw_data_noise=False)
+        stream = CounterStream(23, "emulate-prior-z")
+        for s in range(2):
+            theta = np.ascontiguousarray(ens.theta[:, :, s])
+            want = self.mixed(model, expps_sample_field(theta, stream.generator(s)))
+            assert ens.samples[:, :, s].tobytes() == want.tobytes(), s
+
+    def test_eps_is_standard_normal_and_differs_by_sample(self, small_model, monkeypatch):
+        model, x, c = small_model
+        seen, latent = [], mdl.latent
+
+        def capture(p, mu, sigma, cond, eps):
+            seen.append(np.array(eps))
+            return latent(p, mu, sigma, cond, eps)
+
+        monkeypatch.setattr(mdl, "latent", capture)
+        emu.emulate(model, x, c, n_samples=200, seed=24, draw_data_noise=False)
+        eps = np.concatenate(seen)
+        assert eps.shape == (200, 12, 4)
+        assert kstest(eps.ravel(), norm.cdf).statistic < (
+            kstwobign.isf(0.01) / math.sqrt(eps.size))
+        assert np.unique(eps.reshape(200, -1), axis=0).shape[0] == 200
 
 
 class TestCounterfactual:

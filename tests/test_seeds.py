@@ -43,6 +43,15 @@ class TestCounterStream:
         stream.generator(2).standard_normal(1000)
         assert stream.generator(3).standard_normal(50).tobytes() == a.tobytes()
 
+    def test_generator_region_normals_are_standard_and_independent(self):
+        # the sampler every normal draw goes through: each region's draws are
+        # standard normal, and neighbouring regions are uncorrelated
+        stream = CounterStream(9, "emulate-eps")
+        a, b = (stream.generator(s).standard_normal(10**5) for s in (0, 1))
+        for z in (a, b):
+            assert kstest(z, norm.cdf).statistic < ks_bound(z.size)
+        assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / math.sqrt(a.size)
+
     def test_labels_and_seeds_give_distinct_keys(self):
         a = CounterStream(1, "emulate-noise").words(0, 8)
         assert a.tobytes() != CounterStream(1, "emulate-eps").words(0, 8).tobytes()
@@ -58,6 +67,18 @@ class TestOpenUnit:
             noise = loglaplace_quantile(u, LogLaplaceParams(a0))
             assert np.all(np.isfinite(noise) & (noise > 0))
         assert np.all(np.isfinite(ndtri(u)))
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_words_near_the_ends_are_half_ulp_centres(self, end):
+        # the 2e5 words nearest 0 (or 2^64 - 1): top 52 bits m give exactly
+        # (m + 1/2) 2^-52, whatever the low 12 bits hold
+        m = np.arange(200_000, dtype=np.uint64)
+        if end == "high":
+            m = np.uint64(2**52 - 1) - m
+        low = np.uint64(0xABC) if end == "low" else np.uint64(0xFFF)
+        u = open_unit((m << np.uint64(12)) | low)
+        assert u.min() >= 2.0**-53 and u.max() <= 1.0 - 2.0**-53
+        assert np.array_equal(u, (m.astype(np.float64) + 0.5) * 2.0**-52)
 
     def test_counter_noise_is_log_laplace(self):
         p = LogLaplaceParams(2.0)
